@@ -5,7 +5,8 @@
 // the modeled measurements. Absolute agreement is not the goal (our
 // substrate is a calibrated simulator, not the authors' testbed); the
 // qualitative shape — who wins, how costs scale with P, where crossovers
-// happen — is. See EXPERIMENTS.md for the recorded comparison.
+// happen — is. Host-time measurements and the tracked trajectory are
+// bench/suite/README.md's.
 #pragma once
 
 #include <fstream>

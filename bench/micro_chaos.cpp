@@ -1,12 +1,15 @@
 // Wall-clock microbenchmarks (google-benchmark) of the CHAOS++ primitives
-// themselves: inspector hashing (cold and warm), schedule generation,
+// themselves: inspector hashing (cold, warm, and a cache-missing adaptive
+// re-hash), schedule generation, cross-epoch seeding, residue lowering,
 // transport, light-weight schedules, and the partitioners. These measure
 // the real implementation on the host, complementing the modeled-time
 // table harnesses.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <numeric>
 
+#include "compile/schedule_plan.hpp"
 #include "core/chaos.hpp"
 #include "util/rng.hpp"
 
@@ -64,6 +67,98 @@ void BM_HashWarmRehash(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HashWarmRehash)->Arg(10000)->Arg(100000);
+
+void BM_HashRehashRandom(benchmark::State& state) {
+  // The adaptive re-inspection: 250k random references over 524288
+  // elements, 10% of them replaced, re-hashed. Unlike BM_HashWarmRehash's
+  // iota references, these miss the cache on every probe.
+  const GlobalIndex n = 524288;
+  const std::size_t nrefs = 250000;
+  sim::Machine machine(1);
+  machine.run([&](sim::Comm& comm) {
+    std::vector<int> map(static_cast<size_t>(n), 0);
+    auto table = core::TranslationTable::from_full_map(comm, map);
+    core::IndexHashTable hash(n);
+    Rng rng(31);
+    std::vector<GlobalIndex> refs(nrefs);
+    for (auto& g : refs)
+      g = static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(n)));
+    std::vector<GlobalIndex> again = refs;
+    hash.hash(comm, table, again);
+    for (auto _ : state) {
+      state.PauseTiming();
+      again = refs;
+      for (std::size_t k = 0; k < nrefs / 10; ++k)
+        again[rng.below(nrefs)] =
+            static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(n)));
+      state.ResumeTiming();
+      const core::Stamp s = hash.hash(comm, table, again);
+      benchmark::DoNotOptimize(again.data());
+      state.PauseTiming();
+      hash.clear_stamp(s);
+      state.ResumeTiming();
+    }
+  });
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(nrefs));
+}
+BENCHMARK(BM_HashRehashRandom)->Unit(benchmark::kMillisecond);
+
+void BM_SeedFrom(benchmark::State& state) {
+  // Cross-epoch reuse after a repartition that moves each rank's top 5% of
+  // elements to the next rank: owner delta, translation-table patch and
+  // registry seeding of one inspected loop (125k random references per
+  // rank over 262144 elements). Timed per repartition, slowest rank.
+  const GlobalIndex n = 262144;
+  const std::size_t nrefs = 125000;
+  const int P = 4;
+  sim::Machine machine(P);
+  for (auto _ : state) {
+    double seconds = 0;
+    machine.run([&](sim::Comm& comm) {
+      Runtime rt(comm);
+      const DistHandle d = rt.block(n);
+      Rng rng(41 + static_cast<std::uint64_t>(comm.rank()));
+      std::vector<GlobalIndex> refs(nrefs);
+      for (auto& g : refs)
+        g = static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(n)));
+      const lang::IndirectionArray ind(std::move(refs));
+      (void)rt.inspect(d, ind);
+      std::vector<int> map = rt.dist(d).map();
+      const GlobalIndex per = n / P;
+      for (GlobalIndex g = 0; g < n; ++g)
+        if (g % per >= per - per / 20)
+          map[static_cast<size_t>(g)] = (map[static_cast<size_t>(g)] + 1) % P;
+      comm.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(rt.repartition(d, std::move(map)));
+      const double dt = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      const double slowest = comm.allreduce_max(dt);
+      if (comm.rank() == 0) seconds = slowest;
+    });
+    state.SetIterationTime(seconds);
+  }
+}
+BENCHMARK(BM_SeedFrom)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+void BM_LowerResidue(benchmark::State& state) {
+  // Lowering a residue-only schedule: 150k random indices, no run long
+  // enough for a segment op.
+  const std::size_t len = 150000;
+  Rng rng(51);
+  std::vector<GlobalIndex> idx(len);
+  for (auto& i : idx) i = static_cast<GlobalIndex>(rng.below(1u << 20));
+  std::vector<core::ScheduleBlock> send;
+  send.push_back(core::ScheduleBlock{1, std::move(idx)});
+  const core::Schedule sched(std::move(send), {});
+  for (auto _ : state) {
+    const compile::SchedulePlan plan = compile::SchedulePlan::compile(sched);
+    benchmark::DoNotOptimize(plan.stats().residue_elements);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(len));
+}
+BENCHMARK(BM_LowerResidue)->Unit(benchmark::kMillisecond);
 
 void BM_ScheduleBuildAndGather(benchmark::State& state) {
   const GlobalIndex n = state.range(0);

@@ -2,7 +2,7 @@
 // non-bonded pair force with smooth cutoff and a harmonic bond force.
 // The physics is intentionally simple — the runtime behaviour the paper
 // measures depends on the *indirection structure and per-pair cost*, not on
-// the force field (DESIGN.md §2).
+// the force field.
 #pragma once
 
 #include <algorithm>

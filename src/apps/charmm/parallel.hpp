@@ -79,8 +79,7 @@ struct ParallelCharmmConfig {
 
   /// Route the adaptive non-bonded loop through the compiler-generated path
   /// (per-step modification-record guards on the runtime's schedule
-  /// registry) and charge the mechanical overheads of generated code. See
-  /// DESIGN.md §2.
+  /// registry) and charge the mechanical overheads of generated code.
   bool compiler_generated = false;
 
   /// Collect final global positions/forces into the result (tests only;

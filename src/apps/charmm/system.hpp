@@ -2,7 +2,7 @@
 // case (MbCO + 3830 water molecules, 14026 atoms, 14 Å cutoff).
 //
 // We cannot ship the MbCO structure, so we generate a system with the same
-// statistics the runtime cares about (see DESIGN.md §2): a dense
+// statistics the runtime cares about: a dense
 // protein-like cluster plus a bath of three-atom water-like molecules in a
 // periodic box, bonded topology (fixed for the whole run), and per-atom
 // non-bonded partner counts set by the cutoff and local density — which is

@@ -9,7 +9,8 @@ namespace {
 /// Lower one index list into wire-order segment ops. Scans left to right
 /// emitting maximal constant-stride runs; runs shorter than opt.min_run
 /// (and zero-stride repeats, which a block copy cannot express) fall into
-/// the residue, merged into the preceding residue op when adjacent.
+/// the residue. Each stretch of residue between two runs is appended as
+/// one op, in one copy.
 BlockPlan lower_block(const core::ScheduleBlock& blk, const Options& opt) {
   BlockPlan out;
   out.proc = blk.proc;
@@ -17,44 +18,36 @@ BlockPlan lower_block(const core::ScheduleBlock& blk, const Options& opt) {
   const std::vector<GlobalIndex>& idx = blk.indices;
   if (idx.empty()) return out;
 
-  out.lo = *std::min_element(idx.begin(), idx.end());
-  out.hi = *std::max_element(idx.begin(), idx.end());
+  const auto [lo, hi] = std::minmax_element(idx.begin(), idx.end());
+  out.lo = *lo;
+  out.hi = *hi;
 
   const auto emit_residue = [&](std::size_t from, std::size_t to) {
     if (from == to) return;
-    if (!out.ops.empty() && out.ops.back().stride == 0) {
-      // Adjacent residue merges: one op, one index-list loop.
-      SegmentOp& prev = out.ops.back();
-      prev.len += static_cast<GlobalIndex>(to - from);
-    } else {
-      out.ops.push_back(
-          SegmentOp{static_cast<GlobalIndex>(out.residue.size()),
-                    static_cast<GlobalIndex>(to - from), 0});
-    }
+    out.ops.push_back(SegmentOp{static_cast<GlobalIndex>(out.residue.size()),
+                                static_cast<GlobalIndex>(to - from), 0});
     out.residue.insert(out.residue.end(), idx.begin() + from,
                        idx.begin() + to);
   };
 
-  std::size_t i = 0;
-  while (i < idx.size()) {
-    // Maximal run starting at i: stride fixed by the first pair.
+  std::size_t i = 0, residue_from = 0;
+  while (i + 1 < idx.size()) {
+    // Maximal run starting at i: stride fixed by the first pair. A zero
+    // stride is not a block copy; idx[i] stays in the residue.
+    const GlobalIndex d = idx[i + 1] - idx[i];
     std::size_t j = i + 1;
-    if (j < idx.size()) {
-      const GlobalIndex d = idx[j] - idx[i];
-      if (d != 0)
-        while (j + 1 < idx.size() && idx[j + 1] - idx[j] == d) ++j;
-      else
-        j = i;  // zero stride: not a block copy, leave idx[i] to the residue
-      const GlobalIndex len = static_cast<GlobalIndex>(j - i + 1);
-      if (j > i && len >= opt.min_run) {
-        out.ops.push_back(SegmentOp{idx[i], len, d});
-        i = j + 1;
-        continue;
-      }
+    if (d != 0)
+      while (j + 1 < idx.size() && idx[j + 1] - idx[j] == d) ++j;
+    const GlobalIndex len = static_cast<GlobalIndex>(j - i + 1);
+    if (d != 0 && len >= opt.min_run) {
+      emit_residue(residue_from, i);
+      out.ops.push_back(SegmentOp{idx[i], len, d});
+      i = residue_from = j + 1;
+    } else {
+      ++i;
     }
-    emit_residue(i, i + 1);
-    ++i;
   }
+  emit_residue(residue_from, idx.size());
   return out;
 }
 

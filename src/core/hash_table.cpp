@@ -11,24 +11,6 @@ IndexHashTable::IndexHashTable(GlobalIndex owned_count) : owned_(owned_count) {
   index_.assign(64, -1);
 }
 
-std::uint64_t IndexHashTable::mix(GlobalIndex g) {
-  std::uint64_t z = static_cast<std::uint64_t>(g) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::size_t IndexHashTable::probe(GlobalIndex g) const {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t at = static_cast<std::size_t>(mix(g)) & mask;
-  for (;;) {
-    const std::int32_t id = index_[at];
-    if (id < 0) return at;  // empty slot: not present
-    if (entries_[static_cast<std::size_t>(id)].global == g) return at;
-    at = (at + 1) & mask;
-  }
-}
-
 void IndexHashTable::grow() {
   std::vector<std::int32_t> old = std::move(index_);
   index_.assign(old.size() * 2, -1);
@@ -44,7 +26,7 @@ void IndexHashTable::grow() {
 }
 
 const IndexHashTable::Entry* IndexHashTable::find(GlobalIndex g) const {
-  const std::size_t at = probe(g);
+  const std::size_t at = probe(g, mix(g));
   if (index_[at] < 0) return nullptr;
   return &entries_[static_cast<std::size_t>(index_[at])];
 }
@@ -58,64 +40,27 @@ Stamp IndexHashTable::allocate_stamp() {
   return stamp;
 }
 
-IndexHashTable::SeedResult IndexHashTable::seed_ref(int self_rank,
-                                                    GlobalIndex g,
-                                                    const Home& home,
-                                                    Stamp stamp,
-                                                    bool carried) {
-  if (entries_.size() * 10 >= index_.size() * 7) grow();
-  const std::size_t at = probe(g);
-  if (index_[at] >= 0) {
-    Entry& e = entries_[static_cast<std::size_t>(index_[at])];
-    e.stamps |= stamp;
-    ++stats_.hits;
-    return SeedResult{e.local_index, false};
-  }
-  CHAOS_ASSERT(home.proc >= 0, "seeding a new entry requires a Home");
-  const std::int32_t id = static_cast<std::int32_t>(entries_.size());
-  const GlobalIndex local =
-      home.proc == self_rank ? home.offset : owned_ + next_ghost_slot_++;
-  entries_.push_back(Entry{g, home, local, stamp});
-  index_[at] = id;
-  ++stats_.inserts;
-  if (carried) ++stats_.reused_homes;
-  return SeedResult{local, true};
-}
-
 Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
                            std::span<GlobalIndex> indices) {
   const Stamp stamp = allocate_stamp();
+  const std::size_t first_new = entries_.size();
 
-  // Pass 1: enter indices; collect globals that need translation.
+  // One probe per reference; new entries wait for their Home.
   std::vector<GlobalIndex> unknown;
-  std::vector<std::int32_t> unknown_ids;
-  double hit_work = 0.0, insert_work = 0.0;
-  for (GlobalIndex g : indices) {
-    if (entries_.size() * 10 >= index_.size() * 7) grow();
-    const std::size_t at = probe(g);
-    if (index_[at] >= 0) {
-      Entry& e = entries_[static_cast<std::size_t>(index_[at])];
-      e.stamps |= stamp;  // revives dead entries too; slot is stable
-      ++stats_.hits;
-      hit_work += costs::kHashHit;
-    } else {
-      const std::int32_t id = static_cast<std::int32_t>(entries_.size());
-      entries_.push_back(Entry{g, Home{}, -1, stamp});
-      index_[at] = id;
-      unknown.push_back(g);
-      unknown_ids.push_back(id);
-      ++stats_.inserts;
-      insert_work += costs::kHashInsert;
-    }
-  }
-  comm.charge_work(hit_work + insert_work);
+  const std::uint64_t hits =
+      enter(indices, stamp, [&](std::size_t, GlobalIndex g) {
+        unknown.push_back(g);
+        return Entry{g, Home{}, -1, stamp};
+      });
+  comm.charge_work(static_cast<double>(hits) * costs::kHashHit +
+                   static_cast<double>(unknown.size()) * costs::kHashInsert);
 
   // Batch-translate the new indices (collective when the translation table
   // is distributed; every rank participates even with zero unknowns).
   std::vector<Home> homes = table.lookup(comm, unknown);
   stats_.translations += unknown.size();
   for (std::size_t i = 0; i < unknown.size(); ++i) {
-    Entry& e = entries_[static_cast<std::size_t>(unknown_ids[i])];
+    Entry& e = entries_[first_new + i];
     e.home = homes[i];
     CHAOS_CHECK(e.home.proc >= 0,
                 "indirection array references a deleted (tombstoned) element");
@@ -123,12 +68,9 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
                                                  : owned_ + next_ghost_slot_++;
   }
 
-  // Pass 2: rewrite the indirection array to local indices.
-  for (GlobalIndex& g : indices) {
-    const std::size_t at = probe(g);
-    CHAOS_ASSERT(index_[at] >= 0);
-    g = entries_[static_cast<std::size_t>(index_[at])].local_index;
-  }
+  // Fix-up: references to entries inserted by this call.
+  for (GlobalIndex& g : indices)
+    if (g < 0) g = entries_[static_cast<std::size_t>(-(g + 1))].local_index;
   return stamp;
 }
 

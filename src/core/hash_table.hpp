@@ -16,12 +16,20 @@
 // indirection array finds most indices already present and skips their
 // translation — `Stats` exposes exactly how much work was avoided.
 //
+// `hash` probes each reference once. References are taken in batches whose
+// open-addressing slots and entry rows are prefetched before use, so the
+// two dependent cache misses of a probe overlap across the batch. A hit is
+// rewritten in place; a reference to an entry this call inserted is
+// rewritten to -(id + 1), since its local index waits on the batched
+// translation, and one sequential fix-up pass resolves those afterwards.
+//
 // Ghost slots are stable: clearing a stamp never moves surviving entries,
 // and re-hashing an index whose stamps were cleared revives it with its old
 // slot. `compact()` explicitly reclaims dead slots (which invalidates any
 // schedule built earlier).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,6 +37,7 @@
 #include "core/stamp.hpp"
 #include "core/translation_table.hpp"
 #include "sim/machine.hpp"
+#include "util/check.hpp"
 
 namespace chaos::core {
 
@@ -51,7 +60,7 @@ class IndexHashTable {
     std::uint64_t translations = 0;  ///< translation-table lookups performed
     /// Entries whose Home was carried forward from the previous
     /// distribution epoch without a translation-table lookup (cross-epoch
-    /// reuse, seed_ref with a prior-epoch Home).
+    /// reuse, seed() with a prior-epoch Home).
     std::uint64_t reused_homes = 0;
   };
 
@@ -77,21 +86,30 @@ class IndexHashTable {
 
   /// Take the lowest free stamp bit (the same allocation policy hash()
   /// uses) without hashing anything. The caller seeds entries under it via
-  /// seed_ref().
+  /// seed().
   Stamp allocate_stamp();
 
-  struct SeedResult {
-    GlobalIndex local_index = -1;
-    bool inserted = false;  ///< false: entry existed, stamp was OR'd in
-  };
-
-  /// Seed one reference: if `g` is already present, OR `stamp` into its
-  /// entry; otherwise insert it with `home` (no translation-table lookup —
-  /// `carried` says whether the home was reused from the prior epoch, for
-  /// stats). Returns the entry's local index, exactly as hash() would have
-  /// assigned it on a rank whose id is `self_rank`.
-  SeedResult seed_ref(int self_rank, GlobalIndex g, const Home& home,
-                      Stamp stamp, bool carried);
+  /// Seed one reference stream under `stamp`: `refs` holds globals and is
+  /// rewritten in place to local indices, exactly as hash() would assign
+  /// them on a rank whose id is `self_rank`. A global already present gets
+  /// `stamp` OR'd in; a new one is inserted with `home_of(k)` for its
+  /// position k in `refs`, a {Home, carried} pair — no translation-table
+  /// lookup, `carried` says whether the Home was reused from the prior
+  /// epoch (for stats). Returns the number of inserted entries.
+  template <typename HomeOf>
+  std::size_t seed(int self_rank, std::span<GlobalIndex> refs, Stamp stamp,
+                   HomeOf&& home_of) {
+    const std::size_t before = entries_.size();
+    enter(refs, stamp, [&](std::size_t k, GlobalIndex g) {
+      const auto [home, carried] = home_of(k);
+      CHAOS_ASSERT(home.proc >= 0, "seeding a new entry requires a Home");
+      if (carried) ++stats_.reused_homes;
+      const GlobalIndex local =
+          home.proc == self_rank ? home.offset : owned_ + next_ghost_slot_++;
+      return Entry{g, home, local, stamp};
+    });
+    return entries_.size() - before;
+  }
 
   /// All entries in insertion order, including dead ones (stamps == 0).
   std::span<const Entry> entries() const { return entries_; }
@@ -144,9 +162,71 @@ class IndexHashTable {
   const Entry* find(GlobalIndex g) const;
 
  private:
-  std::size_t probe(GlobalIndex g) const;  // slot in index_, or empty slot
+  /// Slot in index_ holding `g`, or the empty slot it would take; `h` is
+  /// mix(g).
+  std::size_t probe(GlobalIndex g, std::uint64_t h) const {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t at = static_cast<std::size_t>(h) & mask;
+    for (;;) {
+      const std::int32_t id = index_[at];
+      if (id < 0 || entries_[static_cast<std::size_t>(id)].global == g)
+        return at;
+      at = (at + 1) & mask;
+    }
+  }
   void grow();
-  static std::uint64_t mix(GlobalIndex g);
+  static std::uint64_t mix(GlobalIndex g) {
+    std::uint64_t z = static_cast<std::uint64_t>(g) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  /// Enter every reference of `refs` under `stamp` with one probe each,
+  /// prefetching a batch's slots and entry rows before probing it. A miss
+  /// appends `insert(k, g)` for position k. Each reference is rewritten to
+  /// its entry's local index, or to -(id + 1) while that is still unknown
+  /// (-1). The table grows at exactly the references where a per-reference
+  /// load check would grow it. Returns the number of hits.
+  template <typename Insert>
+  std::uint64_t enter(std::span<GlobalIndex> refs, Stamp stamp,
+                      Insert&& insert) {
+    constexpr std::size_t kBatch = 16;
+    std::uint64_t h[kBatch];
+    std::uint64_t hits = 0;
+    for (std::size_t b = 0; b < refs.size(); b += kBatch) {
+      const std::size_t n = std::min(kBatch, refs.size() - b);
+      const std::size_t mask = index_.size() - 1;
+      for (std::size_t k = 0; k < n; ++k) {
+        h[k] = mix(refs[b + k]);
+        __builtin_prefetch(&index_[static_cast<std::size_t>(h[k]) & mask]);
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::int32_t id = index_[static_cast<std::size_t>(h[k]) & mask];
+        if (id >= 0) __builtin_prefetch(&entries_[static_cast<std::size_t>(id)]);
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        GlobalIndex& g = refs[b + k];
+        if (entries_.size() * 10 >= index_.size() * 7) grow();
+        const std::size_t at = probe(g, h[k]);
+        std::int32_t id = index_[at];
+        if (id >= 0) {
+          entries_[static_cast<std::size_t>(id)].stamps |= stamp;
+          ++hits;
+        } else {
+          id = static_cast<std::int32_t>(entries_.size());
+          entries_.push_back(insert(b + k, g));
+          index_[at] = id;
+        }
+        const GlobalIndex local =
+            entries_[static_cast<std::size_t>(id)].local_index;
+        g = local >= 0 ? local : -GlobalIndex{id} - 1;
+      }
+    }
+    stats_.hits += hits;
+    stats_.inserts += refs.size() - hits;
+    return hits;
+  }
 
   GlobalIndex owned_;
   GlobalIndex next_ghost_slot_ = 0;

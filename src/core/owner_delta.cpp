@@ -1,5 +1,7 @@
 #include "core/owner_delta.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace chaos::core {
@@ -33,6 +35,7 @@ OwnerDelta OwnerDelta::walk(std::span<const int> old_map,
   for (int p : new_map) nprocs = std::max(nprocs, p + 1);
   std::vector<GlobalIndex> next_old(static_cast<std::size_t>(nprocs), 0);
   std::vector<GlobalIndex> next_new(static_cast<std::size_t>(nprocs), 0);
+  d.state_.assign(static_cast<std::size_t>(std::max(no, nn)), 0);
 
   for (GlobalIndex g = 0; g < std::max(no, nn); ++g) {
     const int po = g < no ? old_map[static_cast<std::size_t>(g)] : -1;
@@ -42,17 +45,22 @@ OwnerDelta OwnerDelta::walk(std::span<const int> old_map,
     if (po >= 0 && pn >= 0) {
       const GlobalIndex oo = next_old[static_cast<std::size_t>(po)]++;
       const GlobalIndex on = next_new[static_cast<std::size_t>(pn)]++;
-      if (po != pn) d.moves_.push_back(Move{g, po, pn});
-      if (po != pn || oo != on) d.home_unstable_.push_back(g);
+      if (po != pn) {
+        d.moves_.push_back(Move{g, po, pn});
+        d.state_[static_cast<std::size_t>(g)] = kMoved | kUnstable;
+      } else if (oo != on) {
+        d.state_[static_cast<std::size_t>(g)] = kUnstable;
+      }
     } else if (po >= 0) {  // death: owned -> hole
       next_old[static_cast<std::size_t>(po)]++;
       d.deleted_.push_back(g);
-      d.home_unstable_.push_back(g);
+      d.state_[static_cast<std::size_t>(g)] = kDeleted | kUnstable;
     } else {  // birth: hole -> owned
       next_new[static_cast<std::size_t>(pn)]++;
       d.born_.push_back(Move{g, -1, pn});
-      d.home_unstable_.push_back(g);
+      d.state_[static_cast<std::size_t>(g)] = kBorn | kUnstable;
     }
+    if (d.state_[static_cast<std::size_t>(g)] & kUnstable) ++d.unstable_;
   }
   return d;
 }

@@ -6,7 +6,8 @@
 // processor changed between the old and the new map array. Everything the
 // cross-epoch machinery does — patching the translation table, carrying
 // ghost assignments forward, revalidating cached schedules — keys on two
-// per-element predicates this descriptor answers in O(log |delta|):
+// per-element predicates this descriptor answers in O(1), from one state
+// byte per global:
 //
 //   owner_moved(g)  the owning processor of g changed, so its data must
 //                   migrate and every schedule touching it is stale;
@@ -33,7 +34,7 @@
 // renumber, so every stable-Home guarantee above carries over unchanged.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -71,9 +72,7 @@ class OwnerDelta {
   GlobalIndex moved_count() const {
     return static_cast<GlobalIndex>(moves_.size());
   }
-  GlobalIndex unstable_count() const {
-    return static_cast<GlobalIndex>(home_unstable_.size());
-  }
+  GlobalIndex unstable_count() const { return unstable_; }
 
   /// Globals that were live in the old epoch and are holes (or beyond the
   /// end) in the new one. Ascending.
@@ -98,52 +97,46 @@ class OwnerDelta {
   }
 
   /// Did g's owning processor change (live in both epochs)?
-  bool owner_moved(GlobalIndex g) const {
-    auto it = std::lower_bound(moves_.begin(), moves_.end(), g,
-                               [](const Move& m, GlobalIndex v) {
-                                 return m.global < v;
-                               });
-    return it != moves_.end() && it->global == g;
-  }
+  bool owner_moved(GlobalIndex g) const { return (state(g) & kMoved) != 0; }
 
   /// Was g deleted (live in the old epoch, a hole or out of range now)?
-  bool deleted(GlobalIndex g) const {
-    return std::binary_search(deleted_.begin(), deleted_.end(), g);
-  }
+  bool deleted(GlobalIndex g) const { return (state(g) & kDeleted) != 0; }
 
   /// Was g born (a hole or out of range in the old epoch, live now)?
-  bool is_born(GlobalIndex g) const {
-    auto it = std::lower_bound(born_.begin(), born_.end(), g,
-                               [](const Move& m, GlobalIndex v) {
-                                 return m.global < v;
-                               });
-    return it != born_.end() && it->global == g;
-  }
+  bool is_born(GlobalIndex g) const { return (state(g) & kBorn) != 0; }
 
   /// Is g's Home (owner AND local offset) identical in both epochs?
   /// Born and deleted elements are never home-stable.
   bool home_stable(GlobalIndex g) const {
-    return !std::binary_search(home_unstable_.begin(), home_unstable_.end(),
-                               g);
+    return (state(g) & kUnstable) == 0;
   }
 
   /// Approximate heap footprint, for registry memory accounting.
   std::size_t footprint_bytes() const {
     return moves_.capacity() * sizeof(Move) +
            born_.capacity() * sizeof(Move) +
-           home_unstable_.capacity() * sizeof(GlobalIndex) +
-           deleted_.capacity() * sizeof(GlobalIndex);
+           deleted_.capacity() * sizeof(GlobalIndex) +
+           state_.capacity() * sizeof(std::uint8_t);
   }
 
  private:
   static OwnerDelta walk(std::span<const int> old_map,
                          std::span<const int> new_map);
 
+  // Per-global state bits; globals past both maps' ends read as 0.
+  enum : std::uint8_t { kMoved = 1, kDeleted = 2, kBorn = 4, kUnstable = 8 };
+  std::uint8_t state(GlobalIndex g) const {
+    return g >= 0 && g < static_cast<GlobalIndex>(state_.size())
+               ? state_[static_cast<std::size_t>(g)]
+               : std::uint8_t{0};
+  }
+
   GlobalIndex n_ = 0;
-  std::vector<Move> moves_;                   // ascending global, live->live
-  std::vector<Move> born_;                    // ascending global, from == -1
-  std::vector<GlobalIndex> home_unstable_;    // ascending global
-  std::vector<GlobalIndex> deleted_;          // ascending global
+  GlobalIndex unstable_ = 0;
+  std::vector<Move> moves_;            // ascending global, live->live
+  std::vector<Move> born_;             // ascending global, from == -1
+  std::vector<GlobalIndex> deleted_;   // ascending global
+  std::vector<std::uint8_t> state_;    // per global over max(old, new) size
 };
 
 }  // namespace chaos::core

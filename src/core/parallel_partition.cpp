@@ -107,7 +107,7 @@ std::vector<int> parallel_partition(sim::Comm& comm, PartitionerKind kind,
       // element count. The constant is calibrated so the CHARMM partition
       // row reproduces the paper's Table 2; the same constant then predicts
       // the Table 5 crossover (recursive bisection losing to static
-      // partitioning at P = 128). See EXPERIMENTS.md.
+      // partitioning at P = 128).
       constexpr double kBisectionCommPerProcSecond = 0.012;
       comm.charge_comm_seconds(kBisectionCommPerProcSecond * P *
                                static_cast<double>(n_total) / 14026.0);

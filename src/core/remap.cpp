@@ -89,37 +89,42 @@ Schedule build_remap_schedule_delta(sim::Comm& comm,
 
   // Batch-translate only the elements that moved away; every rank calls
   // lookup together (possibly with an empty batch). Deleted elements need
-  // no translation — their data is dropped (Home{-1,-1}).
+  // no translation — their data is dropped (Home{-1,-1}); owner_moved
+  // covers only live->live moves.
   std::vector<GlobalIndex> moved;
   for (GlobalIndex g : my_old_globals)
-    if (!delta.deleted(g) && delta.owner_moved(g)) moved.push_back(g);
+    if (delta.owner_moved(g)) moved.push_back(g);
   const std::vector<Home> moved_homes = new_table.lookup(comm, moved);
 
-  // My live owned set in the new epoch, ascending: old owned minus
-  // deleted minus moved-out, plus moved-in, plus born-here. A stable
-  // element's new offset is its position in it (the ascending-global-order
-  // offset convention over live elements).
-  std::vector<GlobalIndex> mine_new;
-  mine_new.reserve(my_old_globals.size());
-  for (GlobalIndex g : my_old_globals)
-    if (!delta.deleted(g) && !delta.owner_moved(g)) mine_new.push_back(g);
+  // Elements arriving here (moved in or born here), ascending. My live
+  // owned set in the new epoch is the surviving old owned elements plus
+  // these, and a surviving element's new offset is its position in that
+  // ascending set (the offset convention over live elements). Old owned
+  // globals ascend with their offsets, so one merge walk finds every
+  // position.
+  std::vector<GlobalIndex> arriving;
   for (const OwnerDelta::Move& m : delta.moves())
-    if (m.to == me) mine_new.push_back(m.global);
+    if (m.to == me) arriving.push_back(m.global);
+  const auto born_from = static_cast<std::ptrdiff_t>(arriving.size());
   for (const OwnerDelta::Move& b : delta.born())
-    if (b.to == me) mine_new.push_back(b.global);
-  std::sort(mine_new.begin(), mine_new.end());
+    if (b.to == me) arriving.push_back(b.global);
+  std::inplace_merge(arriving.begin(), arriving.begin() + born_from,
+                     arriving.end());
 
   std::vector<Home> homes(my_old_globals.size());
-  std::size_t mvi = 0;
+  std::size_t mvi = 0, below = 0;
+  GlobalIndex stayed = 0;
   for (std::size_t i = 0; i < my_old_globals.size(); ++i) {
     const GlobalIndex g = my_old_globals[i];
+    CHAOS_ASSERT(i == 0 || my_old_globals[i - 1] < g,
+                 "owned globals must ascend with their offsets");
     if (delta.deleted(g)) {
       homes[i] = Home{};
     } else if (delta.owner_moved(g)) {
       homes[i] = moved_homes[mvi++];
     } else {
-      const auto it = std::lower_bound(mine_new.begin(), mine_new.end(), g);
-      homes[i] = Home{me, static_cast<GlobalIndex>(it - mine_new.begin())};
+      while (below < arriving.size() && arriving[below] < g) ++below;
+      homes[i] = Home{me, stayed++ + static_cast<GlobalIndex>(below)};
     }
   }
   comm.charge_work(static_cast<double>(my_old_globals.size()) *

@@ -171,21 +171,16 @@ namespace {
 
 /// Carry a schedule across epochs: every element it touches is home-stable,
 /// so the send side (owner-local offsets) is unchanged and only the recv
-/// side (this rank's ghost slots) is rewritten through the old-local ->
-/// new-local map. No request exchange.
+/// side (this rank's ghost slots) is rewritten through `new_local`, the
+/// old-local -> new-local map. No request exchange.
+template <typename NewLocal>
 core::Schedule patch_schedule(sim::Comm& comm, const core::Schedule& prior,
-                              const std::vector<GlobalIndex>& local_remap) {
+                              NewLocal&& new_local) {
   std::vector<core::ScheduleBlock> send = prior.send_blocks();
   std::vector<core::ScheduleBlock> recv = prior.recv_blocks();
   double entries = 0;
   for (core::ScheduleBlock& b : recv) {
-    for (GlobalIndex& i : b.indices) {
-      CHAOS_ASSERT(i >= 0 &&
-                       static_cast<std::size_t>(i) < local_remap.size() &&
-                       local_remap[static_cast<std::size_t>(i)] >= 0,
-                   "carried schedule references an unseeded ghost slot");
-      i = local_remap[static_cast<std::size_t>(i)];
-    }
+    for (GlobalIndex& i : b.indices) i = new_local(i);
     entries += static_cast<double>(b.indices.size());
   }
   for (const core::ScheduleBlock& b : send)
@@ -209,18 +204,27 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
       dist.owned_count(comm.rank()));
   if (!prior.hash_) return;
   const int me = comm.rank();
+  const std::vector<int>& owner = dist.map();
 
-  // Resolve prior localized refs back to (global, old Home): old local
-  // indices are unique across live and dead entries until compact(), so a
-  // flat reverse table suffices.
-  std::vector<const core::IndexHashTable::Entry*> rev(
-      static_cast<std::size_t>(prior.hash_->local_extent()), nullptr);
-  for (const core::IndexHashTable::Entry& e : prior.hash_->entries())
-    rev[static_cast<std::size_t>(e.local_index)] = &e;
-
-  // Old local index -> new local index, filled as refs are seeded; rewrites
-  // the recv side of carried schedules.
-  std::vector<GlobalIndex> local_remap(rev.size(), -1);
+  // Resolve prior localized refs through a flat table by old local index
+  // (unique across live and dead entries until compact()). A row's `slot`
+  // is the element's Home offset in the new epoch — carried from the old
+  // Home while stable, translated once a loop queues it — and its new local
+  // index once seeded, which rewrites the recv side of carried schedules.
+  // Either way its Home's processor is the new map's entry.
+  struct PriorRef {
+    GlobalIndex global = -1;
+    GlobalIndex slot = -1;
+  };
+  enum : std::uint8_t { kUnstable = 1, kQueued = 2, kSeeded = 4 };
+  const auto extent = static_cast<std::size_t>(prior.hash_->local_extent());
+  std::vector<PriorRef> prior_ref(extent);
+  std::vector<std::uint8_t> state(extent, 0);
+  for (const core::IndexHashTable::Entry& e : prior.hash_->entries()) {
+    const auto lr = static_cast<std::size_t>(e.local_index);
+    prior_ref[lr] = {e.global, e.home.offset};
+    if (!delta.home_stable(e.global)) state[lr] = kUnstable;
+  }
 
   // Replay loops in first-plan order: ghost slots are then assigned in
   // exactly the first-encounter order a cold replay of the same plan calls
@@ -233,6 +237,7 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
 
   for (const auto& [ord, id] : order_ids) {
     const CachedLoop& pl = prior.loops_.at(id);
+    const std::vector<GlobalIndex>& old_refs = pl.plan.local_refs;
 
     // Dynamic epochs: a loop whose reference stream touches a deleted
     // element has no valid access set anymore — drop it machine-wide
@@ -242,13 +247,9 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     // repartitions pay nothing new.
     if (delta.is_dynamic()) {
       bool touches_deleted = false;
-      for (GlobalIndex lr : pl.plan.local_refs) {
-        const auto* e = rev[static_cast<std::size_t>(lr)];
-        if (delta.deleted(e->global)) {
-          touches_deleted = true;
-          break;
-        }
-      }
+      for (std::size_t k = 0; k < old_refs.size() && !touches_deleted; ++k)
+        touches_deleted = delta.deleted(
+            prior_ref[static_cast<std::size_t>(old_refs[k])].global);
       if (comm.allreduce_max(touches_deleted ? 1 : 0) == 1) {
         ++stats_.dropped_plans;
         continue;
@@ -257,50 +258,61 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
 
     const core::Stamp stamp = hash_->allocate_stamp();
 
-    // Pass A: collect the unstable refs that are not yet seeded; only they
-    // need a lookup through the new table (collective when distributed —
-    // every rank participates per loop, possibly with an empty batch).
+    // Pass A: write the loop's globals (seeded in place below) and queue
+    // the unstable refs that are not yet seeded; only they need a lookup
+    // through the new table (collective when distributed — every rank
+    // participates per loop, possibly with an empty batch).
+    CachedLoop nl;
+    nl.plan.local_refs.resize(old_refs.size());
     bool loop_stable = true;
-    std::vector<GlobalIndex> unknown;
-    for (GlobalIndex lr : pl.plan.local_refs) {
-      const auto* e = rev[static_cast<std::size_t>(lr)];
-      if (delta.home_stable(e->global)) continue;
+    std::vector<std::size_t> queued;  // rows, by old local index
+    for (std::size_t k = 0; k < old_refs.size(); ++k) {
+      const auto lr = static_cast<std::size_t>(old_refs[k]);
+      if (k + 16 < old_refs.size())
+        __builtin_prefetch(
+            &prior_ref[static_cast<std::size_t>(old_refs[k + 16])]);
+      nl.plan.local_refs[k] = prior_ref[lr].global;
+      if ((state[lr] & kUnstable) == 0) continue;
       loop_stable = false;
-      if (hash_->find(e->global) == nullptr) unknown.push_back(e->global);
+      if ((state[lr] & (kQueued | kSeeded)) == 0) {
+        state[lr] |= kQueued;
+        queued.push_back(lr);
+      }
     }
-    std::sort(unknown.begin(), unknown.end());
-    unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
+    std::sort(queued.begin(), queued.end(), [&](std::size_t a, std::size_t b) {
+      return prior_ref[a].global < prior_ref[b].global;
+    });
+    std::vector<GlobalIndex> unknown(queued.size());
+    for (std::size_t i = 0; i < queued.size(); ++i)
+      unknown[i] = prior_ref[queued[i]].global;
     const std::vector<core::Home> fresh = dist.table().lookup(comm, unknown);
     stats_.seed_translations += unknown.size();
+    for (std::size_t i = 0; i < queued.size(); ++i)
+      prior_ref[queued[i]].slot = fresh[i].offset;
 
-    // Pass B: replay the reference stream, carrying stable Homes forward.
-    CachedLoop nl;
+    // Pass B: replay the reference stream. A stable or queued ref inserts
+    // with its row's Home; one seeded by an earlier loop hits.
     nl.version = pl.version;
     nl.revision = pl.revision;
     nl.order = next_order_++;
     nl.plan.stamp = stamp;
-    nl.plan.local_refs.reserve(pl.plan.local_refs.size());
-    double seed_work = 0;
-    for (GlobalIndex lr : pl.plan.local_refs) {
-      const auto* e = rev[static_cast<std::size_t>(lr)];
-      const bool stable = delta.home_stable(e->global);
-      core::Home home = e->home;
-      if (!stable) {
-        // Either translated just above, or already seeded (with its new
-        // Home) by an earlier loop — seed_ref ignores `home` then.
-        const auto it =
-            std::lower_bound(unknown.begin(), unknown.end(), e->global);
-        if (it != unknown.end() && *it == e->global)
-          home = fresh[static_cast<std::size_t>(it - unknown.begin())];
-      }
-      const auto seeded = hash_->seed_ref(me, e->global, home, stamp, stable);
-      seed_work += seeded.inserted ? core::costs::kSeedInsert
-                                   : core::costs::kSeedHit;
-      local_remap[static_cast<std::size_t>(lr)] = seeded.local_index;
-      nl.plan.local_refs.push_back(seeded.local_index);
+    const std::size_t inserted = hash_->seed(
+        me, nl.plan.local_refs, stamp, [&](std::size_t k) {
+          const auto lr = static_cast<std::size_t>(old_refs[k]);
+          const PriorRef& r = prior_ref[lr];
+          const core::Home home{owner[static_cast<std::size_t>(r.global)],
+                                r.slot};
+          return std::pair{home, (state[lr] & kUnstable) == 0};
+        });
+    for (std::size_t k = 0; k < old_refs.size(); ++k) {
+      const auto lr = static_cast<std::size_t>(old_refs[k]);
+      prior_ref[lr].slot = nl.plan.local_refs[k];
+      state[lr] |= kSeeded;
     }
     nl.plan.local_extent = hash_->local_extent();
-    comm.charge_work(seed_work);
+    comm.charge_work(
+        static_cast<double>(inserted) * core::costs::kSeedInsert +
+        static_cast<double>(old_refs.size() - inserted) * core::costs::kSeedHit);
 
     // Schedule: carried verbatim (recv side remapped) when every element
     // the loop touches is home-stable machine-wide — the allreduce also
@@ -314,7 +326,13 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     const int stable_all = comm.allreduce_min(
         (loop_stable && prior.scan_order_pristine_) ? 1 : 0);
     if (stable_all == 1) {
-      nl.plan.schedule = patch_schedule(comm, pl.plan.schedule, local_remap);
+      nl.plan.schedule =
+          patch_schedule(comm, pl.plan.schedule, [&](GlobalIndex lr) {
+            const auto row = static_cast<std::size_t>(lr);
+            CHAOS_ASSERT(lr >= 0 && row < extent && (state[row] & kSeeded),
+                         "carried schedule references an unseeded ghost slot");
+            return prior_ref[row].slot;
+          });
       ++stats_.patched_schedules;
       if (pl.compiled) {
         // A patched schedule keeps its send side verbatim, so the carried

@@ -13,8 +13,7 @@
 //   - effective message startup (overheads + latency) ~250-300 us,
 //   - effective point-to-point bandwidth ~1.4 MB/s,
 //   - sustained application compute throughput ~2 MFLOPS per node.
-// The calibration anchor is the paper's own Tables 1-7 (see
-// EXPERIMENTS.md).
+// The calibration anchor is the paper's own Tables 1-7.
 #pragma once
 
 #include <cstdint>

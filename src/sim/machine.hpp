@@ -6,7 +6,7 @@
 // per-rank mailboxes) and collectives. Time is *modeled*: computation is
 // charged explicitly via Comm::charge_work, and every communication
 // operation advances the virtual clock according to the CostModel. This is
-// the substitution for the paper's Intel iPSC/860 (see DESIGN.md §2): the
+// the substitution for the paper's Intel iPSC/860: the
 // runtime's scheduling behaviour — message counts, volumes, dedup, load
 // balance — is real; absolute seconds come from the calibrated model.
 //

@@ -34,6 +34,7 @@
 #include "compile/schedule_plan.hpp"
 #include "runtime/runtime.hpp"
 #include "support/equivalence.hpp"
+#include "support/reference_lowering.hpp"
 #include "support/seeds.hpp"
 #include "util/rng.hpp"
 
@@ -138,6 +139,108 @@ TEST(ScheduleCompile, EmptyAndSingletonBlocks) {
   ASSERT_EQ(blocks.send()[1].ops.size(), 1u);
   EXPECT_EQ(blocks.send()[1].ops[0].stride, 0);  // singleton -> residue
   EXPECT_EQ(blocks.send()[1].count, 1);
+}
+
+/// A random index list mixing the patterns the lowering must tell apart:
+/// random-stride runs (ascending and descending) between residue, zero-
+/// stride repeats, and a run of exactly min_run - 1 or min_run at the end.
+std::vector<GlobalIndex> random_lowering_input(Rng& rng,
+                                               GlobalIndex min_run) {
+  std::vector<GlobalIndex> idx;
+  const int pieces = static_cast<int>(rng.range(0, 12));
+  for (int p = 0; p < pieces; ++p) {
+    switch (rng.below(3)) {
+      case 0: {  // run, any nonzero stride
+        GlobalIndex d = rng.range(-6, 5);
+        if (d >= 0) ++d;
+        const GlobalIndex start = rng.range(0, 400);
+        for (GlobalIndex k = 0, len = rng.range(1, 12); k < len; ++k)
+          idx.push_back(start + k * d);
+        break;
+      }
+      case 1: {  // zero-stride repeat
+        const GlobalIndex v = rng.range(0, 400);
+        for (GlobalIndex k = 0, len = rng.range(2, 5); k < len; ++k)
+          idx.push_back(v);
+        break;
+      }
+      default:  // residue
+        for (GlobalIndex k = 0, len = rng.range(1, 6); k < len; ++k)
+          idx.push_back(rng.range(0, 400));
+    }
+  }
+  if (rng.below(2) == 0) {  // boundary-length run at the end of the list
+    const GlobalIndex len = min_run - static_cast<GlobalIndex>(rng.below(2));
+    const GlobalIndex d = rng.below(2) == 0 ? 1 : -3;
+    const GlobalIndex start = 500 + rng.range(0, 100);
+    for (GlobalIndex k = 0; k < len; ++k) idx.push_back(start + k * d);
+  }
+  return idx;
+}
+
+TEST(ScheduleCompile, RandomizedLoweringMatchesPerElementOracle) {
+  const std::uint64_t seeds = seed_count(200, "CHAOS_COMPILE_SEEDS");
+  for (std::uint64_t s = 1; s <= seeds; ++s) {
+    SCOPED_TRACE("seed=" + std::to_string(s));
+    Rng rng(s);
+    compile::Options opt;
+    opt.min_run = rng.range(2, 8);
+    // Blocks to a few peers, so consecutive same-peer blocks fuse; some
+    // blocks continue the previous block's tail run across the boundary.
+    std::vector<ScheduleBlock> send, recv;
+    for (auto* side : {&send, &recv}) {
+      for (int b = 0, nb = static_cast<int>(rng.range(0, 6)); b < nb; ++b) {
+        ScheduleBlock blk{static_cast<int>(rng.below(3)),
+                          random_lowering_input(rng, opt.min_run)};
+        if (!side->empty() && rng.below(3) == 0 &&
+            side->back().indices.size() >= 2) {
+          const std::vector<GlobalIndex>& prev = side->back().indices;
+          const GlobalIndex d = prev.back() - prev[prev.size() - 2];
+          blk.proc = side->back().proc;
+          blk.indices.insert(blk.indices.begin(),
+                             {prev.back() + d, prev.back() + 2 * d});
+        }
+        side->push_back(std::move(blk));
+      }
+    }
+    const Schedule sched(send, recv);
+    const compile::SchedulePlan plan = compile::SchedulePlan::compile(sched, opt);
+
+    compile::SchedulePlan::Stats want;
+    ts::reference_accumulate(send, opt, want);
+    ts::reference_accumulate(recv, opt, want);
+    const compile::SchedulePlan::Stats& got = plan.stats();
+    EXPECT_EQ(got.run_ops, want.run_ops);
+    EXPECT_EQ(got.run_elements, want.run_elements);
+    EXPECT_EQ(got.residue_elements, want.residue_elements);
+    EXPECT_EQ(got.total_elements, want.total_elements);
+    EXPECT_EQ(got.cross_block_runs, want.cross_block_runs);
+
+    for (const bool is_send : {true, false}) {
+      const std::vector<ScheduleBlock>& blocks = is_send ? send : recv;
+      const std::vector<compile::BlockPlan>& plans =
+          is_send ? plan.send() : plan.recv();
+      ASSERT_EQ(plans.size(), blocks.size());
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        SCOPED_TRACE(std::string(is_send ? "send" : "recv") + " block " +
+                     std::to_string(i));
+        const compile::BlockPlan ref = ts::reference_lower_block(blocks[i], opt);
+        const compile::BlockPlan& b = plans[i];
+        EXPECT_EQ(b.proc, ref.proc);
+        EXPECT_EQ(b.count, ref.count);
+        EXPECT_EQ(b.lo, ref.lo);
+        EXPECT_EQ(b.hi, ref.hi);
+        EXPECT_EQ(b.residue, ref.residue);
+        ASSERT_EQ(b.ops.size(), ref.ops.size());
+        for (std::size_t k = 0; k < b.ops.size(); ++k) {
+          EXPECT_EQ(b.ops[k].start, ref.ops[k].start) << "op " << k;
+          EXPECT_EQ(b.ops[k].len, ref.ops[k].len) << "op " << k;
+          EXPECT_EQ(b.ops[k].stride, ref.ops[k].stride) << "op " << k;
+        }
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 // ---- kernel units ----------------------------------------------------------

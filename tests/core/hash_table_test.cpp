@@ -1,9 +1,15 @@
 // Inspector hash-table tests: dedup, in-place index translation, stamps,
 // clearing/reuse, slot stability, compaction, and the reuse statistics that
-// make adaptive-problem preprocessing cheap.
+// make adaptive-problem preprocessing cheap. The randomized oracle test
+// holds hash() to the original two-pass loop (support/reference_hash.hpp).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/hash_table.hpp"
+#include "support/reference_hash.hpp"
+#include "support/seeds.hpp"
+#include "util/rng.hpp"
 
 namespace chaos::core {
 namespace {
@@ -13,6 +19,13 @@ using sim::Machine;
 
 // 10 elements: 0..4 on proc 0, 5..9 on proc 1 (the Figure 6 layout,
 // 0-based).
+std::vector<int> page_of(const std::vector<int>& full, int rank, int P) {
+  part::BlockLayout pages(static_cast<GlobalIndex>(full.size()), P);
+  return std::vector<int>(full.begin() + pages.first(rank),
+                          full.begin() + pages.first(rank) +
+                              pages.size_of(rank));
+}
+
 TranslationTable figure6_table(Comm& c) {
   std::vector<int> full{0, 0, 0, 0, 0, 1, 1, 1, 1, 1};
   return TranslationTable::from_full_map(c, full);
@@ -245,6 +258,171 @@ TEST(IndexHashTable, DistributedTableHashIsCollective) {
       EXPECT_EQ(h.ghost_count(), 4);
     }
   });
+}
+
+// ---- randomized oracle: one-probe batched hash() == the two-pass loop ----
+
+/// Everything one rank observes of a hash-table run: the rewritten array,
+/// stats, extent, footprint and modeled clock after every call, and the
+/// final entries.
+struct HashRun {
+  std::vector<std::vector<GlobalIndex>> rewritten;
+  std::vector<IndexHashTable::Stats> stats;
+  std::vector<GlobalIndex> extent;
+  std::vector<std::size_t> footprint;
+  std::vector<double> clock;
+  std::vector<IndexHashTable::Entry> entries;
+};
+
+/// The seed's indirection arrays for one rank: duplicates inside a
+/// prefetch batch (short repeats from a small pool), references to entries
+/// the same call inserted earlier, fresh globals, and enough inserts to
+/// grow the table mid-call.
+std::vector<GlobalIndex> random_refs(Rng& rng, GlobalIndex n) {
+  std::vector<GlobalIndex> refs;
+  const std::size_t len = static_cast<std::size_t>(rng.range(0, 1500));
+  while (refs.size() < len) {
+    const std::uint64_t kind = rng.below(4);
+    if (kind == 0 && !refs.empty()) {  // repeat a recent reference
+      const std::size_t back =
+          1 + static_cast<std::size_t>(rng.below(std::min<std::size_t>(
+                  refs.size(), 20)));
+      refs.push_back(refs[refs.size() - back]);
+    } else if (kind == 1) {  // a small hot pool, dense duplicates
+      refs.push_back(static_cast<GlobalIndex>(rng.below(8)));
+    } else {
+      refs.push_back(static_cast<GlobalIndex>(
+          rng.below(static_cast<std::uint64_t>(n))));
+    }
+  }
+  return refs;
+}
+
+/// Replay `calls` hash calls (with random stamp clears between them, which
+/// leave dead entries for later calls to revive) on `Table`.
+template <typename Table>
+HashRun replay(Comm& c, const TranslationTable& t, std::uint64_t seed,
+               int calls) {
+  Rng rng(seed * 7919 + static_cast<std::uint64_t>(c.rank()));
+  Table h(t.owned_count(c.rank()));
+  HashRun out;
+  std::vector<Stamp> live;
+  for (int call = 0; call < calls; ++call) {
+    if (!live.empty() && rng.below(3) == 0) {
+      const std::size_t k = static_cast<std::size_t>(rng.below(live.size()));
+      h.clear_stamp(live[k]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    std::vector<GlobalIndex> refs = random_refs(rng, t.global_size());
+    live.push_back(h.hash(c, t, refs));
+    out.rewritten.push_back(std::move(refs));
+    out.stats.push_back(h.stats());
+    out.extent.push_back(h.local_extent());
+    out.footprint.push_back(h.footprint_bytes());
+    out.clock.push_back(c.now());
+  }
+  out.entries.assign(h.entries().begin(), h.entries().end());
+  return out;
+}
+
+void expect_same_run(const HashRun& got, const HashRun& want) {
+  ASSERT_EQ(got.rewritten.size(), want.rewritten.size());
+  for (std::size_t i = 0; i < got.rewritten.size(); ++i) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    EXPECT_EQ(got.rewritten[i], want.rewritten[i]);
+    EXPECT_EQ(got.stats[i].inserts, want.stats[i].inserts);
+    EXPECT_EQ(got.stats[i].hits, want.stats[i].hits);
+    EXPECT_EQ(got.stats[i].translations, want.stats[i].translations);
+    EXPECT_EQ(got.stats[i].reused_homes, want.stats[i].reused_homes);
+    EXPECT_EQ(got.extent[i], want.extent[i]);
+    EXPECT_EQ(got.footprint[i], want.footprint[i]);  // same growth points
+    EXPECT_EQ(got.clock[i], want.clock[i]);          // same charged work
+  }
+  ASSERT_EQ(got.entries.size(), want.entries.size());
+  for (std::size_t i = 0; i < got.entries.size(); ++i) {
+    EXPECT_EQ(got.entries[i].global, want.entries[i].global) << i;
+    EXPECT_EQ(got.entries[i].home, want.entries[i].home) << i;
+    EXPECT_EQ(got.entries[i].local_index, want.entries[i].local_index) << i;
+    EXPECT_EQ(got.entries[i].stamps, want.entries[i].stamps) << i;
+  }
+}
+
+/// A random owner map over `n` elements, optionally with tombstones.
+std::vector<int> random_owner_map(Rng& rng, GlobalIndex n, int P,
+                                  bool holes) {
+  std::vector<int> map(static_cast<std::size_t>(n));
+  for (int& p : map)
+    p = holes && rng.below(10) == 0 ? -1
+                                    : static_cast<int>(rng.below(
+                                          static_cast<std::uint64_t>(P)));
+  return map;
+}
+
+TEST(IndexHashTable, RandomizedOracleEquivalence) {
+  const std::uint64_t seeds = testing_support::seed_count(20);
+  for (std::uint64_t s = 1; s <= seeds; ++s) {
+    SCOPED_TRACE("seed=" + std::to_string(s));
+    for (const bool paged : {false, true}) {
+      SCOPED_TRACE(paged ? "paged, 4 ranks" : "replicated, 2 ranks");
+      const int P = paged ? 4 : 2;
+      Rng rng(s);
+      const GlobalIndex n = rng.range(40, 4000);
+      const std::vector<int> map = random_owner_map(rng, n, P, false);
+      std::vector<HashRun> got(static_cast<std::size_t>(P));
+      std::vector<HashRun> want(static_cast<std::size_t>(P));
+      for (const bool oracle : {false, true}) {
+        Machine m(P);
+        m.run([&](Comm& c) {
+          const TranslationTable t =
+              paged ? TranslationTable::build_distributed(
+                          c, page_of(map, c.rank(), P))
+                    : TranslationTable::from_full_map(c, map);
+          HashRun run =
+              oracle
+                  ? replay<testing_support::ReferenceHashTable>(c, t, s, 8)
+                  : replay<IndexHashTable>(c, t, s, 8);
+          (oracle ? want : got)[static_cast<std::size_t>(c.rank())] =
+              std::move(run);
+        });
+      }
+      for (int r = 0; r < P; ++r) {
+        SCOPED_TRACE("rank " + std::to_string(r));
+        expect_same_run(got[static_cast<std::size_t>(r)],
+                        want[static_cast<std::size_t>(r)]);
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(IndexHashTable, RandomizedOracleTombstoneThrows) {
+  // A reference to a deleted (tombstoned) element throws in both, after
+  // the same hits and inserts.
+  const std::uint64_t seeds = testing_support::seed_count(20);
+  for (std::uint64_t s = 1; s <= seeds; ++s) {
+    SCOPED_TRACE("seed=" + std::to_string(s));
+    Rng rng(s);
+    const GlobalIndex n = rng.range(40, 2000);
+    std::vector<int> map = random_owner_map(rng, n, 1, true);
+    const auto dead = static_cast<std::size_t>(rng.below(
+        static_cast<std::uint64_t>(n)));
+    map[dead] = -1;
+    Machine m(1);
+    m.run([&](Comm& c) {
+      const TranslationTable t = TranslationTable::from_full_map(c, map);
+      IndexHashTable h(t.owned_count(0));
+      testing_support::ReferenceHashTable ref(t.owned_count(0));
+      std::vector<GlobalIndex> refs = random_refs(rng, n);
+      refs.insert(refs.begin() + static_cast<std::ptrdiff_t>(
+                                     rng.below(refs.size() + 1)),
+                  static_cast<GlobalIndex>(dead));
+      std::vector<GlobalIndex> a = refs, b = refs;
+      EXPECT_THROW(h.hash(c, t, a), Error);
+      EXPECT_THROW(ref.hash(c, t, b), Error);
+      EXPECT_EQ(h.stats().inserts, ref.stats().inserts);
+      EXPECT_EQ(h.stats().hits, ref.stats().hits);
+    });
+  }
 }
 
 }  // namespace
