@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) of the CHAOS++ primitives
 // themselves: inspector hashing (cold, warm, and a cache-missing adaptive
 // re-hash), schedule generation, cross-epoch seeding, residue lowering,
-// transport, light-weight schedules, and the partitioners. These measure
+// transport, light-weight schedules, the partitioners, and the two CHARMM
+// host kernels (non-bonded row, cell-list build). These measure
 // the real implementation on the host, complementing the modeled-time
 // table harnesses.
 #include <benchmark/benchmark.h>
@@ -9,6 +10,8 @@
 #include <chrono>
 #include <numeric>
 
+#include "apps/charmm/forces.hpp"
+#include "apps/charmm/neighbor.hpp"
 #include "compile/schedule_plan.hpp"
 #include "core/chaos.hpp"
 #include "util/rng.hpp"
@@ -255,6 +258,70 @@ void BM_TranslationLookupDistributed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 5000 * P);
 }
 BENCHMARK(BM_TranslationLookupDistributed);
+
+/// The paper-size CHARMM system (14026 atoms) with every atom a list row.
+struct CharmmFixture {
+  charmm::MolecularSystem sys =
+      charmm::MolecularSystem::generate(charmm::SystemParams{});
+  std::vector<GlobalIndex> rows = [this] {
+    std::vector<GlobalIndex> r(sys.size());
+    std::iota(r.begin(), r.end(), GlobalIndex{0});
+    return r;
+  }();
+};
+
+void BM_CharmmNonbondedRow(benchmark::State& state) {
+  // The non-bonded force loop over the full half list, row by row; arg 0
+  // is the portable scalar body, arg 1 the AVX2 body. per_pair is the host
+  // time per pair.
+  const CharmmFixture f;
+  const bool avx2 = state.range(0) == 1;
+  if (avx2 && !charmm::host_has_avx2()) {
+    state.SkipWithError("this CPU has no AVX2");
+    return;
+  }
+  const auto body =
+      avx2 ? &charmm::nonbonded_row_avx2 : &charmm::nonbonded_row_scalar;
+  const charmm::NonbondedList list = charmm::build_nonbonded_list(
+      f.sys.pos, f.rows, f.sys.params.cutoff, f.sys.params.box, nullptr,
+      f.sys.bonds);
+  std::vector<part::Vec3> acc(f.sys.size());
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < list.rows(); ++r)
+      body(f.sys.pos.data(), acc.data(), r, list.jnb.data() + list.inblo[r],
+           static_cast<std::size_t>(list.inblo[r + 1] - list.inblo[r]),
+           f.sys.params.cutoff, f.sys.params.box);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_pair"] = benchmark::Counter(
+      static_cast<double>(list.pairs()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CharmmNonbondedRow)
+    ->ArgName("avx2")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CharmmNeighborBuild(benchmark::State& state) {
+  // The cell-list build of the full half list with bonded exclusions.
+  // per_candidate is the host time per candidate pair examined.
+  const CharmmFixture f;
+  charmm::NeighborBuildStats stats;
+  for (auto _ : state) {
+    const charmm::NonbondedList list = charmm::build_nonbonded_list(
+        f.sys.pos, f.rows, f.sys.params.cutoff, f.sys.params.box, &stats,
+        f.sys.bonds);
+    benchmark::DoNotOptimize(list.jnb.data());
+  }
+  state.counters["per_candidate"] = benchmark::Counter(
+      static_cast<double>(stats.candidates_examined),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CharmmNeighborBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,11 +3,19 @@
 // The physics is intentionally simple — the runtime behaviour the paper
 // measures depends on the *indirection structure and per-pair cost*, not on
 // the force field.
+//
+// Bitwise contract of the non-bonded row kernel: each body performs, per
+// pair, exactly the IEEE operations of nonbonded_force in the same order,
+// never contracted into fused multiply-adds, and accumulates in partner
+// order — so every body equals the per-pair loop bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <span>
 
+#include "apps/charmm/system.hpp"
 #include "partition/geometry.hpp"
 
 namespace chaos::charmm {
@@ -57,6 +65,31 @@ inline part::Vec3 nonbonded_force(const part::Point3& xi,
   mag *= sw;
   return d * mag;
 }
+
+/// The non-bonded loop over one row of a half list: for k in [0, n), the
+/// pair (i, js[k]) adds nonbonded_force to acc[i] and subtracts it from
+/// acc[js[k]]. acc[i] is held in registers and stored once, so js must not
+/// contain i. The body is picked once per process: the 4-lane AVX2 one
+/// where the CPU has AVX2, the portable scalar one otherwise.
+void nonbonded_row(const part::Point3* pos, part::Vec3* acc, std::size_t i,
+                   const GlobalIndex* js, std::size_t n, double cutoff,
+                   double box);
+
+/// nonbonded_row for every atom i of a CSR list whose row i holds
+/// partners[inblo[i] .. inblo[i+1]).
+void nonbonded_rows(const part::Point3* pos, part::Vec3* acc,
+                    std::span<const GlobalIndex> inblo,
+                    const GlobalIndex* partners, double cutoff, double box);
+
+/// The two bodies, for tests and microbenchmarks; the AVX2 one only where
+/// host_has_avx2().
+void nonbonded_row_scalar(const part::Point3* pos, part::Vec3* acc,
+                          std::size_t i, const GlobalIndex* js, std::size_t n,
+                          double cutoff, double box);
+void nonbonded_row_avx2(const part::Point3* pos, part::Vec3* acc,
+                        std::size_t i, const GlobalIndex* js, std::size_t n,
+                        double cutoff, double box);
+bool host_has_avx2();
 
 /// Harmonic bond force on atom i (equal and opposite on j).
 inline part::Vec3 bond_force(const part::Point3& xi, const part::Point3& xj,

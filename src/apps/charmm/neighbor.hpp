@@ -25,6 +25,10 @@ struct NonbondedList {
 };
 
 /// Statistics from one list build (used to charge the cost model).
+/// candidates_examined is the coarse-grid count the cost model charges:
+/// per row, the atoms with a larger id in each of the 27 cells around it,
+/// a cell counted once per visit (grids of n <= 2 cells per dimension
+/// visit some cells twice) — however the host actually runs the test.
 struct NeighborBuildStats {
   std::size_t candidates_examined = 0;
   std::size_t pairs_kept = 0;
@@ -34,7 +38,10 @@ struct NeighborBuildStats {
 /// searching against all positions via a cell grid of cell size >= cutoff.
 /// Pairs listed in `exclusions` (i < j; typically the bonded topology, as
 /// in real CHARMM) are omitted. Positions must be inside [0, box)^3.
-/// Deterministic: partners appear in ascending global id order.
+/// Deterministic: partners appear in ascending global id order. The
+/// distance test is bitwise that of min_image (forces.hpp) on every host:
+/// the same IEEE operations, no contraction, whether it runs in lanes or
+/// not.
 NonbondedList build_nonbonded_list(
     std::span<const part::Point3> all_pos,
     std::span<const GlobalIndex> rows, double cutoff, double box,

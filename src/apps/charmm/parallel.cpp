@@ -638,13 +638,13 @@ class Driver {
     comm_.charge_work(static_cast<double>(my_bonds_.size()) * kWorkPerBond);
   }
 
-  /// Partition the non-bonded pair list by the peer owning the partner
-  /// atom (the recv block its ghost slot lands through): pairs whose
-  /// partner is owned or a self-block ghost go to the local chunk
-  /// (peer -1), the rest to their source peer's chunk. Rebuilt whenever
-  /// the list or the schedule changes — both land in build_schedules.
+  /// Partition the non-bonded list by the peer owning the partner atom
+  /// (the recv block its ghost slot lands through): partners that are
+  /// owned or self-block ghosts go to the local chunk (peer -1), the rest
+  /// to their source peer's chunk. Rebuilt whenever the list or the
+  /// schedule changes — both land in build_schedules.
   void build_chunk_pairs() {
-    chunk_pairs_.clear();
+    chunk_lists_.clear();
     // Ghost slot -> source peer, from the non-bonded schedule's recv
     // blocks (slot indices are local).
     std::vector<int> src(static_cast<std::size_t>(extent_), -1);
@@ -654,18 +654,21 @@ class Driver {
       for (GlobalIndex idx : b.indices)
         src[static_cast<std::size_t>(idx)] = b.proc;
     }
-    const auto bucket = [&](int peer) -> std::vector<PairRef>& {
-      for (auto& [p, pairs] : chunk_pairs_)
-        if (p == peer) return pairs;
-      chunk_pairs_.emplace_back(peer, std::vector<PairRef>{});
-      return chunk_pairs_.back().second;
-    };
     for (std::size_t r = 0; r + 1 < nb_.inblo.size(); ++r) {
       for (GlobalIndex at = nb_.inblo[r]; at < nb_.inblo[r + 1]; ++at) {
         const GlobalIndex lj = jnb_local_[static_cast<size_t>(at)];
-        bucket(src[static_cast<std::size_t>(lj)])
-            .push_back(PairRef{static_cast<GlobalIndex>(r), lj});
+        const int peer = src[static_cast<std::size_t>(lj)];
+        auto c = std::find_if(chunk_lists_.begin(), chunk_lists_.end(),
+                              [&](const auto& pl) { return pl.first == peer; });
+        if (c == chunk_lists_.end()) {  // rows 0 .. r-1 are empty
+          chunk_lists_.emplace_back(peer, NonbondedList{});
+          c = chunk_lists_.end() - 1;
+          c->second.inblo.assign(r + 1, 0);
+        }
+        c->second.jnb.push_back(lj);
       }
+      for (auto& [peer, list] : chunk_lists_)
+        list.inblo.push_back(static_cast<GlobalIndex>(list.jnb.size()));
     }
   }
 
@@ -673,38 +676,20 @@ class Driver {
   /// partner came from this chunk's peer. Work is charged through the
   /// context, not the Comm (thread-safety contract for chunk callbacks).
   void nonbonded_chunk(ChunkContext& ctx) {
-    const double box = cfg_.system.box;
-    const std::vector<PairRef>* pairs = nullptr;
-    for (const auto& [p, list] : chunk_pairs_)
-      if (p == ctx.chunk().peer) {
-        pairs = &list;
-        break;
-      }
-    if (pairs == nullptr) return;  // peer gathered only bonded ghosts
-    for (const PairRef& pr : *pairs) {
-      const std::size_t r = static_cast<std::size_t>(pr.row);
-      const std::size_t lj = static_cast<std::size_t>(pr.partner);
-      const part::Vec3 f =
-          nonbonded_force(pos_[r], pos_[lj], cfg_.system.cutoff, box);
-      force_[r] = force_[r] + f;
-      force_[lj] = force_[lj] - f;
+    for (const auto& [peer, list] : chunk_lists_) {
+      if (peer != ctx.chunk().peer) continue;
+      nonbonded_rows(pos_.data(), force_.data(), list.inblo, list.jnb.data(),
+                     cfg_.system.cutoff, cfg_.system.box);
+      ctx.charge(static_cast<double>(list.pairs()) * kWorkPerNonbonded);
+      return;
     }
-    ctx.charge(static_cast<double>(pairs->size()) * kWorkPerNonbonded);
+    // No chunk: the peer gathered only bonded ghosts.
   }
 
   /// Non-bonded loop: outer iteration r is the owned atom at offset r.
   void nonbonded_into(std::vector<part::Vec3>& acc) {
-    const double box = cfg_.system.box;
-    for (std::size_t r = 0; r + 1 < nb_.inblo.size(); ++r) {
-      for (GlobalIndex at = nb_.inblo[r]; at < nb_.inblo[r + 1]; ++at) {
-        const GlobalIndex lj = jnb_local_[static_cast<size_t>(at)];
-        const part::Vec3 f =
-            nonbonded_force(pos_[r], pos_[static_cast<size_t>(lj)],
-                            cfg_.system.cutoff, box);
-        acc[r] = acc[r] + f;
-        acc[static_cast<size_t>(lj)] = acc[static_cast<size_t>(lj)] - f;
-      }
-    }
+    nonbonded_rows(pos_.data(), acc.data(), nb_.inblo, jnb_local_.data(),
+                   cfg_.system.cutoff, cfg_.system.box);
     comm_.charge_work(static_cast<double>(nb_.pairs()) * kWorkPerNonbonded);
   }
 
@@ -844,13 +829,10 @@ class Driver {
 
   NonbondedList nb_;  // rows = my_globals_
 
-  /// Arrival-shape pair partition: (peer, pairs) buckets; peer -1 holds
-  /// the local pairs. A pair is (owned row, localized partner).
-  struct PairRef {
-    GlobalIndex row;
-    GlobalIndex partner;
-  };
-  std::vector<std::pair<int, std::vector<PairRef>>> chunk_pairs_;
+  /// Arrival-shape partition of the non-bonded list: (peer, list) pairs,
+  /// peer -1 for the local pairs. Each list has a row per owned atom and
+  /// localized partners, in nb_ order.
+  std::vector<std::pair<int, NonbondedList>> chunk_lists_;
 
   // Irregular-loop descriptors: two indirection arrays (bonded refs,
   // non-bonded partners) and their runtime handles.

@@ -53,19 +53,8 @@ SequentialResult run_sequential_charmm(const MolecularSystem& system,
     r.work_units += static_cast<double>(system.bonds.size()) * kWorkPerBond;
 
     // Non-bonded forces (Figure 2, loop L3) over the half list.
-    for (std::size_t row = 0; row < list.rows(); ++row) {
-      const GlobalIndex i = rows[row];
-      for (GlobalIndex at = list.inblo[row]; at < list.inblo[row + 1]; ++at) {
-        const GlobalIndex j = list.jnb[static_cast<size_t>(at)];
-        const part::Vec3 f =
-            nonbonded_force(r.pos[static_cast<size_t>(i)],
-                            r.pos[static_cast<size_t>(j)], cutoff, box);
-        r.force[static_cast<size_t>(i)] =
-            r.force[static_cast<size_t>(i)] + f;
-        r.force[static_cast<size_t>(j)] =
-            r.force[static_cast<size_t>(j)] - f;
-      }
-    }
+    nonbonded_rows(r.pos.data(), r.force.data(), list.inblo, list.jnb.data(),
+                   cutoff, box);
     r.work_units += static_cast<double>(list.pairs()) * kWorkPerNonbonded;
 
     // Leapfrog-ish integration with periodic wrap.

@@ -242,9 +242,14 @@ EdgeResult run_in_and_sum_same_array(bool pipelining, bool by_hand,
     });
 
     rt.run(g, iters);
-    out.x = collect(c, globals, {x.data(), globals.size()});
-    out.y = collect(c, globals, {y.data(), globals.size()});
-    if (c.rank() == 0) out.stats = g.stats();
+    // collect() is collective; only rank 0 stores into the shared result.
+    std::vector<double> xs = collect(c, globals, {x.data(), globals.size()});
+    std::vector<double> ys = collect(c, globals, {y.data(), globals.size()});
+    if (c.rank() == 0) {
+      out.x = std::move(xs);
+      out.y = std::move(ys);
+      out.stats = g.stats();
+    }
   });
   return out;
 }
@@ -310,9 +315,14 @@ EdgeResult run_two_views_one_array(bool pipelining, bool by_hand, int iters) {
     });
 
     rt.run(g, iters);
-    out.x = collect(c, globals, {x.data(), globals.size()});
-    out.y = collect(c, globals, {y.data(), globals.size()});
-    if (c.rank() == 0) out.stats = g.stats();
+    // collect() is collective; only rank 0 stores into the shared result.
+    std::vector<double> xs = collect(c, globals, {x.data(), globals.size()});
+    std::vector<double> ys = collect(c, globals, {y.data(), globals.size()});
+    if (c.rank() == 0) {
+      out.x = std::move(xs);
+      out.y = std::move(ys);
+      out.stats = g.stats();
+    }
   });
   return out;
 }
