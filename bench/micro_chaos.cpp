@@ -1,8 +1,9 @@
 // Wall-clock microbenchmarks (google-benchmark) of the CHAOS++ primitives
 // themselves: inspector hashing (cold, warm, and a cache-missing adaptive
 // re-hash), schedule generation, cross-epoch seeding, residue lowering,
-// transport, light-weight schedules, the partitioners, and the two CHARMM
-// host kernels (non-bonded row, cell-list build). These measure
+// transport, light-weight schedules, the partitioners, the two CHARMM
+// host kernels (non-bonded row, cell-list build) and the two DSMC per-step
+// passes (cell-ordered collide, fused move). These measure
 // the real implementation on the host, complementing the modeled-time
 // table harnesses.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 
 #include "apps/charmm/forces.hpp"
 #include "apps/charmm/neighbor.hpp"
+#include "apps/dsmc/parallel.hpp"
 #include "compile/schedule_plan.hpp"
 #include "core/chaos.hpp"
 #include "util/rng.hpp"
@@ -322,6 +324,93 @@ void BM_CharmmNeighborBuild(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CharmmNeighborBuild)->Unit(benchmark::kMillisecond);
+
+/// Rank 0 of 4 in the DSMC benchmark workload, at steady state: ~65k
+/// particles at the workload's density (16 a cell, the density ramp, 1%
+/// deaths, a quarter of its 2621 births a step) on a 64x64 grid this rank
+/// owns whole, so every particle stays and the move pass carries every
+/// resident's cell slot, as it does for the ~95% that stay in a real run.
+struct DsmcFixture {
+  dsmc::DsmcParams p = [] {
+    dsmc::DsmcParams q;
+    q.nx = q.ny = 64;
+    q.n_particles = 65536;
+    q.nonuniform_init = true;
+    q.flow_bias = 0.8;
+    q.drift = 0.5;
+    q.births_per_step = 4 * q.n_particles / 100;
+    q.death_rate = 0.01;
+    return q;
+  }();
+  std::vector<int> cell_map = std::vector<int>(
+      static_cast<std::size_t>(p.n_cells()), 0);
+  std::vector<std::int32_t> cell_slot = [this] {
+    std::vector<std::int32_t> s(static_cast<std::size_t>(p.n_cells()));
+    std::iota(s.begin(), s.end(), 0);
+    return s;
+  }();
+  std::vector<dsmc::Particle> parts = dsmc::generate_particles(p);
+  std::vector<dsmc::Particle> spare;
+  std::vector<int> dest;
+  dsmc::CellOrder order;
+  int step = 0;
+
+  /// Sort, then gather and collide cell by cell (slot s is cell s).
+  void collide() {
+    order.sort(p, cell_slot, cell_slot.size(), parts, spare);
+    for (std::size_t s = 0; s < cell_slot.size(); ++s)
+      benchmark::DoNotOptimize(dsmc::collide_cell(
+          p, static_cast<GlobalIndex>(s), step, order.gather(s, parts, spare)));
+    parts.swap(spare);
+  }
+  void move() {
+    dsmc::move_pass(p, step++, cell_map, cell_slot, 0, 4, parts, dest, order);
+  }
+};
+
+void BM_DsmcCollidePhase(benchmark::State& state) {
+  // One rank's collide phase: locate the particles without a carried slot
+  // (here the newborns), counting-sort by (cell, id), then gather and
+  // collide cell by cell. The untimed move pass between iterations evolves
+  // the state as a run does. per_particle is the host time per particle.
+  DsmcFixture f;
+  double particles = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.move();
+    state.ResumeTiming();
+    particles += static_cast<double>(f.parts.size());
+    f.collide();
+    benchmark::DoNotOptimize(f.parts.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_particle"] = benchmark::Counter(
+      particles, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DsmcCollidePhase)->Unit(benchmark::kMillisecond);
+
+void BM_DsmcMovePass(benchmark::State& state) {
+  // One rank's fused move pass over the cell-ordered array the collide
+  // phase leaves: advance, absorb with in-place compaction, newborns,
+  // destination ranks and carried cell slots. The untimed collide between
+  // iterations evolves the state as a run does. per_particle is the host
+  // time per particle moved.
+  DsmcFixture f;
+  double particles = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.collide();
+    state.ResumeTiming();
+    particles += static_cast<double>(f.parts.size());
+    f.move();
+    benchmark::DoNotOptimize(f.parts.data());
+    benchmark::DoNotOptimize(f.dest.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_particle"] = benchmark::Counter(
+      particles, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DsmcMovePass)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

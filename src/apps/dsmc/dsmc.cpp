@@ -6,25 +6,6 @@
 
 namespace chaos::dsmc {
 
-namespace {
-
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-GlobalIndex cell_of(const DsmcParams& p, const Particle& q) {
-  auto clampi = [](int v, int hi) { return v < 0 ? 0 : (v >= hi ? hi - 1 : v); };
-  const int ix = clampi(static_cast<int>(q.x), p.nx);
-  const int iy = clampi(static_cast<int>(q.y), p.ny);
-  const int iz = clampi(static_cast<int>(q.z), p.nz);
-  return ix + static_cast<GlobalIndex>(p.nx) *
-                  (iy + static_cast<GlobalIndex>(p.ny) * iz);
-}
-
 part::Point3 cell_center(const DsmcParams& p, GlobalIndex cell) {
   CHAOS_CHECK(cell >= 0 && cell < p.n_cells());
   const int ix = static_cast<int>(cell % p.nx);
@@ -70,51 +51,30 @@ std::vector<Particle> generate_particles(const DsmcParams& p) {
   return out;
 }
 
-bool absorbed(const DsmcParams& p, GlobalIndex id, int step) {
-  if (p.death_rate <= 0.0) return false;
-  const std::uint64_t h =
-      mix64(p.seed ^ (static_cast<std::uint64_t>(id) * 0xa0761d6478bd642fULL) ^
-            (static_cast<std::uint64_t>(step) + 1) * 0xe7037ed1a0b428dbULL);
-  return static_cast<double>(h >> 11) * 0x1.0p-53 < p.death_rate;
+Particle birth(const DsmcParams& p, GlobalIndex id) {
+  Rng rng(mix64(p.seed ^ (static_cast<std::uint64_t>(id) + 1) *
+                             0x8bb84b93962eacc9ULL));
+  Particle q;
+  q.id = id;
+  const double u = rng.uniform();
+  q.x = p.nonuniform_init ? u * u * p.nx : u * p.nx;
+  q.y = rng.uniform() * p.ny;
+  q.z = p.nz > 1 ? rng.uniform() * p.nz : 0.25;
+  q.vx = rng.normal() * p.thermal;
+  q.vy = rng.normal() * p.thermal;
+  q.vz = p.nz > 1 ? rng.normal() * p.thermal : 0.0;
+  if (rng.uniform() < p.flow_bias) q.vx += p.drift;
+  return q;
 }
 
 std::vector<Particle> generate_births(const DsmcParams& p, int step) {
   std::vector<Particle> out;
   out.reserve(static_cast<std::size_t>(p.births_per_step));
-  for (GlobalIndex i = 0; i < p.births_per_step; ++i) {
-    const GlobalIndex id = p.n_particles +
-                           static_cast<GlobalIndex>(step) * p.births_per_step +
-                           i;
-    Rng rng(mix64(p.seed ^ (static_cast<std::uint64_t>(id) + 1) *
-                               0x8bb84b93962eacc9ULL));
-    Particle q;
-    q.id = id;
-    const double u = rng.uniform();
-    q.x = p.nonuniform_init ? u * u * p.nx : u * p.nx;
-    q.y = rng.uniform() * p.ny;
-    q.z = p.nz > 1 ? rng.uniform() * p.nz : 0.25;
-    q.vx = rng.normal() * p.thermal;
-    q.vy = rng.normal() * p.thermal;
-    q.vz = p.nz > 1 ? rng.normal() * p.thermal : 0.0;
-    if (rng.uniform() < p.flow_bias) q.vx += p.drift;
-    out.push_back(q);
-  }
+  for (GlobalIndex i = 0; i < p.births_per_step; ++i)
+    out.push_back(birth(p, p.n_particles +
+                               static_cast<GlobalIndex>(step) * p.births_per_step +
+                               i));
   return out;
-}
-
-void advance(const DsmcParams& p, Particle& q, double dt) {
-  q.x += q.vx * dt;
-  q.y += q.vy * dt;
-  q.z += q.vz * dt;
-  auto wrap = [](double v, double extent) {
-    while (v >= extent) v -= extent;
-    while (v < 0) v += extent;
-    return v;
-  };
-  q.x = wrap(q.x, p.nx);
-  q.y = wrap(q.y, p.ny);
-  if (p.nz > 1)
-    q.z = wrap(q.z, p.nz);
 }
 
 int collide_cell(const DsmcParams& p, GlobalIndex cell, int step,

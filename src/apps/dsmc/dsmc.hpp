@@ -6,9 +6,11 @@
 // Determinism contract: the collision sequence of a (cell, step) pair
 // depends only on (seed, cell, step) and the cell's particle multiset —
 // particles are sorted by id before colliding — so the sequential and any
-// parallel execution produce bit-identical particle states. That is what
-// lets the tests assert exact agreement across processor counts and
-// migration paths.
+// parallel execution produce bit-identical particle states. (The parallel
+// driver counting-sorts each collide into one contiguous id-sorted range
+// per owned cell; between collides the particle order carries no meaning.)
+// That is what lets the tests assert exact agreement across processor
+// counts and migration paths.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +70,14 @@ inline constexpr double kWorkPerCollision = 180.0;
 inline constexpr double kWorkPerCellVisit = 8.0;
 
 /// Cartesian cell of a particle (positions live in [0,nx)x[0,ny)x[0,nz)).
-GlobalIndex cell_of(const DsmcParams& p, const Particle& q);
+inline GlobalIndex cell_of(const DsmcParams& p, const Particle& q) {
+  auto clampi = [](int v, int hi) { return v < 0 ? 0 : (v >= hi ? hi - 1 : v); };
+  const int ix = clampi(static_cast<int>(q.x), p.nx);
+  const int iy = clampi(static_cast<int>(q.y), p.ny);
+  const int iz = clampi(static_cast<int>(q.z), p.nz);
+  return ix + static_cast<GlobalIndex>(p.nx) *
+                  (iy + static_cast<GlobalIndex>(p.ny) * iz);
+}
 
 /// Cell centre (for the spatial partitioners).
 part::Point3 cell_center(const DsmcParams& p, GlobalIndex cell);
@@ -82,18 +91,47 @@ GlobalIndex cell_at_chain_position(const DsmcParams& p, GlobalIndex pos);
 /// Deterministic initial particle set (identical for a given params).
 std::vector<Particle> generate_particles(const DsmcParams& p);
 
+/// splitmix64's finalizer, the hash behind every seeded decision.
+inline std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Is particle `id` absorbed at the end of `step`? Pure function of
 /// (seed, id, step, death_rate) — no geometry, so every rank can answer
 /// for any particle without communication.
-bool absorbed(const DsmcParams& p, GlobalIndex id, int step);
+inline bool absorbed(const DsmcParams& p, GlobalIndex id, int step) {
+  if (p.death_rate <= 0.0) return false;
+  const std::uint64_t h =
+      mix64(p.seed ^ (static_cast<std::uint64_t>(id) * 0xa0761d6478bd642fULL) ^
+            (static_cast<std::uint64_t>(step) + 1) * 0xe7037ed1a0b428dbULL);
+  return static_cast<double>(h >> 11) * 0x1.0p-53 < p.death_rate;
+}
+
+/// The newborn with id `id` (never recycled; state seeded from the id
+/// alone, so any rank can generate any newborn bit-identically).
+Particle birth(const DsmcParams& p, GlobalIndex id);
 
 /// The particles born at the end of `step`, ids
-/// n_particles + step*births_per_step + i (never recycled; state seeded
-/// from the id alone, so any rank can generate any newborn bit-identically).
+/// n_particles + step*births_per_step + i.
 std::vector<Particle> generate_births(const DsmcParams& p, int step);
 
 /// Advance one particle by dt with periodic wrap.
-void advance(const DsmcParams& p, Particle& q, double dt);
+inline void advance(const DsmcParams& p, Particle& q, double dt) {
+  q.x += q.vx * dt;
+  q.y += q.vy * dt;
+  q.z += q.vz * dt;
+  auto wrap = [](double v, double extent) {
+    while (v >= extent) v -= extent;
+    while (v < 0) v += extent;
+    return v;
+  };
+  q.x = wrap(q.x, p.nx);
+  q.y = wrap(q.y, p.ny);
+  if (p.nz > 1)
+    q.z = wrap(q.z, p.nz);
+}
 
 /// Collide the particles of one cell at one step. `cell_particles` must be
 /// sorted by id (the determinism contract). Returns the number of

@@ -64,7 +64,7 @@ class Driver {
         // of the run follows.
         graph_->advance(!remap_due && step + 1 < cfg_.steps);
       } else {
-        collide_phase(step);
+        collide_phase();
         move_phase();
       }
       if (remap_due) remap_phase();
@@ -87,7 +87,11 @@ class Driver {
       shared_.diffusions = diffusions_;
       shared_.rebuilds = rebuilds_;
     }
-    if (cfg_.collect_state) collect_state();
+    if (cfg_.collect_state) {
+      arrived_ = {};  // free the dead per-step scratch before the final
+      order_ = {};    // gather, the run's largest allocation
+      collect_state();
+    }
   }
 
  private:
@@ -133,6 +137,7 @@ class Driver {
   /// become invalid.
   void adopt_map(std::vector<int> map) {
     cell_map_ = std::move(map);
+    order_.carried = 0;  // carried slots index the retired cell numbering
     my_cells_.clear();
     cell_slot_.assign(cell_map_.size(), -1);
     for (GlobalIndex c = 0; c < p_.n_cells(); ++c) {
@@ -182,7 +187,7 @@ class Driver {
   /// inferred from the bindings; cfg.declare_by_hand keeps the
   /// hand-declared construction the equivalence tests compare against).
   /// The move step's migration is a declared access on `mine_`/`arrived_`;
-  /// the runtime derives that the next collide (uses mine_) depends on it
+  /// the runtime derives that the next collide (updates mine_) depends on it
   /// and defers the wait to that point, and the finalizer swaps the
   /// arrival buffer in when the motion completes.
   void declare_graph() {
@@ -191,71 +196,62 @@ class Driver {
     // Every shipped graph arms strict: declaration defects fail fast as
     // analyzer findings instead of downstream races.
     graph_->set_strict(true);
-    const auto collide_step = [this] {
-      timed(&DsmcPhaseTimes::collide, [&] { collide_compute(); });
-    };
     const auto move_step = [this] {
       timed(&DsmcPhaseTimes::reduce_append, [&] { move_compute(); });
     };
-    const auto swap_arrivals = [this] {
-      mine_ = std::move(arrived_);
-      arrived_ = std::vector<Particle>{};
-    };
     if (cfg_.declare_by_hand) {
-      graph_->step("collide").uses(mine_).compute(collide_step);
+      graph_->step("collide").updates(mine_).compute([this] {
+        collide_phase();
+      });
       graph_->step("move")
           .updates(mine_)
           .updates(dest_procs_)
           .compute(move_step)
           .migrates(mine_, dest_procs_, arrived_)
-          .then(swap_arrivals);
+          .then([this] { take_arrivals(); });
       return;
     }
     Step& collide =
-        graph_->step("collide").bind(use(mine_).named("particles"));
+        graph_->step("collide").bind(update(mine_).named("particles"));
     if (cfg_.executor == DsmcExecutor::kStepGraphArrival) {
-      // Chunked collide: the serial prelude buckets particles into cells,
-      // then fixed-count chunks each process a disjoint cell range. No two
-      // cells share a particle, so the writes are disjoint — the chunks
-      // form one color class and run concurrently on the worker pool,
-      // bitwise identical to the serial arms.
+      // Chunked collide: the serial prelude sorts the particle keys by
+      // cell, then fixed-count chunks each gather and collide a disjoint
+      // cell range. No two cells share a particle, so the writes are
+      // disjoint — the chunks form one color class and run concurrently on
+      // the worker pool, bitwise identical to the serial arms. The
+      // finalizer swaps the gathered array in.
       graph_->set_arrival_driven(true);
       collide.compute([this] {
-        timed(&DsmcPhaseTimes::collide, [&] { bucket_particles(); });
+        timed(&DsmcPhaseTimes::collide, [&] { order_particles(); });
       });
       collide.compute_chunks(
           kCollideChunks, [this](ChunkContext& ctx) { collide_chunk(ctx); });
       collide.chunk_writes_disjoint();
       collide.then([this] {
+        mine_.swap(arrived_);
         for (long long c : chunk_collisions_) collisions_ += c;
       });
     } else {
-      collide.compute(collide_step);
+      collide.compute([this] { collide_phase(); });
     }
     graph_->step("move")
         .bind(update(mine_).named("particles"),
               update(dest_procs_).named("dest_procs"))
         .compute(move_step)
         .bind(migrate(mine_).to(dest_procs_).into(arrived_).named("particles"))
-        .then(swap_arrivals);
+        .then([this] { take_arrivals(); });
   }
 
-  void collide_phase(int step) {
-    cur_step_ = step;
+  void collide_phase() {
     timed(&DsmcPhaseTimes::collide, [&] { collide_compute(); });
   }
 
-  /// Serial bucketing shared by every collide arm: particles into their
-  /// cells' buckets (also resets the chunked arm's per-chunk counters).
-  void bucket_particles() {
+  /// Serial prelude shared by every collide arm: sort the particle keys by
+  /// (owned cell, id); the per-cell loop then gathers into the arrival
+  /// buffer (also resets the chunked arm's per-chunk counters).
+  void order_particles() {
     peak_mine_ = std::max(peak_mine_, mine_.size());
-    buckets_.assign(my_cells_.size(), {});
-    for (Particle& q : mine_) {
-      const GlobalIndex c = cell_of(p_, q);
-      const std::int32_t slot = cell_slot_[static_cast<size_t>(c)];
-      CHAOS_ASSERT(slot >= 0, "particle resident on the wrong rank");
-      buckets_[static_cast<size_t>(slot)].push_back(&q);
-    }
+    order_.sort(p_, cell_slot_, my_cells_.size(), mine_, arrived_);
     comm_.charge_work(static_cast<double>(mine_.size()) * kWorkPerSort *
                       p_.work_scale);
     chunk_collisions_.assign(kCollideChunks, 0);
@@ -274,12 +270,8 @@ class Driver {
     long long done_total = 0;
     double work = 0.0;
     for (std::size_t s = lo; s < hi; ++s) {
-      auto& bucket = buckets_[s];
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Particle* a, const Particle* b) {
-                  return a->id < b->id;
-                });
-      const int done = collide_cell(p_, my_cells_[s], cur_step_, bucket);
+      const int done = collide_cell(p_, my_cells_[s], cur_step_,
+                                    order_.gather(s, mine_, arrived_));
       done_total += done;
       work += (kWorkPerCellVisit +
                static_cast<double>(done) * kWorkPerCollision) *
@@ -291,62 +283,51 @@ class Driver {
 
   void collide_compute() {
     const double t0 = comm_.now();
-    bucket_particles();
-
+    order_particles();
     for (std::size_t s = 0; s < my_cells_.size(); ++s) {
-      auto& bucket = buckets_[s];
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Particle* a, const Particle* b) {
-                  return a->id < b->id;
-                });
-      const int done = collide_cell(p_, my_cells_[s], cur_step_, bucket);
+      const int done = collide_cell(p_, my_cells_[s], cur_step_,
+                                    order_.gather(s, mine_, arrived_));
       collisions_ += done;
       comm_.charge_work((kWorkPerCellVisit +
                          static_cast<double>(done) * kWorkPerCollision) *
                         p_.work_scale);
     }
+    mine_.swap(arrived_);
     if (cfg_.compiler_generated)
       comm_.charge_compute_seconds((comm_.now() - t0) *
                                    kCompilerForallOverhead);
   }
 
-  /// End-of-step population change, shared by every arm (mirrors the
-  /// sequential driver's order exactly): absorb by the deterministic
+  /// The fused move pass shared by every arm (it mirrors the sequential
+  /// driver's order exactly): advance, absorb by the deterministic
   /// (seed, id, step) hash, then append this rank's share of the step's
-  /// newborns. Births are dealt to ranks by id (id % P) rather than by
-  /// cell, so the following migration batch genuinely carries newly-born
-  /// particles to their cell owners — the case the delivery-permutation
-  /// fuzz exercises.
-  void birth_death(int step) {
-    if (p_.death_rate > 0.0) {
-      std::erase_if(mine_, [&](const Particle& q) {
-        return absorbed(p_, q.id, step);
-      });
-    }
-    if (p_.births_per_step > 0) {
-      for (const Particle& q : generate_births(p_, step))
-        if (q.id % comm_.size() == comm_.rank()) mine_.push_back(q);
-    }
+  /// newborns, with destination ranks from the replicated cell map (the
+  /// light-weight path's translation-free lookup). Births are dealt to
+  /// ranks by id (id % P) rather than by cell, so the following migration
+  /// batch genuinely carries newly-born particles to their cell owners —
+  /// the case the delivery-permutation fuzz exercises.
+  void advance_particles() {
+    const std::size_t moved = mine_.size();
+    move_pass(p_, cur_step_, cell_map_, cell_slot_, comm_.rank(),
+              comm_.size(), mine_, dest_procs_, order_);
+    comm_.charge_work(static_cast<double>(moved) * kWorkPerMove *
+                      p_.work_scale);
     peak_mine_ = std::max(peak_mine_, mine_.size());
   }
 
-  /// Step-graph move compute: advance particles, apply the step's
-  /// birth/death, derive per-item destination ranks from the replicated
-  /// cell map (the light-weight path's translation-free lookup), and reset
-  /// the arrival buffer the declared migration appends into.
+  /// Step-graph move compute: the fused move pass, then reset the arrival
+  /// buffer the declared migration appends into.
   void move_compute() {
-    for (Particle& q : mine_) advance(p_, q, p_.dt);
-    comm_.charge_work(static_cast<double>(mine_.size()) * kWorkPerMove *
-                      p_.work_scale);
-    birth_death(cur_step_);
-    dest_procs_.resize(mine_.size());
-    for (std::size_t i = 0; i < mine_.size(); ++i)
-      dest_procs_[i] =
-          cell_map_[static_cast<size_t>(cell_of(p_, mine_[i]))];
+    advance_particles();
     comm_.charge_work(static_cast<double>(mine_.size()) * 0.5);
     arrived_.clear();
-    arrived_.reserve(mine_.size());
+    if (arrived_.capacity() < mine_.size())  // headroom: settle, not regrow
+      arrived_.reserve(mine_.size() + mine_.size() / 8);
   }
+
+  /// Adopt the migration's arrivals (stayers first and in order, so the
+  /// carried slots hold); the spent buffer is the next collide's gather target.
+  void take_arrivals() { mine_.swap(arrived_); }
 
   void move_phase() {
     std::vector<GlobalIndex> dest_cells;
@@ -359,15 +340,12 @@ class Driver {
         // migrate where the graph posts asynchronously.
         move_compute();
         rt_.migrate<Particle>(dest_procs_, mine_, arrived_);
-        mine_ = std::move(arrived_);
-        arrived_ = std::vector<Particle>{};
+        take_arrivals();
         return;
       }
 
-      for (Particle& q : mine_) advance(p_, q, p_.dt);
-      comm_.charge_work(static_cast<double>(mine_.size()) * kWorkPerMove *
-                        p_.work_scale);
-      birth_death(cur_step_);
+      advance_particles();
+      order_.carried = 0;  // these arrivals carry no stayer slots
       dest_cells.resize(mine_.size());
       for (std::size_t i = 0; i < mine_.size(); ++i)
         dest_cells[i] = cell_of(p_, mine_[i]);
@@ -404,12 +382,9 @@ class Driver {
     // Placement negotiation: every particle's destination cell travels to
     // the destination rank, which assigns a buffer slot and returns it.
     const int P = comm_.size();
-    std::vector<int> dest(mine_.size());
     std::vector<std::vector<GlobalIndex>> ask(static_cast<size_t>(P));
-    for (std::size_t i = 0; i < mine_.size(); ++i) {
-      dest[i] = cell_map_[static_cast<size_t>(dest_cells[i])];
-      ask[static_cast<size_t>(dest[i])].push_back(dest_cells[i]);
-    }
+    for (std::size_t i = 0; i < mine_.size(); ++i)
+      ask[static_cast<size_t>(dest_procs_[i])].push_back(dest_cells[i]);
     std::vector<std::vector<GlobalIndex>> asked = comm_.alltoallv(ask);
     std::vector<std::vector<GlobalIndex>> slots(static_cast<size_t>(P));
     GlobalIndex next_slot = 0;
@@ -426,7 +401,7 @@ class Driver {
     // placement work of honoring the permutation list.
     std::vector<Particle> arrived;
     arrived.reserve(mine_.size());
-    rt_.migrate<Particle>(dest, mine_, arrived);
+    rt_.migrate<Particle>(dest_procs_, mine_, arrived);
     comm_.charge_work(static_cast<double>(arrived.size()) * 2.0);
     mine_ = std::move(arrived);
   }
@@ -441,17 +416,20 @@ class Driver {
     mine_ = std::move(arrived);
   }
 
+  /// Particles per owned cell, by slot (each cell's load is known at its
+  /// owner).
+  std::vector<double> cell_loads() const {
+    std::vector<double> w(my_cells_.size(), 0.0);
+    for (const Particle& q : mine_)
+      w[static_cast<size_t>(cell_slot_[static_cast<size_t>(cell_of(p_, q))])] +=
+          1.0;
+    return w;
+  }
+
   /// Run the configured partitioner over the current per-cell particle
   /// counts and return the new replicated map. Collective.
   std::vector<int> compute_remap_map() {
-    // Per-cell loads are known at each cell's owner.
-    std::vector<double> weights(my_cells_.size(), 0.0);
-    for (const Particle& q : mine_) {
-      const std::int32_t slot =
-          cell_slot_[static_cast<size_t>(cell_of(p_, q))];
-      weights[static_cast<size_t>(slot)] += 1.0;
-    }
-
+    const std::vector<double> weights = cell_loads();
     std::vector<int> new_map;
     if (cfg_.remap_partitioner == core::PartitionerKind::kChain) {
       // Chain order = x slowest, so blocks are slabs across the flow.
@@ -528,14 +506,10 @@ class Driver {
           GlobalIndex c;
           double w;
         };
+        const std::vector<double> loads = cell_loads();
         std::vector<CellWeight> local(my_cells_.size());
         for (std::size_t i = 0; i < my_cells_.size(); ++i)
-          local[i] = {my_cells_[i], 0.0};
-        for (const Particle& q : mine_) {
-          const std::int32_t slot =
-              cell_slot_[static_cast<size_t>(cell_of(p_, q))];
-          local[static_cast<size_t>(slot)].w += 1.0;
-        }
+          local[i] = {my_cells_[i], loads[i]};
         std::vector<double> cell_w(static_cast<size_t>(p_.n_cells()), 0.0);
         for (const CellWeight& cw : comm_.allgatherv<CellWeight>(local))
           cell_w[static_cast<size_t>(cw.c)] = cw.w;
@@ -579,7 +553,7 @@ class Driver {
   std::vector<std::int32_t> cell_slot_;  // cell -> local slot or -1
   std::vector<Particle> mine_;
   std::size_t peak_mine_ = 0;  // max resident particles on this rank
-  std::vector<std::vector<Particle*>> buckets_;
+  CellOrder order_;            // cell-ordered layout of mine_ + scratch
   std::vector<long long> chunk_collisions_;  // arrival arm: per-chunk counts
   DistHandle rows_;   // compiler path: replicated rows distribution
   DistHandle paged_;  // regular path: paged translation table
@@ -595,6 +569,86 @@ class Driver {
 };
 
 }  // namespace
+
+void CellOrder::sort(const DsmcParams& p, std::span<const std::int32_t> cell_slot,
+                     std::size_t nslots, std::vector<Particle>& parts,
+                     std::vector<Particle>& spare) {
+  // Counting sort by slot: count into start[s + 2] so that the scatter's
+  // cursors start[s + 1] end up as slot s's end, i.e. slot s + 1's begin.
+  const std::size_t n = parts.size();
+  slot.resize(n);
+  start.assign(nslots + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i >= carried)
+      slot[i] = cell_slot[static_cast<std::size_t>(cell_of(p, parts[i]))];
+    CHAOS_ASSERT(slot[i] >= 0 && static_cast<std::size_t>(slot[i]) < nslots,
+                 "particle resident on the wrong rank");
+    ++start[static_cast<std::size_t>(slot[i]) + 2];
+  }
+  carried = 0;
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  keys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    CHAOS_ASSERT(parts[i].id >= 0 && parts[i].id <= 0xffffffff,
+                 "particle id exceeds 32 bits");
+    keys[start[static_cast<std::size_t>(slot[i]) + 1]++] =
+        static_cast<std::uint64_t>(parts[i].id) << 32 | i;
+  }
+  // A cell's keys arrive as a few id-sorted runs (the stayers of each
+  // source cell, then arrivals and newborns), so an insertion sort beats a
+  // general one here.
+  for (std::size_t s = 0; s < nslots; ++s)
+    for (std::uint32_t k = start[s] + 1; k < start[s + 1]; ++k) {
+      const std::uint64_t key = keys[k];
+      std::uint32_t j = k;
+      for (; j > start[s] && keys[j - 1] > key; --j) keys[j] = keys[j - 1];
+      keys[j] = key;
+    }
+  if (spare.capacity() < n) spare.reserve(n + n / 8);
+  spare.resize(n);
+  ptrs.resize(n);
+}
+
+std::span<Particle*> CellOrder::gather(std::size_t s,
+                                       const std::vector<Particle>& parts,
+                                       std::vector<Particle>& spare) {
+  for (std::uint32_t k = start[s]; k < start[s + 1]; ++k) {
+    spare[k] = parts[keys[k] & 0xffffffffu];
+    ptrs[k] = &spare[k];
+  }
+  return {ptrs.data() + start[s], start[s + 1] - start[s]};
+}
+
+void move_pass(const DsmcParams& p, int step, std::span<const int> cell_map,
+               std::span<const std::int32_t> cell_slot, int rank, int nranks,
+               std::vector<Particle>& parts, std::vector<int>& dest,
+               CellOrder& order) {
+  // Newborns go after the residents; they neither move nor die this step.
+  const std::size_t residents = parts.size();
+  const GlobalIndex first =
+      p.n_particles + static_cast<GlobalIndex>(step) * p.births_per_step;
+  for (GlobalIndex i = ((rank - first) % nranks + nranks) % nranks;
+       i < p.births_per_step; i += nranks)
+    parts.push_back(birth(p, first + i));
+  dest.resize(parts.size());
+  order.slot.resize(parts.size());
+  order.carried = 0;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    Particle q = parts[i];
+    if (i < residents) {
+      advance(p, q, p.dt);
+      if (absorbed(p, q.id, step)) continue;
+    }
+    const auto c = static_cast<std::size_t>(cell_of(p, q));
+    const std::int32_t s = cell_slot[c];
+    if (s >= 0) order.slot[order.carried++] = s;
+    dest[kept] = s >= 0 ? rank : cell_map[c];
+    parts[kept++] = q;
+  }
+  parts.resize(kept);
+  dest.resize(kept);
+}
 
 ParallelDsmcResult run_parallel_dsmc(sim::Machine& machine,
                                      const ParallelDsmcConfig& cfg) {

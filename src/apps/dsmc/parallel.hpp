@@ -88,7 +88,7 @@ struct ParallelDsmcConfig {
 /// unaffected). Benches that compare per-phase rows across migration or
 /// compiler modes pin DsmcExecutor::kImperative for identical accounting.
 struct DsmcPhaseTimes {
-  double collide = 0;        ///< collision + rebucket/sort
+  double collide = 0;        ///< cell-ordering counting sort + collisions
   double reduce_append = 0;  ///< MOVE-phase migration (schedule + transport)
   double size_recompute = 0; ///< compiler-generated size-recovery loop
   double remap = 0;          ///< periodic repartition + cell/particle remap
@@ -117,5 +117,38 @@ struct ParallelDsmcResult {
 
 ParallelDsmcResult run_parallel_dsmc(sim::Machine& machine,
                                      const ParallelDsmcConfig& cfg);
+
+/// One rank's cell-ordered particle store, with scratch reused across
+/// steps. Only the first `carried` entries of `slot` (owned-cell slot per
+/// particle) are current: the move pass records the stayers' slots, and
+/// migration keeps stayers first and in order, so sort() locates the rest.
+struct CellOrder {
+  std::vector<std::int32_t> slot;
+  std::size_t carried = 0;
+  std::vector<std::uint32_t> start;  ///< slot s owns keys [start[s], start[s+1])
+  std::vector<std::uint64_t> keys;   ///< id << 32 | index, in (slot, id) order
+  std::vector<Particle*> ptrs;       ///< per key: its particle in `spare`
+
+  /// Locate, counting-sort the keys by (slot, id), and size `spare` for the
+  /// gather. `cell_slot` maps a cell to its owned slot (or -1).
+  void sort(const DsmcParams& p, std::span<const std::int32_t> cell_slot,
+            std::size_t nslots, std::vector<Particle>& parts,
+            std::vector<Particle>& spare);
+
+  /// Copy slot s's particles to their (slot, id) place in `spare`; returns
+  /// them id-sorted for collide_cell. Slots touch disjoint ranges; after
+  /// the last one the caller swaps `spare` and `parts`.
+  std::span<Particle*> gather(std::size_t s, const std::vector<Particle>& parts,
+                              std::vector<Particle>& spare);
+};
+
+/// The fused MOVE pass of rank `rank` of `nranks`: advance, drop the
+/// particles absorbed at `step` in place, append this rank's newborns
+/// (id % nranks == rank), and fill `dest` from `cell_map`, carrying the
+/// `cell_slot` of every particle that stays into `order`.
+void move_pass(const DsmcParams& p, int step, std::span<const int> cell_map,
+               std::span<const std::int32_t> cell_slot, int rank, int nranks,
+               std::vector<Particle>& parts, std::vector<int>& dest,
+               CellOrder& order);
 
 }  // namespace chaos::dsmc

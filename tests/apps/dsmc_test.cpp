@@ -503,6 +503,44 @@ TEST(DsmcBirthDeath, DeliveryPermutationFuzzStaysConservativeAndBitwise) {
   }
 }
 
+TEST(DsmcBirthDeath, AutonomicRebalancesMatchSequentialExactly) {
+  // Policy-driven rebalances land between a move pass (which carries the
+  // stayers' owned-cell slots) and the next collide: every executor arm
+  // must drop those slots with the retired cell numbering and stay bitwise
+  // identical to the sequential driver through diffusions and rebuilds.
+  DsmcParams p = birth_death_params();
+  p.nonuniform_init = true;
+  const int steps = 24;
+  auto seq = run_sequential_dsmc(p, steps);
+
+  ParallelDsmcConfig cfg;
+  cfg.params = p;
+  cfg.steps = steps;
+  cfg.collect_state = true;
+  cfg.autonomic = true;
+  cfg.policy.window_steps = 2;
+  cfg.policy.trigger_balance = 1.0;
+  cfg.policy.rebuild_balance = 1.05;
+  cfg.policy.payoff_horizon_steps = 1e9;
+  cfg.remap_partitioner = core::PartitionerKind::kRcb;
+
+  for (const int P : {3, 4}) {
+    for (const DsmcExecutor executor :
+         {DsmcExecutor::kStepGraph, DsmcExecutor::kStepGraphEager,
+          DsmcExecutor::kStepGraphArrival, DsmcExecutor::kImperative}) {
+      SCOPED_TRACE("P=" + std::to_string(P) + " executor=" +
+                   std::to_string(static_cast<int>(executor)));
+      cfg.executor = executor;
+      sim::Machine m(P);
+      auto par = run_parallel_dsmc(m, cfg);
+      EXPECT_GE(par.diffusions, 1);
+      EXPECT_GE(par.rebuilds, 1);
+      expect_exact_match(par.particles, seq.particles);
+      EXPECT_EQ(par.collisions, seq.collisions);
+    }
+  }
+}
+
 TEST(DsmcParallel, VirtualTimesDeterministic) {
   DsmcParams p = small_params();
   ParallelDsmcConfig cfg;
