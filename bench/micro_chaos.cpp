@@ -182,7 +182,10 @@ void BM_ScheduleBuildAndGather(benchmark::State& state) {
       core::Schedule sched =
           core::build_schedule(comm, hash, core::StampExpr::only(s));
       std::vector<double> data(static_cast<size_t>(hash.local_extent()), 1.0);
-      core::gather<double>(comm, sched, data);
+      const compile::SchedulePlan plan = compile::SchedulePlan::verbatim(sched);
+      comm::Engine engine(comm);
+      engine.wait(engine.post_gather<double>(sched, std::span<double>{data},
+                                             plan));
       benchmark::DoNotOptimize(data.data());
     });
   }

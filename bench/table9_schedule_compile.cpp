@@ -7,12 +7,13 @@
 // residue) buys across four reference-pattern families spanning the
 // regularity spectrum (bench/patterns.hpp), in three arms per pattern:
 //
-//   interpreted   rt.set_schedule_compilation(false) — the reference arm
+//   interpreted   the schedule's verbatim plan (its index lists as
+//                 written, at the element-loop charge) — the reference arm
 //   compiled      the default executor path (compile on first execute)
 //   + remap       rt.remap_ghost_locality() first, creating recv-side runs
 //                 the reference pattern did not leave by accident
 //
-// Every arm is proven bitwise identical to the interpreted executor on all
+// Every arm is proven bitwise identical to the interpreted arm on all
 // three directions (gather / scatter / scatter_add) before it is timed.
 // A repartition phase then moves the reserved probe elements: the main
 // loop's compiled plan is carried across the epoch (send side verbatim,
@@ -85,6 +86,18 @@ PatternResult run_pattern(Pattern pat, bool quick) {
       base[i] = 0.25 * static_cast<double>(i + 1) +
                 3.0 * static_cast<double>(comm.rank());
 
+    // The interpreted arm: the same executor call posted through a
+    // verbatim plan of the loop's current schedule.
+    auto interp = [&](int dir, std::vector<double>& a) {
+      const core::Schedule& sched = rt.schedule(h);
+      const compile::SchedulePlan plan = compile::SchedulePlan::verbatim(sched);
+      comm::Engine& eng = rt.engine();
+      const std::span<double> s{a};
+      eng.wait(dir == 0   ? eng.post_gather<double>(sched, s, plan)
+               : dir == 1 ? eng.post_scatter<double>(sched, s, plan)
+                          : eng.post_scatter_add<double>(sched, s, plan));
+    };
+
     // Bitwise identity of the compiled path, all three directions. Ghost
     // slots are seeded with rank-distinct values so scatter/scatter_add
     // move data the interpreted arm must reproduce exactly.
@@ -94,11 +107,7 @@ PatternResult run_pattern(Pattern pat, bool quick) {
         std::vector<double> a = base, b = base;
         for (std::size_t i = owned; i < extent; ++i)
           a[i] = b[i] = -1.5 * static_cast<double>(i) - comm.rank();
-        rt.set_schedule_compilation(false);
-        if (dir == 0) rt.gather<double>(h, a);
-        if (dir == 1) rt.scatter<double>(h, a);
-        if (dir == 2) rt.scatter_add<double>(h, a);
-        rt.set_schedule_compilation(true);
+        interp(dir, a);
         if (dir == 0) rt.gather<double>(h, b);
         if (dir == 1) rt.scatter<double>(h, b);
         if (dir == 2) rt.scatter_add<double>(h, b);
@@ -109,9 +118,14 @@ PatternResult run_pattern(Pattern pat, bool quick) {
     };
 
     // One timed event = gather + scatter_add (the force-cycle shape).
-    auto time_events = [&](std::vector<double>& arr) {
+    auto time_events = [&](std::vector<double>& arr, bool interpreted) {
       const double t0 = comm.now();
       for (int e = 0; e < events; ++e) {
+        if (interpreted) {
+          interp(0, arr);
+          interp(2, arr);
+          continue;
+        }
         rt.gather<double>(h, std::span<double>{arr});
         rt.scatter_add<double>(h, std::span<double>{arr});
       }
@@ -121,12 +135,10 @@ PatternResult run_pattern(Pattern pat, bool quick) {
 
     bool ok = verify();
     std::vector<double> work = base;
-    rt.set_schedule_compilation(false);
-    const double interp_ms = time_events(work);
-    rt.set_schedule_compilation(true);
+    const double interp_ms = time_events(work, true);
     work = base;
     rt.gather<double>(h, std::span<double>{work});  // compile off the clock
-    const double compiled_ms = time_events(work);
+    const double compiled_ms = time_events(work, false);
 
     // Locality remap: renumber the ghost region so recv blocks become wire
     // order, then re-verify identity on the rewritten schedule and re-time.
@@ -134,7 +146,7 @@ PatternResult run_pattern(Pattern pat, bool quick) {
     ok = ok && verify();
     work = base;
     rt.gather<double>(h, std::span<double>{work});
-    const double remap_ms = time_events(work);
+    const double remap_ms = time_events(work, false);
 
     // Compile the probe loop's plan too (executing it once), so the
     // repartition below has a compiled plan to invalidate and recompile.

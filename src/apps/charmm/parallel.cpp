@@ -556,32 +556,13 @@ class Driver {
   /// scatter-add of `force_bond_` stays in flight across the whole
   /// non-bonded compute — both overlaps the dependence analysis derives,
   /// while the integrate step's declared reads force both scatters to
-  /// deliver first. `cfg.declare_by_hand` keeps the PR-4 hand-declared
-  /// construction (the escape hatch the equivalence tests hold this one
-  /// against).
+  /// deliver first.
   void declare_graph() {
     graph_ = std::make_unique<StepGraph>(rt_);
     graph_->set_pipelining(shape() != CharmmShape::kStepGraphEager);
     // Dogfood the static analyzer: every shipped graph arms strict, so a
     // declaration defect fails fast here, not as a downstream data race.
     graph_->set_strict(true);
-    if (cfg_.declare_by_hand) {
-      graph_->step("bonded")
-          .reads(pos_, h_bond_)
-          .compute([this] { compute_bonded_step(); })
-          .writes_add(force_bond_, h_bond_);
-      graph_->step("nonbonded")
-          .reads(pos_, h_nb_)
-          .compute([this] { compute_nonbonded_step(); })
-          .writes_add(force_, h_nb_);
-      graph_->step("integrate")
-          .uses(force_)
-          .uses(force_bond_)
-          .updates(pos_)
-          .updates(vel_)
-          .compute([this] { integrate_graph(); });
-      return;
-    }
     graph_->step("bonded")
         .bind(in(pos_).via(h_bond_).named("pos"),
               sum(force_bond_).via(h_bond_).named("force_bond"))

@@ -70,13 +70,6 @@ struct ParallelCharmmConfig {
   bool autonomic = false;
   balance::PolicyConfig policy;
 
-  /// Build the step graph from hand-declared access sets (reads/
-  /// writes_add/uses/updates) instead of typed view bindings. The two
-  /// constructions are bitwise-identical by contract — this flag keeps the
-  /// low-level declaration arm alive for the equivalence tests and as the
-  /// documented escape hatch.
-  bool declare_by_hand = false;
-
   /// Route the adaptive non-bonded loop through the compiler-generated path
   /// (per-step modification-record guards on the runtime's schedule
   /// registry) and charge the mechanical overheads of generated code.

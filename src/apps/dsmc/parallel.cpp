@@ -184,8 +184,7 @@ class Driver {
 
   /// Declare the collide/move cycle as a step graph, the accesses bound
   /// as typed views (use/update/migrate — the step's access sets are
-  /// inferred from the bindings; cfg.declare_by_hand keeps the
-  /// hand-declared construction the equivalence tests compare against).
+  /// inferred from the bindings).
   /// The move step's migration is a declared access on `mine_`/`arrived_`;
   /// the runtime derives that the next collide (updates mine_) depends on it
   /// and defers the wait to that point, and the finalizer swaps the
@@ -199,18 +198,6 @@ class Driver {
     const auto move_step = [this] {
       timed(&DsmcPhaseTimes::reduce_append, [&] { move_compute(); });
     };
-    if (cfg_.declare_by_hand) {
-      graph_->step("collide").updates(mine_).compute([this] {
-        collide_phase();
-      });
-      graph_->step("move")
-          .updates(mine_)
-          .updates(dest_procs_)
-          .compute(move_step)
-          .migrates(mine_, dest_procs_, arrived_)
-          .then([this] { take_arrivals(); });
-      return;
-    }
     Step& collide =
         graph_->step("collide").bind(update(mine_).named("particles"));
     if (cfg_.executor == DsmcExecutor::kStepGraphArrival) {

@@ -62,11 +62,6 @@ struct ParallelDsmcConfig {
   bool autonomic = false;
   balance::PolicyConfig policy;
 
-  /// Build the step graph from hand-declared access sets instead of typed
-  /// view bindings (bitwise-identical by contract; kept for the
-  /// equivalence tests and as the documented escape hatch).
-  bool declare_by_hand = false;
-
   /// Route the MOVE phase through the lang:: REDUCE(APPEND) lowering with
   /// the compiler's extra size-recovery communication (Table 7).
   bool compiler_generated = false;

@@ -29,6 +29,22 @@ void Engine::expect_in(Batch& b, int peer, std::uint32_t id,
   op.part_done.push_back(false);
 }
 
+void Engine::check_lowers(const compile::SchedulePlan& plan,
+                          const core::Schedule& sched) {
+  const auto same = [](const std::vector<compile::BlockPlan>& plans,
+                       const std::vector<core::ScheduleBlock>& blocks) {
+    if (plans.size() != blocks.size()) return false;
+    for (std::size_t i = 0; i < plans.size(); ++i)
+      if (plans[i].proc != blocks[i].proc ||
+          plans[i].count != static_cast<GlobalIndex>(blocks[i].indices.size()))
+        return false;
+    return true;
+  };
+  CHAOS_CHECK(same(plan.send(), sched.send_blocks()) &&
+                  same(plan.recv(), sched.recv_blocks()),
+              "plan does not lower this schedule");
+}
+
 void Engine::flush() {
   if (open_ == kNone) return;
   Batch& b = batches_[open_];

@@ -2,15 +2,16 @@
 // executor's plan -> post -> flush -> wait pipeline).
 //
 // The paper's executor wins come from message vectorization and schedule
-// merging (§3.2.1, Table 3). The blocking free functions in
-// core/transport.hpp realize vectorization one schedule at a time: each
-// call is a synchronous round-trip, so independent schedules serialize and
-// two loops' ghost traffic to the same peer goes out as two messages. The
-// Engine makes communication first-class instead:
+// merging (§3.2.1, Table 3). A blocking executor realizes vectorization one
+// schedule at a time: each call is a synchronous round-trip, so independent
+// schedules serialize and two loops' ghost traffic to the same peer goes
+// out as two messages. The Engine makes communication first-class instead
+// (the Runtime's blocking gather/scatter/remap are one post plus one wait
+// on a local Engine):
 //
 //   comm::Engine engine(comm);
-//   auto ha = engine.post_gather<double>(sched_a, xa);   // stage only
-//   auto hb = engine.post_gather<double>(sched_b, xb);   // same batch
+//   auto ha = engine.post_gather<double>(sched_a, xa, plan_a);  // stage only
+//   auto hb = engine.post_gather<double>(sched_b, xb, plan_b);  // same batch
 //   engine.flush();      // ONE coalesced message per peer for a AND b
 //   ...local work overlapped with the transfers...
 //   engine.wait(ha);     // or wait_all() / test(ha)
@@ -24,22 +25,22 @@
 // independent batches may be in flight simultaneously and waited out of
 // order.
 //
-// SPMD contract (same as the blocking functions, stated batch-wise): every
+// SPMD contract (stated batch-wise): every
 // rank posts the same logical sequence of operations into the same batches
 // and flushes/waits at the same points. wait(h) flushes h's batch if it is
 // still open — even when h completed locally at post time — so the
 // machine-wide tag sequence stays in lockstep on ranks whose share of an
 // operation happens to be empty.
 //
-// Lifetimes: the data span, and for schedule-based posts the Schedule
-// itself, must stay valid until the operation completes (post_migrate takes
+// Lifetimes: the data span, and for schedule-based posts the Schedule and
+// its SchedulePlan, must stay valid until the operation completes (post_migrate takes
 // its LightweightSchedule by value and keeps it alive internally). Do not
 // re-inspect or rebuild a schedule while an operation posted on it is in
 // flight.
 //
 // Determinism: incoming batches are consumed in post order and, within a
-// batch, in ascending peer order — the same combining order as the
-// blocking executor — so results are independent of OS scheduling. The
+// batch, in ascending peer order, so results are independent of OS
+// scheduling. The
 // arrival-driven calls (test_peer / ready_peers / receive_any /
 // wait_arrival) relax that order ONLY for operations whose unpack provably
 // commutes (gather/transport: disjoint destination slots), so results stay
@@ -95,35 +96,35 @@ class Engine {
   /// indices, deliver, place incoming at dst recv indices. Self-blocks are
   /// copied at post time.
   ///
-  /// When `plan` (the schedule's compiled form, compile/schedule_plan.hpp)
-  /// is non-null, pack and unpack run through segment ops instead of the
-  /// per-element indexed loops — bitwise-identical results, bulk-copy
-  /// charges. The plan must lower exactly `sched` and, like the schedule,
-  /// stay valid until the operation completes.
+  /// `plan` is the schedule's executable form (compile/schedule_plan.hpp):
+  /// a lowered plan runs segment ops at bulk-copy charges, a verbatim plan
+  /// runs the index lists at the element-loop charge. It must lower
+  /// exactly `sched` and, like the schedule, stay valid until the
+  /// operation completes.
   template <typename T>
   CommHandle post_transport(const core::Schedule& sched,
                             std::span<const T> src, std::span<T> dst,
-                            const compile::SchedulePlan* plan = nullptr);
+                            const compile::SchedulePlan& plan);
 
   /// Gather: fetch off-processor elements into the ghost region of `data`
   /// (which spans owned + ghost).
   template <typename T>
   CommHandle post_gather(const core::Schedule& sched, std::span<T> data,
-                         const compile::SchedulePlan* plan = nullptr) {
+                         const compile::SchedulePlan& plan) {
     return post_transport<T>(sched, data, data, plan);
   }
 
   /// Transpose execution with a combiner: ship ghost values back to owners;
   /// each owner applies `combine(owned, incoming)` at the original send
-  /// indices. Same compiled-path contract as post_transport.
+  /// indices. Same plan contract as post_transport.
   template <typename T, typename Combine>
   CommHandle post_scatter_op(const core::Schedule& sched, std::span<T> data,
                              Combine combine,
-                             const compile::SchedulePlan* plan = nullptr);
+                             const compile::SchedulePlan& plan);
 
   template <typename T>
   CommHandle post_scatter(const core::Schedule& sched, std::span<T> data,
-                          const compile::SchedulePlan* plan = nullptr) {
+                          const compile::SchedulePlan& plan) {
     return post_scatter_op<T>(
         sched, data, [](const T&, const T& incoming) { return incoming; },
         plan);
@@ -131,7 +132,7 @@ class Engine {
 
   template <typename T>
   CommHandle post_scatter_add(const core::Schedule& sched, std::span<T> data,
-                              const compile::SchedulePlan* plan = nullptr) {
+                              const compile::SchedulePlan& plan) {
     return post_scatter_op<T>(
         sched, data,
         [](const T& own, const T& incoming) { return own + incoming; }, plan);
@@ -354,6 +355,47 @@ class Engine {
 
   void deliver(Batch& b, PeerIncoming& pi, std::span<const std::byte> payload);
 
+  /// `plan` must lower `sched` block for block.
+  static void check_lowers(const compile::SchedulePlan& plan,
+                           const core::Schedule& sched);
+
+  /// Pack one wire part of `src` into the batch's coalescer for its peer,
+  /// charging the plan's rate.
+  template <typename T>
+  void pack_out(Batch& b, const compile::SchedulePlan& plan,
+                const compile::BlockPlan& part, std::span<const T> src,
+                std::vector<T>& buf) {
+    buf.resize(static_cast<std::size_t>(part.count));
+    compile::pack_block<T>(part, src, buf.data());
+    comm_.charge_work(plan.work(part, sizeof(T)));
+    stage_out(b, part.proc,
+              {reinterpret_cast<const std::byte*>(buf.data()),
+               buf.size() * sizeof(T)});
+  }
+
+  /// Record that op `id` expects wire part `part` (its next part ordinal)
+  /// and remember the part for the unpack.
+  void expect_part(Batch& b, std::uint32_t id, const compile::BlockPlan& part,
+                   std::size_t elem_bytes,
+                   std::vector<const compile::BlockPlan*>& parts) {
+    expect_in(b, part.proc, id, static_cast<std::uint32_t>(parts.size()),
+              static_cast<std::size_t>(part.count) * elem_bytes);
+    parts.push_back(&part);
+  }
+
+  /// Visit one direction's wire parts in order: the wire groups when the
+  /// plan built them, else one part per block. `fn(part, first_block)`.
+  template <typename Fn>
+  static void for_each_part(const std::vector<compile::BlockPlan>& blocks,
+                            const std::vector<compile::WireGroup>& groups,
+                            Fn&& fn) {
+    if (groups.empty()) {
+      for (std::size_t i = 0; i < blocks.size(); ++i) fn(blocks[i], i);
+      return;
+    }
+    for (const compile::WireGroup& g : groups) fn(g.fused, g.first);
+  }
+
   sim::Comm& comm_;
   std::vector<Op> ops_;
   std::vector<Batch> batches_;
@@ -368,8 +410,9 @@ class Engine {
 template <typename T>
 CommHandle Engine::post_transport(const core::Schedule& sched,
                                   std::span<const T> src, std::span<T> dst,
-                                  const compile::SchedulePlan* plan) {
+                                  const compile::SchedulePlan& plan) {
   static_assert(std::is_trivially_copyable_v<T>);
+  check_lowers(plan, sched);
   const int me = comm_.rank();
   const std::uint32_t batch_id = open_batch();
   const auto id = static_cast<std::uint32_t>(ops_.size());
@@ -380,90 +423,34 @@ CommHandle Engine::post_transport(const core::Schedule& sched,
   ops_.back().order_independent = true;
   Batch& b = batches_[batch_id];
 
-  if (plan != nullptr)
-    CHAOS_CHECK(plan->send().size() == sched.send_blocks().size() &&
-                    plan->recv().size() == sched.recv_blocks().size(),
-                "compiled plan does not lower this schedule");
-
   const core::ScheduleBlock* self_send = nullptr;
   const core::ScheduleBlock* self_recv = nullptr;
 
   std::vector<T> buf;
-  if (plan != nullptr && !plan->send_groups().empty()) {
-    // Wire-grouped pack: consecutive same-peer blocks fused, boundary runs
-    // merged (identical wire bytes, fewer segment ops).
-    for (const compile::WireGroup& g : plan->send_groups()) {
-      if (g.proc == me) {
-        CHAOS_CHECK(g.nblocks == 1, "self blocks cannot be wire-grouped");
-        self_send = &sched.send_blocks()[g.first];
-        continue;
-      }
-      buf.resize(static_cast<std::size_t>(g.fused.count));
-      compile::pack_block<T>(g.fused, src, buf.data());
-      comm_.charge_work(compile::block_work(g.fused, sizeof(T)));
-      stage_out(b, g.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.send_blocks().size(); ++bi) {
-      const auto& blk = sched.send_blocks()[bi];
-      if (blk.proc == me) {
-        self_send = &blk;
-        continue;
-      }
-      if (plan != nullptr) {
-        const compile::BlockPlan& bp = plan->send()[bi];
-        CHAOS_CHECK(bp.count == static_cast<GlobalIndex>(blk.indices.size()),
-                    "compiled plan does not lower this schedule");
-        buf.resize(blk.indices.size());
-        compile::pack_block<T>(bp, src, buf.data());
-        comm_.charge_work(compile::block_work(bp, sizeof(T)));
-      } else {
-        buf.clear();
-        buf.reserve(blk.indices.size());
-        for (GlobalIndex i : blk.indices) {
-          CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < src.size(),
-                      "schedule send index outside source array");
-          buf.push_back(src[static_cast<std::size_t>(i)]);
-        }
-        comm_.charge_work(core::costs::pack_work(buf.size(), sizeof(T)));
-      }
-      stage_out(b, blk.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  }
+  for_each_part(plan.send(), plan.send_groups(),
+                [&](const compile::BlockPlan& bp, std::size_t first) {
+                  if (bp.proc == me) {
+                    self_send = &sched.send_blocks()[first];
+                    CHAOS_CHECK(bp.count == static_cast<GlobalIndex>(
+                                                self_send->indices.size()),
+                                "self blocks cannot be wire-grouped");
+                    return;
+                  }
+                  pack_out<T>(b, plan, bp, src, buf);
+                });
 
-  std::vector<const core::ScheduleBlock*> in_blocks;   // post order
-  std::vector<const compile::BlockPlan*> in_plans;     // parallel, may be null
-  if (plan != nullptr && !plan->recv_groups().empty()) {
-    for (const compile::WireGroup& g : plan->recv_groups()) {
-      if (g.proc == me) {
-        CHAOS_CHECK(g.nblocks == 1, "self blocks cannot be wire-grouped");
-        self_recv = &sched.recv_blocks()[g.first];
-        continue;
-      }
-      expect_in(b, g.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                static_cast<std::size_t>(g.fused.count) * sizeof(T));
-      in_blocks.push_back(nullptr);  // grouped parts unpack via the plan
-      in_plans.push_back(&g.fused);
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.recv_blocks().size(); ++bi) {
-      const auto& blk = sched.recv_blocks()[bi];
-      if (blk.proc == me) {
-        self_recv = &blk;
-        continue;
-      }
-      expect_in(b, blk.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                blk.indices.size() * sizeof(T));
-      in_blocks.push_back(&blk);
-      in_plans.push_back(plan != nullptr ? &plan->recv()[bi] : nullptr);
-    }
-  }
+  std::vector<const compile::BlockPlan*> in_plans;  // post order
+  for_each_part(plan.recv(), plan.recv_groups(),
+                [&](const compile::BlockPlan& bp, std::size_t first) {
+                  if (bp.proc == me) {
+                    self_recv = &sched.recv_blocks()[first];
+                    CHAOS_CHECK(bp.count == static_cast<GlobalIndex>(
+                                                self_recv->indices.size()),
+                                "self blocks cannot be wire-grouped");
+                    return;
+                  }
+                  expect_part(b, id, bp, sizeof(T), in_plans);
+                });
 
   // Self-block: straight copy at post time, no messages.
   if (self_send || self_recv) {
@@ -484,27 +471,10 @@ CommHandle Engine::post_transport(const core::Schedule& sched,
   Op& op = ops_[id];
   op.batch = batch_id;
   if (op.remaining > 0) {
-    op.unpack = [this, blocks = std::move(in_blocks),
-                 plans = std::move(in_plans), dst_data = dst.data(),
-                 dst_size = dst.size()](std::uint32_t part,
-                                        std::span<const std::byte> bytes) {
-      if (const compile::BlockPlan* bp = plans[part]; bp != nullptr) {
-        compile::place_block<T>(*bp, bytes, std::span<T>{dst_data, dst_size});
-        comm_.charge_work(compile::block_work(*bp, sizeof(T)));
-        return;
-      }
-      const core::ScheduleBlock* blk = blocks[part];
-      CHAOS_CHECK(bytes.size() == blk->indices.size() * sizeof(T),
-                  "incoming segment size does not match schedule");
-      for (std::size_t k = 0; k < blk->indices.size(); ++k) {
-        const GlobalIndex d = blk->indices[k];
-        CHAOS_CHECK(d >= 0 && static_cast<std::size_t>(d) < dst_size,
-                    "schedule recv index outside destination array");
-        std::memcpy(dst_data + static_cast<std::size_t>(d),
-                    bytes.data() + k * sizeof(T), sizeof(T));
-      }
-      comm_.charge_work(
-          core::costs::pack_work(blk->indices.size(), sizeof(T)));
+    op.unpack = [this, &plan, plans = std::move(in_plans),
+                 dst](std::uint32_t part, std::span<const std::byte> bytes) {
+      compile::place_block<T>(*plans[part], bytes, dst);
+      comm_.charge_work(plan.work(*plans[part], sizeof(T)));
     };
   }
   return CommHandle{id};
@@ -513,110 +483,41 @@ CommHandle Engine::post_transport(const core::Schedule& sched,
 template <typename T, typename Combine>
 CommHandle Engine::post_scatter_op(const core::Schedule& sched,
                                    std::span<T> data, Combine combine,
-                                   const compile::SchedulePlan* plan) {
+                                   const compile::SchedulePlan& plan) {
   static_assert(std::is_trivially_copyable_v<T>);
+  check_lowers(plan, sched);
   const int me = comm_.rank();
   const std::uint32_t batch_id = open_batch();
   const auto id = static_cast<std::uint32_t>(ops_.size());
   ops_.emplace_back();
   Batch& b = batches_[batch_id];
 
-  if (plan != nullptr)
-    CHAOS_CHECK(plan->send().size() == sched.send_blocks().size() &&
-                    plan->recv().size() == sched.recv_blocks().size(),
-                "compiled plan does not lower this schedule");
-
   std::vector<T> buf;
-  if (plan != nullptr && !plan->recv_groups().empty()) {
-    for (const compile::WireGroup& g : plan->recv_groups()) {
-      CHAOS_CHECK(g.proc != me, "scatter does not support self-blocks");
-      buf.resize(static_cast<std::size_t>(g.fused.count));
-      compile::pack_block<T>(g.fused,
-                             std::span<const T>{data.data(), data.size()},
-                             buf.data());
-      comm_.charge_work(compile::block_work(g.fused, sizeof(T)));
-      stage_out(b, g.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.recv_blocks().size(); ++bi) {
-      const auto& blk = sched.recv_blocks()[bi];
-      CHAOS_CHECK(blk.proc != me, "scatter does not support self-blocks");
-      if (plan != nullptr) {
-        const compile::BlockPlan& bp = plan->recv()[bi];
-        CHAOS_CHECK(bp.count == static_cast<GlobalIndex>(blk.indices.size()),
-                    "compiled plan does not lower this schedule");
-        buf.resize(blk.indices.size());
-        compile::pack_block<T>(bp,
-                               std::span<const T>{data.data(), data.size()},
-                               buf.data());
-        comm_.charge_work(compile::block_work(bp, sizeof(T)));
-      } else {
-        buf.clear();
-        buf.reserve(blk.indices.size());
-        for (GlobalIndex i : blk.indices) {
-          CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < data.size());
-          buf.push_back(data[static_cast<std::size_t>(i)]);
-        }
-        comm_.charge_work(core::costs::pack_work(buf.size(), sizeof(T)));
-      }
-      stage_out(b, blk.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  }
+  for_each_part(plan.recv(), plan.recv_groups(),
+                [&](const compile::BlockPlan& bp, std::size_t) {
+                  CHAOS_CHECK(bp.proc != me,
+                              "scatter does not support self-blocks");
+                  pack_out<T>(b, plan, bp,
+                              std::span<const T>{data.data(), data.size()},
+                              buf);
+                });
 
-  std::vector<const core::ScheduleBlock*> in_blocks;  // post order
-  std::vector<const compile::BlockPlan*> in_plans;    // parallel, may be null
-  if (plan != nullptr && !plan->send_groups().empty()) {
-    for (const compile::WireGroup& g : plan->send_groups()) {
-      CHAOS_CHECK(g.proc != me, "scatter does not support self-blocks");
-      expect_in(b, g.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                static_cast<std::size_t>(g.fused.count) * sizeof(T));
-      in_blocks.push_back(nullptr);  // grouped parts combine via the plan
-      in_plans.push_back(&g.fused);
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.send_blocks().size(); ++bi) {
-      const auto& blk = sched.send_blocks()[bi];
-      CHAOS_CHECK(blk.proc != me, "scatter does not support self-blocks");
-      expect_in(b, blk.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                blk.indices.size() * sizeof(T));
-      in_blocks.push_back(&blk);
-      in_plans.push_back(plan != nullptr ? &plan->send()[bi] : nullptr);
-    }
-  }
+  std::vector<const compile::BlockPlan*> in_plans;  // post order
+  for_each_part(plan.send(), plan.send_groups(),
+                [&](const compile::BlockPlan& bp, std::size_t) {
+                  CHAOS_CHECK(bp.proc != me,
+                              "scatter does not support self-blocks");
+                  expect_part(b, id, bp, sizeof(T), in_plans);
+                });
 
   Op& op = ops_[id];
   op.batch = batch_id;
   if (op.remaining > 0) {
-    op.unpack = [this, blocks = std::move(in_blocks),
-                 plans = std::move(in_plans), data_ptr = data.data(),
-                 data_size = data.size(),
+    op.unpack = [this, &plan, plans = std::move(in_plans), data,
                  combine](std::uint32_t part,
                           std::span<const std::byte> bytes) {
-      if (const compile::BlockPlan* bp = plans[part]; bp != nullptr) {
-        compile::combine_block<T>(*bp, bytes,
-                                  std::span<T>{data_ptr, data_size}, combine);
-        comm_.charge_work(compile::block_work(*bp, sizeof(T)));
-        return;
-      }
-      const core::ScheduleBlock* blk = blocks[part];
-      CHAOS_CHECK(bytes.size() == blk->indices.size() * sizeof(T),
-                  "incoming segment size does not match schedule");
-      for (std::size_t k = 0; k < blk->indices.size(); ++k) {
-        const GlobalIndex d = blk->indices[k];
-        CHAOS_CHECK(d >= 0 && static_cast<std::size_t>(d) < data_size);
-        T incoming;
-        std::memcpy(&incoming, bytes.data() + k * sizeof(T), sizeof(T));
-        data_ptr[static_cast<std::size_t>(d)] =
-            combine(data_ptr[static_cast<std::size_t>(d)], incoming);
-      }
-      comm_.charge_work(
-          core::costs::pack_work(blk->indices.size(), sizeof(T)));
+      compile::combine_block<T>(*plans[part], bytes, data, combine);
+      comm_.charge_work(plan.work(*plans[part], sizeof(T)));
     };
   }
   return CommHandle{id};

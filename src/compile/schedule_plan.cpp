@@ -133,22 +133,53 @@ void build_direction(const std::vector<core::ScheduleBlock>& blks,
   }
 }
 
+/// Lower every block of both directions of `sched` with `lower`, in block
+/// order, accumulating the plan stats.
+template <typename Lower>
+void lower_sides(const core::Schedule& sched, Lower&& lower,
+                 std::vector<BlockPlan>& send, std::vector<BlockPlan>& recv,
+                 SchedulePlan::Stats& stats) {
+  for (auto [blocks, out] : {std::pair{&sched.send_blocks(), &send},
+                             std::pair{&sched.recv_blocks(), &recv}}) {
+    out->reserve(blocks->size());
+    for (const core::ScheduleBlock& b : *blocks) {
+      out->push_back(lower(b));
+      accumulate(stats, out->back());
+    }
+  }
+}
+
+/// One residue op over the whole block: the index list run as written.
+BlockPlan residue_block(const core::ScheduleBlock& blk) {
+  BlockPlan out;
+  out.proc = blk.proc;
+  out.count = static_cast<GlobalIndex>(blk.indices.size());
+  if (blk.indices.empty()) return out;
+  const auto [lo, hi] =
+      std::minmax_element(blk.indices.begin(), blk.indices.end());
+  out.lo = *lo;
+  out.hi = *hi;
+  out.ops.push_back(SegmentOp{0, out.count, 0});
+  out.residue = blk.indices;
+  return out;
+}
+
 }  // namespace
 
 SchedulePlan SchedulePlan::compile(const core::Schedule& sched, Options opt) {
   CHAOS_CHECK(opt.min_run >= 2, "min_run must be at least 2");
   SchedulePlan plan;
-  plan.send_.reserve(sched.send_blocks().size());
-  plan.recv_.reserve(sched.recv_blocks().size());
-  for (const core::ScheduleBlock& b : sched.send_blocks()) {
-    plan.send_.push_back(lower_block(b, opt));
-    accumulate(plan.stats_, plan.send_.back());
-  }
-  for (const core::ScheduleBlock& b : sched.recv_blocks()) {
-    plan.recv_.push_back(lower_block(b, opt));
-    accumulate(plan.stats_, plan.recv_.back());
-  }
+  lower_sides(
+      sched, [&](const core::ScheduleBlock& b) { return lower_block(b, opt); },
+      plan.send_, plan.recv_, plan.stats_);
   plan.build_groups(sched);
+  return plan;
+}
+
+SchedulePlan SchedulePlan::verbatim(const core::Schedule& sched) {
+  SchedulePlan plan;
+  plan.lowered_ = false;
+  lower_sides(sched, residue_block, plan.send_, plan.recv_, plan.stats_);
   return plan;
 }
 

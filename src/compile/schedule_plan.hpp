@@ -16,12 +16,18 @@
 //
 // Compilation is local, cheap (one linear scan per block) and loses no
 // information: executing a plan produces the exact byte stream, placement
-// order, and combining order of the interpreted executor, so compiled
-// execution is bitwise identical to interpreted execution (the
-// schedule_compile test suite proves this property on randomized
-// schedules). Bounds are validated once per block (the [lo, hi] hull)
-// instead of once per element — the interpreter's per-element CHECK is the
-// other half of what compilation removes.
+// order, and combining order of an element-at-a-time walk of the schedule,
+// so compiled execution is bitwise identical to the test oracle
+// (tests/support/reference_executor.hpp; the schedule_compile suite proves
+// this property on randomized schedules). Bounds are validated once per
+// block (the [lo, hi] hull) instead of once per element.
+//
+// Plans are the engine's only execution input. A schedule executed once
+// (a remap, a one-shot inspection) is not worth lowering; it runs through
+// a *verbatim* plan instead — one residue op per block, i.e. the indexed
+// loop itself — which charges exactly the element-loop rate
+// (costs::pack_work). An index stream with no regular sub-pattern is just
+// a plan whose only op is the residue.
 //
 // The inspector builds a schedule once and the executor runs it many times
 // (the paper's central amortization claim), so the runtime compiles on
@@ -63,7 +69,7 @@ struct SegmentOp {
 
 /// Compiled form of one ScheduleBlock. Ops partition the block's index
 /// list in wire order, so executing them in sequence reproduces the
-/// interpreted element order exactly.
+/// schedule's element order exactly.
 struct BlockPlan {
   int proc = -1;
   GlobalIndex count = 0;            ///< elements (== schedule block size)
@@ -116,6 +122,11 @@ class SchedulePlan {
   /// Lower every block of `sched` (both directions, self-blocks included).
   static SchedulePlan compile(const core::Schedule& sched, Options opt = {});
 
+  /// Run `sched` as written: each non-empty block becomes one residue op
+  /// over its indices (hull computed, no wire groups, nothing charged).
+  /// work() then charges the element-loop rate.
+  static SchedulePlan verbatim(const core::Schedule& sched);
+
   /// Cross-epoch carry for a *patched* schedule (ScheduleRegistry::
   /// seed_from): the send side of a patched schedule is verbatim the prior
   /// epoch's, so its block plans are reused; only the recv side (rewritten
@@ -136,6 +147,10 @@ class SchedulePlan {
 
   const Stats& stats() const { return stats_; }
 
+  /// Modeled work of executing block `b` of this plan: costs::pack_work
+  /// for verbatim plans, block_work for lowered ones.
+  double work(const BlockPlan& b, std::size_t elem_bytes) const;
+
   /// Approximate heap footprint, for registry memory accounting
   /// (Runtime::registry_bytes / compact).
   std::size_t footprint_bytes() const;
@@ -148,13 +163,14 @@ class SchedulePlan {
   std::vector<WireGroup> send_groups_;
   std::vector<WireGroup> recv_groups_;
   Stats stats_;
+  bool lowered_ = true;  ///< false for verbatim()
 };
 
 // ---- compiled executor kernels ---------------------------------------------
 //
-// The engine's pack/unpack loops, lowered. Each kernel validates the
-// block's index hull once, then runs unchecked segment copies. All three
-// preserve the interpreted element order bit-for-bit.
+// The engine's pack/unpack loops. Each kernel validates the block's index
+// hull once, then runs unchecked segment copies. All three preserve the
+// schedule's element order bit-for-bit.
 
 namespace detail {
 inline void check_hull(const BlockPlan& b, std::size_t size) {
@@ -215,8 +231,8 @@ void place_block(const BlockPlan& b, std::span<const std::byte> bytes,
 }
 
 /// Scatter combine: apply `combine(own, incoming)` at the block's indices.
-/// Element order equals the interpreted loop, so non-associative combines
-/// stay bitwise identical.
+/// Element order equals the schedule's, so non-associative combines stay
+/// bitwise identical.
 template <typename T, typename Combine>
 void combine_block(const BlockPlan& b, std::span<const std::byte> bytes,
                    std::span<T> dst, Combine combine) {
@@ -244,14 +260,20 @@ void combine_block(const BlockPlan& b, std::span<const std::byte> bytes,
   }
 }
 
-/// Modeled work of executing one compiled block (the engine charges this
-/// instead of costs::pack_work): segment dispatch per op, the bulk-copy
-/// rate inside runs, the interpreted rate on the residue.
+/// Modeled work of executing one lowered block: segment dispatch per op,
+/// the bulk-copy rate inside runs, the element-loop rate on the residue.
 inline double block_work(const BlockPlan& b, std::size_t elem_bytes) {
   return core::costs::compiled_pack_work(
       static_cast<std::uint64_t>(b.ops.size()),
       static_cast<std::uint64_t>(b.run_elements()),
       static_cast<std::uint64_t>(b.residue.size()), elem_bytes);
+}
+
+inline double SchedulePlan::work(const BlockPlan& b,
+                                 std::size_t elem_bytes) const {
+  return lowered_ ? block_work(b, elem_bytes)
+                  : core::costs::pack_work(static_cast<std::size_t>(b.count),
+                                           elem_bytes);
 }
 
 }  // namespace chaos::compile

@@ -88,7 +88,8 @@ inline double pack_work(std::size_t elements, std::size_t elem_bytes) {
 // address computation, a bounds check, and a dependent load per element —
 // the 4x ratio between kSegmentWord and kPackWord encodes that gap
 // (conservative against measured memcpy-vs-gather-loop ratios on cached
-// data). Residue elements still pay the interpreted rate.
+// data). Residue elements still pay the element-loop rate (kPackWord),
+// and a verbatim plan (a schedule run as written) pays it throughout.
 
 /// Dispatching one segment op (loop setup + the block's one-time hull
 /// check, amortized over the whole segment instead of paid per element).
@@ -99,7 +100,7 @@ inline constexpr double kSegmentWord = 0.1;
 
 /// Work of executing one compiled block: `ops` segment dispatches,
 /// `run_elements` at the bulk-copy rate, `residue_elements` at the
-/// interpreted rate.
+/// element-loop rate.
 inline double compiled_pack_work(std::uint64_t ops, std::uint64_t run_elements,
                                  std::uint64_t residue_elements,
                                  std::size_t elem_bytes) {

@@ -57,8 +57,8 @@ constexpr bool is_owner_write(AccessKind k) {
 }
 
 /// One declared access. Arrays are identified by the address of their
-/// container (std::vector / DistributedArray / chaos::Array), which is
-/// stable across resizes — the data span itself is re-read at post time.
+/// container (std::vector / chaos::Array), which is stable across resizes
+/// — the data span itself is re-read at post time.
 /// `array2` is the arrival container of a migrate (both ends of the
 /// motion are written).
 struct AccessDecl {

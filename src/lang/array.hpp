@@ -183,7 +183,7 @@ struct Binding {
   /// Array-backed bindings: probe of the array's binding revision, so a
   /// retargeted Array cannot be driven through a stale graph binding.
   std::function<std::uint64_t()> revision;
-  /// Set on self-managing accumulators (sum over Array/DistributedArray):
+  /// Set on self-managing accumulators (sum over Array):
   /// the prepare zeroes the ghost region before the compute. A step may
   /// not also gather the same array — the ghost slots cannot hold both
   /// the gathered values and zeroed accumulation (Step::resolve rejects).
@@ -240,48 +240,6 @@ Binding comm_binding(lang::AccessKind kind, Array<T>* a) {
       b.zeroes_ghosts = true;
       b.prepare = [a](Runtime& rt, ScheduleHandle) {
         const GlobalIndex extent = rt.local_extent(a->dist());
-        a->ensure_extent(extent);
-        for (GlobalIndex i = a->owned(); i < extent; ++i) (*a)[i] = T{};
-      };
-      b.post = [a](Runtime& rt, ScheduleHandle h) {
-        return rt.scatter_add_async<T>(h, a->local());
-      };
-      break;
-    default:
-      CHAOS_ASSERT(false, "comm_binding: not a communication kind");
-  }
-  return b;
-}
-
-/// lang::DistributedArray flavor: identical conventions to the Step
-/// hand-declared overloads (ensure_extent on gathers/scatters, ghost
-/// zeroing on scatter-adds), so a view over a DistributedArray agrees
-/// bitwise with a hand declaration on the same container.
-template <typename T>
-Binding comm_binding(lang::AccessKind kind, lang::DistributedArray<T>* a) {
-  Binding b;
-  b.decl = {kind, a, nullptr};
-  switch (kind) {
-    case lang::AccessKind::kGather:
-      b.prepare = [a](Runtime& rt, ScheduleHandle h) {
-        a->ensure_extent(rt.extent(h));
-      };
-      b.post = [a](Runtime& rt, ScheduleHandle h) {
-        return rt.gather_async<T>(h, a->local());
-      };
-      break;
-    case lang::AccessKind::kScatter:
-      b.prepare = [a](Runtime& rt, ScheduleHandle h) {
-        a->ensure_extent(rt.extent(h));
-      };
-      b.post = [a](Runtime& rt, ScheduleHandle h) {
-        return rt.scatter_async<T>(h, a->local());
-      };
-      break;
-    case lang::AccessKind::kScatterAdd:
-      b.zeroes_ghosts = true;
-      b.prepare = [a](Runtime& rt, ScheduleHandle h) {
-        const GlobalIndex extent = rt.extent(h);
         a->ensure_extent(extent);
         for (GlobalIndex i = a->owned(); i < extent; ++i) (*a)[i] = T{};
       };
@@ -394,10 +352,6 @@ template <typename T>
 views::CommView<std::vector<T>> in(std::vector<T>& v) {
   return {lang::AccessKind::kGather, v};
 }
-template <typename T>
-views::CommView<lang::DistributedArray<T>> in(lang::DistributedArray<T>& a) {
-  return {lang::AccessKind::kGather, a};
-}
 
 template <typename T>
 views::CommView<Array<T>> out(Array<T>& a) {
@@ -407,10 +361,6 @@ template <typename T>
 views::CommView<std::vector<T>> out(std::vector<T>& v) {
   return {lang::AccessKind::kScatter, v};
 }
-template <typename T>
-views::CommView<lang::DistributedArray<T>> out(lang::DistributedArray<T>& a) {
-  return {lang::AccessKind::kScatter, a};
-}
 
 template <typename T>
 views::CommView<Array<T>> sum(Array<T>& a) {
@@ -419,10 +369,6 @@ views::CommView<Array<T>> sum(Array<T>& a) {
 template <typename T>
 views::CommView<std::vector<T>> sum(std::vector<T>& v) {
   return {lang::AccessKind::kScatterAdd, v};
-}
-template <typename T>
-views::CommView<lang::DistributedArray<T>> sum(lang::DistributedArray<T>& a) {
-  return {lang::AccessKind::kScatterAdd, a};
 }
 
 /// Local-read binding: the compute reads `c`, no communication.
@@ -488,7 +434,7 @@ class Forall {
   template <typename Body>
   LoopHandle run(Body&& body) {
     // Same guard as Step::resolve: a self-zeroing accumulator (sum over
-    // Array/DistributedArray) zeroes the ghost region after the gathers
+    // an Array) zeroes the ghost region after the gathers
     // delivered — combined with a gather of the SAME array it would
     // silently wipe the gathered ghosts before the body reads them.
     for (const views::Binding& w : bindings_) {
@@ -562,8 +508,7 @@ Forall forall(Runtime& rt, DistHandle dist, const lang::IndirectionArray& ind,
 
 /// REDUCE(SUM, acc(ind(j)), ...) on the typed API: gather `data`'s ghosts,
 /// run the body against localized references, scatter-add `acc`'s ghost
-/// contributions home — the view-based rebase of lang::forall_reduce_sum
-/// (which remains the registry-level lowering underneath the facade).
+/// contributions home.
 template <typename TData, typename TAcc, typename Body>
 LoopHandle forall_reduce_sum(Runtime& rt, DistHandle dist,
                              const lang::IndirectionArray& ind,

@@ -5,13 +5,13 @@
 //   DISTRIBUTE reg(BLOCK)         -> Distribution::block(comm, N)
 //   DISTRIBUTE reg(CYCLIC)        -> Distribution::cyclic(comm, N)
 //   DISTRIBUTE irreg(map)         -> Distribution::irregular(comm, map)
-//   ALIGN x, y WITH irreg         -> DistributedArray<T> constructed over
-//                                    the same Distribution
+//   ALIGN x, y WITH irreg         -> chaos::Array<T> (lang/array.hpp)
+//                                    constructed over the same epoch
 //
 // A Distribution owns the translation table; executable re-DISTRIBUTE
-// statements are expressed by constructing a new Distribution and remapping
-// aligned arrays with a Remapper (distribution.hpp + distributed_array.hpp
-// together implement Phase A/B of the runtime).
+// statements are expressed by adopting a new distribution epoch and
+// remapping aligned arrays through one rt.plan_remap(from, to) schedule
+// (rt.remap / Array::retarget) — Phase A/B of the runtime.
 #pragma once
 
 #include <atomic>

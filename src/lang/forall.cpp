@@ -1,5 +1,9 @@
 #include "lang/forall.hpp"
 
+#include "comm/engine.hpp"
+#include "core/hash_table.hpp"
+#include "core/schedule.hpp"
+
 namespace chaos::lang {
 
 std::vector<GlobalIndex> recompute_row_sizes(
@@ -18,7 +22,11 @@ std::vector<GlobalIndex> recompute_row_sizes(
                                   0);
   for (GlobalIndex r : refs) ++counts[static_cast<size_t>(r)];
   comm.charge_work(static_cast<double>(refs.size()) * 1.0);
-  core::scatter_add<GlobalIndex>(comm, sched, counts);
+  // Executed once: run the schedule verbatim rather than lowering it.
+  const compile::SchedulePlan plan = compile::SchedulePlan::verbatim(sched);
+  comm::Engine engine(comm);
+  engine.wait(engine.post_scatter_add<GlobalIndex>(
+      sched, std::span<GlobalIndex>{counts}, plan));
 
   counts.resize(static_cast<size_t>(rows_dist.owned_count(comm.rank())));
   return counts;

@@ -1,15 +1,9 @@
-// FORALL + REDUCE intrinsics (paper §5.2): the executor templates the
-// Fortran 90D compiler would emit for the two irregular loop patterns the
-// paper compiles.
+// REDUCE intrinsics (paper §5.2): the executor templates the Fortran 90D
+// compiler would emit for the APPEND loop pattern the paper compiles. The
+// SUM pattern lives on the typed API (chaos::forall / forall_reduce_sum in
+// lang/array.hpp).
 //
-// Pattern 1 — REDUCE(SUM, x(ind(j)), expr):   forall_reduce_sum
-//   Lowering: inspector (cached in a runtime::ScheduleRegistry, the
-//   unified schedule registry that subsumed the old lang::InspectorCache
-//   shim) -> gather read-array ghosts -> run the loop body against local
-//   indices -> scatter_add the reduction array's ghost contributions back
-//   to their owners.
-//
-// Pattern 2 — REDUCE(APPEND, rows(ind(j)), item):   reduce_append
+// REDUCE(APPEND, rows(ind(j)), item):   reduce_append
 //   Lowering: the append target is placement-order independent, so the
 //   compiler emits light-weight schedule calls: map each item's destination
 //   row to its owning processor (replicated distribution lookup — no
@@ -24,38 +18,9 @@
 #include <vector>
 
 #include "core/lightweight.hpp"
-#include "core/transport.hpp"
-#include "lang/distributed_array.hpp"
-#include "runtime/schedule_registry.hpp"
+#include "lang/distribution.hpp"
 
 namespace chaos::lang {
-
-/// Executes: forall j in [0, ind.size()): REDUCE(SUM, acc[ind[j]],
-/// body(j, localized_ind)). The body receives the localized indirection
-/// array and must add its contributions into `acc` (and may read gathered
-/// ghost values from `data`). `data` is gathered before the body runs;
-/// `acc`'s ghost contributions are scattered back and summed after.
-/// `registry` caches the inspector product across calls (one registry per
-/// distribution epoch, exactly as chaos::Runtime keeps them).
-template <typename TData, typename TAcc, typename Body>
-void forall_reduce_sum(sim::Comm& comm, runtime::ScheduleRegistry& registry,
-                       const Distribution& dist, const IndirectionArray& ind,
-                       DistributedArray<TData>& data,
-                       DistributedArray<TAcc>& acc, Body&& body) {
-  const LoopPlan& plan = registry.plan(comm, dist, ind);
-  data.ensure_extent(plan.local_extent);
-  acc.ensure_extent(plan.local_extent);
-
-  core::gather<TData>(comm, plan.schedule, data.local());
-
-  // Ghost accumulators start from zero each execution.
-  for (GlobalIndex i = acc.owned(); i < plan.local_extent; ++i)
-    acc[i] = TAcc{};
-
-  body(std::span<const GlobalIndex>(plan.local_refs));
-
-  core::scatter_add<TAcc>(comm, plan.schedule, acc.local());
-}
 
 /// REDUCE(APPEND, ...) lowering: move `items` to the processors owning
 /// their destination rows (`dest_rows[i]` is the global row id of item i

@@ -347,6 +347,7 @@ ScheduleHandle Runtime::inspect_once(DistHandle dist,
     ScheduleEntry& old = scheds_[it->second];
     old.revoked = true;
     old.sched = core::Schedule{};
+    old.compiled.reset();
     old.extent = 0;
   }
   scheds_.push_back(std::move(entry));
@@ -524,33 +525,50 @@ const Runtime::ScheduleEntry& Runtime::checked(ScheduleHandle h) const {
   return e;
 }
 
-const compile::SchedulePlan* Runtime::plan_of(const ScheduleEntry& e) {
-  if (!schedule_compilation_) return nullptr;
-  switch (e.kind) {
-    case ScheduleKind::kLoop:
-      return dists_[e.dist].registry.compiled_plan(comm_, e.ind_id);
-    case ScheduleKind::kMerged:
-    case ScheduleKind::kIncremental: {
-      // checked() already validated component revisions, and re-deriving
-      // replaces the whole entry, so a cached plan here is never stale.
-      if (!e.compiled) {
-        runtime::ScheduleRegistry& reg = dists_[e.dist].registry;
-        auto plan = std::make_unique<const compile::SchedulePlan>(
-            compile::SchedulePlan::compile(e.sched, reg.compile_options()));
-        comm_.charge_work(
-            static_cast<double>(plan->stats().total_elements) *
-            core::costs::kDeltaScan);
-        reg.note_external_compile(plan->stats());
-        e.compiled = std::move(plan);
-      }
-      return e.compiled.get();
-    }
-    case ScheduleKind::kRemap:
-    case ScheduleKind::kOnce:
-      // Executed once: lowering would cost more than it saves.
-      return nullptr;
+Runtime::Executable Runtime::executable(ScheduleHandle h, std::size_t size) {
+  const ScheduleEntry& e = checked(h);
+  CHAOS_CHECK(static_cast<GlobalIndex>(size) >= extent_of(e),
+              "data array smaller than the schedule's local extent");
+  const core::Schedule& sched = schedule_of(e);
+  return {sched, plan_of(e)};
+}
+
+Runtime::Executable Runtime::remap_executable(ScheduleHandle h,
+                                              std::size_t size) {
+  const ScheduleEntry& e = checked(h);
+  CHAOS_CHECK(e.kind == ScheduleKind::kRemap,
+              "handle is not a remap schedule");
+  CHAOS_CHECK(static_cast<GlobalIndex>(size) >= e.new_owned,
+              "destination smaller than the plan's new owned region");
+  return {e.sched, plan_of(e)};
+}
+
+const compile::SchedulePlan& Runtime::plan_of(const ScheduleEntry& e) {
+  if (e.kind == ScheduleKind::kLoop) {
+    const compile::SchedulePlan* plan =
+        dists_[e.dist].registry.compiled_plan(comm_, e.ind_id);
+    CHAOS_CHECK(plan != nullptr, "loop has not been inspected in this epoch");
+    return *plan;
   }
-  return nullptr;
+  if (!e.compiled) {
+    if (e.kind == ScheduleKind::kRemap || e.kind == ScheduleKind::kOnce) {
+      // Executed once: lowering would cost more than it saves.
+      e.compiled = std::make_unique<const compile::SchedulePlan>(
+          compile::SchedulePlan::verbatim(e.sched));
+    } else {
+      // kMerged/kIncremental: checked() already validated component
+      // revisions, and re-deriving replaces the whole entry, so a cached
+      // plan here is never stale.
+      runtime::ScheduleRegistry& reg = dists_[e.dist].registry;
+      auto plan = std::make_unique<const compile::SchedulePlan>(
+          compile::SchedulePlan::compile(e.sched, reg.compile_options()));
+      comm_.charge_work(static_cast<double>(plan->stats().total_elements) *
+                        core::costs::kDeltaScan);
+      reg.note_external_compile(plan->stats());
+      e.compiled = std::move(plan);
+    }
+  }
+  return *e.compiled;
 }
 
 std::vector<GlobalIndex> Runtime::remap_ghost_locality(DistHandle h) {

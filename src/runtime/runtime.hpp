@@ -18,9 +18,9 @@
 //                   schedule, or a one-shot inspector result
 //
 // Executor primitives (gather / scatter / scatter_add / migrate / append,
-// Phase F) take handles, and the fluent loop builder
+// Phase F) take handles. Typed loops sit one layer up (lang/array.hpp):
 //
-//   rt.loop(dist).indirection(ind).gather(x).scatter_add(f).run(body);
+//   chaos::forall(rt, dist, ind, in(y), sum(x)).run(body);
 //
 // lowers to inspect -> gather -> body(localized refs) -> scatter_add with
 // inspector caching driven by the indirection array's modification record.
@@ -48,8 +48,6 @@
 #include "core/parallel_partition.hpp"
 #include "core/remap.hpp"
 #include "core/schedule.hpp"
-#include "core/transport.hpp"
-#include "lang/distributed_array.hpp"
 #include "lang/distribution.hpp"
 #include "lang/forall.hpp"
 #include "lang/indirection.hpp"
@@ -85,7 +83,6 @@ struct ScheduleHandle {
 /// Iteration-partitioning policy (Phase C, paper §3.1).
 enum class IterationPolicy { kOwnerComputes, kAlmostOwnerComputes };
 
-class LoopBuilder;
 class StepGraph;
 
 namespace balance {
@@ -222,19 +219,13 @@ class Runtime {
 
   // ---- schedule compilation -------------------------------------------
   //
-  // Executor calls lower each schedule into a compile::SchedulePlan on
-  // first use (contiguous and constant-stride runs become segment copies;
-  // the residue keeps an index list) and execute through it from then on.
-  // Compiled execution is bitwise identical to interpreted execution; only
-  // the per-event pack/unpack cost changes. See docs/API.md "Compiled
-  // schedules".
-
-  /// Compiled-execution switch (default on). Turning it off forces every
-  /// executor call back to the interpreted per-element path — the
-  /// reference arm for A/B measurement and the equivalence suite. Plans
-  /// already compiled are kept and resume serving when re-enabled.
-  void set_schedule_compilation(bool on) { schedule_compilation_ = on; }
-  bool schedule_compilation() const { return schedule_compilation_; }
+  // Every executor call runs through a compile::SchedulePlan. Loop, merged
+  // and incremental schedules are lowered on first use (contiguous and
+  // constant-stride runs become segment copies; the residue keeps an index
+  // list) and executed through that plan from then on. Remap and one-shot
+  // schedules execute once, so they run through a verbatim plan (their
+  // index lists as written, at the element-loop charge). See docs/API.md
+  // "Compiled schedules".
 
   /// Locality remap (compile/locality.hpp): renumber epoch `h`'s ghost
   /// region so cached schedules' recv blocks land consecutively in wire
@@ -289,10 +280,9 @@ class Runtime {
   /// owned region, dst the new). Collective.
   template <typename T>
   void remap(ScheduleHandle h, std::span<const T> src, std::span<T> dst) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(e.kind == ScheduleKind::kRemap,
-                "handle is not a remap schedule");
-    core::transport<T>(comm_, e.sched, src, dst);
+    const Executable x = remap_executable(h, dst.size());
+    comm::Engine engine(comm_);
+    engine.wait(engine.post_transport<T>(x.sched, src, dst, x.plan));
   }
 
   /// Execute a remap plan, allocating the new owned region.
@@ -301,15 +291,6 @@ class Runtime {
     std::vector<T> dst(static_cast<std::size_t>(checked(h).new_owned));
     remap<T>(h, src, std::span<T>{dst});
     return dst;
-  }
-
-  /// Move one aligned DistributedArray to the plan's target distribution
-  /// (the ghost region is discarded; re-run the inspector afterwards).
-  template <typename T>
-  void remap(ScheduleHandle h, lang::DistributedArray<T>& array) {
-    lang::DistributedArray<T> fresh(checked(h).new_owned);
-    remap<T>(h, array.owned_region(), fresh.local());
-    array = std::move(fresh);
   }
 
   /// Asynchronous remap execution: post the plan's data motion on the comm
@@ -321,12 +302,8 @@ class Runtime {
   template <typename T>
   comm::CommHandle remap_async(ScheduleHandle h, std::span<const T> src,
                                std::span<T> dst) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(e.kind == ScheduleKind::kRemap,
-                "handle is not a remap schedule");
-    CHAOS_CHECK(static_cast<GlobalIndex>(dst.size()) >= e.new_owned,
-                "destination smaller than the plan's new owned region");
-    return engine_.post_transport<T>(e.sched, src, dst);
+    const Executable x = remap_executable(h, dst.size());
+    return engine_.post_transport<T>(x.sched, src, dst, x.plan);
   }
 
   // ---- Phases C & D: iteration partitioning / remapping -------------
@@ -402,42 +379,28 @@ class Runtime {
 
   // ---- Phase F: the executor -----------------------------------------
 
-  template <typename T>
-  void gather(ScheduleHandle h, std::span<T> data) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
-                "data array smaller than the schedule's local extent");
-    core::gather<T>(comm_, schedule_of(e), data, plan_of(e));
-  }
+  // Blocking shorthands: one post plus one wait on a local comm::Engine,
+  // so they never join the Runtime engine's open batch.
 
   template <typename T>
-  void gather(ScheduleHandle h, lang::DistributedArray<T>& a) {
-    const ScheduleEntry& e = checked(h);
-    a.ensure_extent(extent_of(e));
-    core::gather<T>(comm_, schedule_of(e), a.local(), plan_of(e));
+  void gather(ScheduleHandle h, std::span<T> data) {
+    const Executable x = executable(h, data.size());
+    comm::Engine engine(comm_);
+    engine.wait(engine.post_gather<T>(x.sched, data, x.plan));
   }
 
   template <typename T>
   void scatter(ScheduleHandle h, std::span<T> data) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
-                "data array smaller than the schedule's local extent");
-    core::scatter<T>(comm_, schedule_of(e), data, plan_of(e));
+    const Executable x = executable(h, data.size());
+    comm::Engine engine(comm_);
+    engine.wait(engine.post_scatter<T>(x.sched, data, x.plan));
   }
 
   template <typename T>
   void scatter_add(ScheduleHandle h, std::span<T> data) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
-                "data array smaller than the schedule's local extent");
-    core::scatter_add<T>(comm_, schedule_of(e), data, plan_of(e));
-  }
-
-  template <typename T>
-  void scatter_add(ScheduleHandle h, lang::DistributedArray<T>& a) {
-    const ScheduleEntry& e = checked(h);
-    a.ensure_extent(extent_of(e));
-    core::scatter_add<T>(comm_, schedule_of(e), a.local(), plan_of(e));
+    const Executable x = executable(h, data.size());
+    comm::Engine engine(comm_);
+    engine.wait(engine.post_scatter_add<T>(x.sched, data, x.plan));
   }
 
   // ---- Phase F, asynchronous: the communication engine ----------------
@@ -455,26 +418,20 @@ class Runtime {
 
   template <typename T>
   comm::CommHandle gather_async(ScheduleHandle h, std::span<T> data) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
-                "data array smaller than the schedule's local extent");
-    return engine_.post_gather<T>(schedule_of(e), data, plan_of(e));
+    const Executable x = executable(h, data.size());
+    return engine_.post_gather<T>(x.sched, data, x.plan);
   }
 
   template <typename T>
   comm::CommHandle scatter_async(ScheduleHandle h, std::span<T> data) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
-                "data array smaller than the schedule's local extent");
-    return engine_.post_scatter<T>(schedule_of(e), data, plan_of(e));
+    const Executable x = executable(h, data.size());
+    return engine_.post_scatter<T>(x.sched, data, x.plan);
   }
 
   template <typename T>
   comm::CommHandle scatter_add_async(ScheduleHandle h, std::span<T> data) {
-    const ScheduleEntry& e = checked(h);
-    CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
-                "data array smaller than the schedule's local extent");
-    return engine_.post_scatter_add<T>(schedule_of(e), data, plan_of(e));
+    const Executable x = executable(h, data.size());
+    return engine_.post_scatter_add<T>(x.sched, data, x.plan);
   }
 
   /// Async light-weight migration: builds the schedule (collective), posts
@@ -516,9 +473,6 @@ class Runtime {
                                      std::span<const GlobalIndex> dest_rows) {
     return lang::recompute_row_sizes(comm_, dist(rows), dest_rows);
   }
-
-  /// Fluent executor for one irregular loop over `dist`.
-  LoopBuilder loop(DistHandle dist);
 
   // ---- the declarative step-graph executor ---------------------------
   //
@@ -576,7 +530,6 @@ class Runtime {
   const std::vector<balance::Report>& balance_reports() const;
 
  private:
-  friend class LoopBuilder;
   friend class StepGraph;
 
   /// StepGraph self-registration (ctor/dtor), so registry_bytes/compact can
@@ -621,10 +574,10 @@ class Runtime {
     GlobalIndex new_owned = 0;              // kRemap
     std::uint32_t to_dist = 0;              // kRemap target epoch
     bool revoked = false;                   // kOnce superseded by a newer one
-    /// Compiled plan for kMerged/kIncremental (lowered lazily by plan_of;
-    /// mutable because executor calls see the entry through checked()).
-    /// kLoop plans are cached in the registry; kRemap/kOnce schedules
-    /// execute once and are never compiled.
+    /// Execution plan, built lazily by plan_of (mutable because executor
+    /// calls see the entry through checked()): lowered for
+    /// kMerged/kIncremental, verbatim for kRemap/kOnce (executed once, not
+    /// worth lowering). kLoop plans are cached in the registry instead.
     mutable std::unique_ptr<const compile::SchedulePlan> compiled;
   };
 
@@ -640,9 +593,20 @@ class Runtime {
   /// derived schedule).
   const ScheduleEntry& checked(ScheduleHandle h) const;
   const core::Schedule& schedule_of(const ScheduleEntry& e) const;
-  /// Compiled plan to execute `e` through, or null (compilation off, or a
-  /// kind that is never compiled). Lowers and caches on first use.
-  const compile::SchedulePlan* plan_of(const ScheduleEntry& e);
+  /// The plan `e` executes through. Builds and caches it on first use.
+  const compile::SchedulePlan& plan_of(const ScheduleEntry& e);
+
+  /// What an executor call runs: a schedule and its plan.
+  struct Executable {
+    const core::Schedule& sched;
+    const compile::SchedulePlan& plan;
+  };
+  /// Gather/scatter target of `h` after the use-time checks (a data array
+  /// of `size` elements must cover the schedule's extent).
+  Executable executable(ScheduleHandle h, std::size_t size);
+  /// Remap target of `h` (a remap handle; a destination of `size`
+  /// elements must cover the new owned region).
+  Executable remap_executable(ScheduleHandle h, std::size_t size);
   GlobalIndex extent_of(const ScheduleEntry& e) const;
   ScheduleHandle loop_schedule_handle(std::uint32_t dist_id,
                                       std::uint64_t ind_id);
@@ -654,7 +618,6 @@ class Runtime {
   sim::Comm& comm_;
   comm::Engine engine_{comm_};
   bool cross_epoch_reuse_ = true;
-  bool schedule_compilation_ = true;
   std::vector<DistEntry> dists_;
   std::vector<LoopEntry> loops_;
   // Deque, not vector: posted engine operations hold references to
@@ -677,80 +640,5 @@ class Runtime {
       derived_keys_;
   std::map<std::uint32_t, std::uint32_t> once_keys_;  // dist -> kOnce handle
 };
-
-/// Fluent builder for one irregular-loop execution: binds an indirection
-/// array, gathers read arrays, runs the body against localized references,
-/// scatters reductions back. Lowers to the same inspector/executor
-/// primitives as the FORALL templates (paper §5.2).
-class LoopBuilder {
- public:
-  LoopBuilder& indirection(const lang::IndirectionArray& ind) {
-    ind_ = &ind;
-    return *this;
-  }
-
-  /// Gather ghost values of `a` before the body runs.
-  template <typename T>
-  LoopBuilder& gather(lang::DistributedArray<T>& a) {
-    pre_.push_back([&a](Runtime& rt, ScheduleHandle h) { rt.gather(h, a); });
-    return *this;
-  }
-
-  /// Zero `acc`'s ghost slots before the body and scatter-add them back to
-  /// their owners after.
-  template <typename T>
-  LoopBuilder& scatter_add(lang::DistributedArray<T>& acc) {
-    pre_.push_back([&acc](Runtime& rt, ScheduleHandle h) {
-      const GlobalIndex extent = rt.extent(h);
-      acc.ensure_extent(extent);
-      for (GlobalIndex i = acc.owned(); i < extent; ++i) acc[i] = T{};
-    });
-    post_.push_back(
-        [&acc](Runtime& rt, ScheduleHandle h) { rt.scatter_add(h, acc); });
-    return *this;
-  }
-
-  /// Push ghost writes of `a` back to their owners after the body
-  /// (replacement semantics). The ghost region is sized before the body
-  /// runs so it can write the slots it scatters.
-  template <typename T>
-  LoopBuilder& scatter(lang::DistributedArray<T>& a) {
-    pre_.push_back([&a](Runtime& rt, ScheduleHandle h) {
-      a.ensure_extent(rt.extent(h));
-    });
-    post_.push_back([&a](Runtime& rt, ScheduleHandle h) {
-      rt.scatter(h, a.local());
-    });
-    return *this;
-  }
-
-  /// Inspect (cached), run the pre-actions, execute `body` with the
-  /// localized references, run the post-actions. Returns the loop handle
-  /// for later re-use (e.g. rt.merge with other loops).
-  template <typename Body>
-  LoopHandle run(Body&& body) {
-    CHAOS_CHECK(ind_ != nullptr, "loop builder needs an indirection array");
-    const LoopHandle loop = rt_.bind(dist_, *ind_);
-    const ScheduleHandle sched = rt_.inspect(loop);
-    for (auto& f : pre_) f(rt_, sched);
-    body(rt_.local_refs(loop));
-    for (auto& f : post_) f(rt_, sched);
-    return loop;
-  }
-
- private:
-  friend class Runtime;
-  LoopBuilder(Runtime& rt, DistHandle dist) : rt_(rt), dist_(dist) {}
-
-  Runtime& rt_;
-  DistHandle dist_;
-  const lang::IndirectionArray* ind_ = nullptr;
-  std::vector<std::function<void(Runtime&, ScheduleHandle)>> pre_, post_;
-};
-
-inline LoopBuilder Runtime::loop(DistHandle dist) {
-  (void)dist_entry(dist);  // validate now, not at run()
-  return LoopBuilder(*this, dist);
-}
 
 }  // namespace chaos

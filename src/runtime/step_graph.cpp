@@ -171,11 +171,10 @@ void Step::resolve() {
     view_writes_.clear();
     view_locals_.clear();
   }
-  // A self-managing accumulator (sum over Array / writes_add over
-  // DistributedArray) zeroes the ghost region just before the compute —
-  // gathering the SAME array in the same step would have those ghost
-  // slots hold gathered values and zeroed accumulation at once, and the
-  // zeroing would win. Refuse rather than silently wipe the gather; use
+  // A self-managing accumulator (sum over an Array) zeroes the ghost
+  // region just before the compute — gathering the SAME array in the same
+  // step would have those ghost slots hold gathered values and zeroed
+  // accumulation at once, and the zeroing would win. Refuse rather than silently wipe the gather; use
   // the raw-vector convention (the compute owns ghost zeroing) or split
   // the accesses across steps.
   for (const CommAccess& w : writes_) {

@@ -173,21 +173,6 @@ class Step {
     return *this;
   }
 
-  template <typename T>
-  Step& reads(lang::DistributedArray<T>& a, ScheduleHandle via) {
-    CommAccess acc;
-    acc.decl = {lang::AccessKind::kGather, &a, nullptr};
-    acc.via = via;
-    acc.prepare = [&a](Runtime& rt, ScheduleHandle h) {
-      a.ensure_extent(rt.extent(h));
-    };
-    acc.post = [&a](Runtime& rt, ScheduleHandle h) {
-      return rt.gather_async<T>(h, a.local());
-    };
-    gathers_.push_back(std::move(acc));
-    return *this;
-  }
-
   /// Push ghost writes of `data` back to their owners after the compute
   /// (replacement semantics).
   template <typename T>
@@ -212,26 +197,6 @@ class Step {
     a.post = [&data](Runtime& rt, ScheduleHandle h) {
       return rt.scatter_add_async<T>(h,
                                      std::span<T>{data.data(), data.size()});
-    };
-    writes_.push_back(std::move(a));
-    return *this;
-  }
-
-  /// DistributedArray flavor: sizes the ghost region and zeroes it before
-  /// the compute (the LoopBuilder accumulator convention).
-  template <typename T>
-  Step& writes_add(lang::DistributedArray<T>& acc, ScheduleHandle via) {
-    CommAccess a;
-    a.decl = {lang::AccessKind::kScatterAdd, &acc, nullptr};
-    a.via = via;
-    a.zeroes_ghosts = true;
-    a.prepare = [&acc](Runtime& rt, ScheduleHandle h) {
-      const GlobalIndex extent = rt.extent(h);
-      acc.ensure_extent(extent);
-      for (GlobalIndex i = acc.owned(); i < extent; ++i) acc[i] = T{};
-    };
-    a.post = [&acc](Runtime& rt, ScheduleHandle h) {
-      return rt.scatter_add_async<T>(h, acc.local());
     };
     writes_.push_back(std::move(a));
     return *this;
@@ -378,7 +343,7 @@ class Step {
     std::function<std::uint64_t()> revision;
     std::uint64_t expected_revision = 0;
     /// The prepare zeroes the ghost region (self-managing accumulators:
-    /// sum over Array / writes_add over DistributedArray). Resolve
+    /// sum over an Array). Resolve
     /// rejects combining one with a gather of the same array in the same
     /// step — the ghost slots cannot hold both.
     bool zeroes_ghosts = false;

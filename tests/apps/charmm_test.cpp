@@ -406,48 +406,6 @@ TEST(CharmmStepGraph, PipelinedBitwiseEqualsEagerIncludingRepartition) {
   EXPECT_EQ(eager.pipelined_gathers, 0u);
 }
 
-TEST(CharmmStepGraph, ViewBuiltGraphBitwiseEqualsHandDeclared) {
-  // API-redesign acceptance: the step graph assembled from typed view
-  // bindings (in/sum/use/update — access sets inferred) must be BITWISE
-  // identical to the PR-4 hand-declared construction, on both the
-  // pipelined and the eager arm, including mid-run repartitions landing
-  // while the pipeline is hot.
-  ParallelCharmmConfig cfg;
-  cfg.system = SystemParams::small(240);
-  cfg.run.steps = 7;
-  cfg.run.nb_rebuild_every = 3;
-  cfg.repartition_every = 3;
-  cfg.alternate_partitioners = true;
-  cfg.collect_state = true;
-
-  for (const CharmmShape shape :
-       {CharmmShape::kStepGraph, CharmmShape::kStepGraphEager}) {
-    cfg.shape = shape;
-    cfg.declare_by_hand = false;
-    sim::Machine m1(4);
-    auto views = run_parallel_charmm(m1, cfg);
-    cfg.declare_by_hand = true;
-    sim::Machine m2(4);
-    auto hand = run_parallel_charmm(m2, cfg);
-
-    ASSERT_EQ(views.pos.size(), hand.pos.size());
-    for (std::size_t i = 0; i < hand.pos.size(); ++i) {
-      for (int a = 0; a < 3; ++a) {
-        EXPECT_EQ(views.pos[i][a], hand.pos[i][a])
-            << "atom " << i << " shape " << static_cast<int>(shape);
-        EXPECT_EQ(views.force[i][a], hand.force[i][a])
-            << "atom " << i << " shape " << static_cast<int>(shape);
-      }
-    }
-    // Same communication structure, not merely same physics: both arms
-    // must have pipelined identically.
-    EXPECT_EQ(views.steps_overlapped, hand.steps_overlapped);
-    EXPECT_EQ(views.pipelined_gathers, hand.pipelined_gathers);
-    EXPECT_EQ(views.hazard_stalls, hand.hazard_stalls);
-    EXPECT_EQ(views.msgs_sent, hand.msgs_sent);
-  }
-}
-
 TEST(CharmmStepGraph, MatchesSequentialTightlyWithoutListRebuilds) {
   // With no mid-run neighbor-list rebuild there is no amplification
   // channel: the graph's only deviation from the sequential reference is

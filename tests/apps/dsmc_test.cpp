@@ -336,35 +336,6 @@ TEST(DsmcStepGraph, PipelinedEagerAndImperativeAllMatchExactly) {
   EXPECT_EQ(imperative.collisions, graph.collisions);
 }
 
-TEST(DsmcStepGraph, ViewBuiltGraphBitwiseEqualsHandDeclared) {
-  // API-redesign acceptance: the collide/move cycle bound as typed views
-  // (use/update/migrate) must be bitwise identical to the hand-declared
-  // construction on both graph arms, including remaps landing while the
-  // declared migration is in flight.
-  DsmcParams p = small_params();
-  p.nonuniform_init = true;
-
-  ParallelDsmcConfig cfg;
-  cfg.params = p;
-  cfg.steps = 9;
-  cfg.remap_every = 3;
-  cfg.collect_state = true;
-
-  for (const DsmcExecutor executor :
-       {DsmcExecutor::kStepGraph, DsmcExecutor::kStepGraphEager}) {
-    cfg.executor = executor;
-    cfg.declare_by_hand = false;
-    sim::Machine m1(4);
-    auto views = run_parallel_dsmc(m1, cfg);
-    cfg.declare_by_hand = true;
-    sim::Machine m2(4);
-    auto hand = run_parallel_dsmc(m2, cfg);
-    expect_exact_match(views.particles, hand.particles);
-    EXPECT_EQ(views.collisions, hand.collisions);
-    EXPECT_EQ(views.execution_time, hand.execution_time);
-  }
-}
-
 // ---- Birth/death (dynamic index spaces) ------------------------------------
 
 DsmcParams birth_death_params() {

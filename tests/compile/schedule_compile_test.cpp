@@ -1,16 +1,20 @@
-// Schedule compilation: run detection units + randomized compiled-vs-
-// interpreted bitwise equivalence.
+// Schedule compilation: run detection units + randomized bitwise
+// equivalence of plan execution against the reference executor.
 //
-// The compiled executor (compile/schedule_plan.hpp) claims to reproduce
-// the interpreted executor's byte stream, placement order, and combining
-// order exactly. The headline test here is that property, randomized: two
-// Runtimes run in lockstep over the same comm — one with schedule
-// compilation on (the default), one with it off — against identical
-// distributions and reference streams, and every executed direction
-// (gather / scatter / scatter_add) must leave element-for-element equal
-// arrays on every rank, for replicated AND paged translation, including
-// the degenerate schedules (empty, singleton, all-residue) where the
-// lowering has no runs to find.
+// Executing a plan (compile/schedule_plan.hpp) claims to reproduce the
+// element-at-a-time executor's byte stream, placement order, and combining
+// order exactly. The headline tests here are that property, randomized
+// against the oracle in tests/support/reference_executor.hpp:
+//   - Runtime-built schedules: every executed direction (gather / scatter
+//     / scatter_add) through the Runtime's compiled plans must leave
+//     element-for-element the arrays the oracle leaves on the same
+//     schedule, for replicated AND paged translation, including the
+//     degenerate schedules (empty, singleton, all-residue) where the
+//     lowering has no runs to find;
+//   - hand-built schedules (several blocks per peer, self blocks, empty
+//     and singleton blocks): compiled AND verbatim plans must match the
+//     oracle bitwise in all three directions, and the verbatim plan must
+//     also advance modeled time by exactly the oracle's amount.
 //
 // Also covered deterministically:
 //   - the lowering itself: maximal-run detection, short runs and
@@ -18,7 +22,7 @@
 //   - the three executor kernels against hand-walked expectations
 //   - carry_patched reusing send-side plans verbatim across a repartition
 //   - remap_ghost_locality: the permuted ghost region still localizes and
-//     gathers the right global elements, compiled and interpreted alike
+//     gathers the right global elements, and matches the oracle
 //   - the registry counters (compiled_plans, carried_compiled_plans,
 //     recompiles_after_repartition) proving both cross-epoch paths ran
 //
@@ -34,6 +38,7 @@
 #include "compile/schedule_plan.hpp"
 #include "runtime/runtime.hpp"
 #include "support/equivalence.hpp"
+#include "support/reference_executor.hpp"
 #include "support/reference_lowering.hpp"
 #include "support/seeds.hpp"
 #include "util/rng.hpp"
@@ -304,7 +309,7 @@ TEST(ScheduleCompile, CarryPatchedReusesSendSideVerbatim) {
   EXPECT_EQ(carried.recv()[0].hi, 21);
 }
 
-// ---- randomized compiled-vs-interpreted equivalence ------------------------
+// ---- randomized compiled-vs-oracle equivalence -----------------------------
 
 /// Reference stream styles the scenario draws from — degenerate shapes
 /// (empty, singleton) are explicit cases, not left to chance.
@@ -333,10 +338,22 @@ std::vector<GlobalIndex> draw_refs(int style, GlobalIndex n, Rng& rng) {
   return refs;
 }
 
-/// One randomized scenario: identical irregular distributions and
-/// reference streams on a compiled and an interpreted Runtime, every
-/// direction executed in lockstep and compared element-for-element,
-/// then one repartition round to drive the carried/recompiled plans.
+/// Execute one direction (0 gather, 1 scatter, 2 scatter_add) of `h`
+/// through the oracle, on the Runtime's current schedule for `h`.
+template <typename T>
+void oracle_exec(Comm& comm, const Runtime& rt, ScheduleHandle h, int dir,
+                 std::vector<T>& data) {
+  const Schedule& sched = rt.schedule(h);
+  const std::span<T> s{data};
+  if (dir == 0) ts::reference_gather<T>(comm, sched, s);
+  if (dir == 1) ts::reference_scatter<T>(comm, sched, s);
+  if (dir == 2) ts::reference_scatter_add<T>(comm, sched, s);
+}
+
+/// One randomized scenario: an irregular distribution and reference
+/// streams on a Runtime, every direction executed through its compiled
+/// plans and through the oracle and compared element-for-element, then one
+/// repartition round to drive the carried/recompiled plans.
 void run_compiled_equivalence_scenario(std::uint64_t seed, bool paged) {
   Rng shape_rng(seed);
   const int P = 2 + static_cast<int>(shape_rng.below(3));
@@ -345,16 +362,12 @@ void run_compiled_equivalence_scenario(std::uint64_t seed, bool paged) {
 
   Machine m(P);
   m.run([&](Comm& comm) {
-    Runtime comp(comm);  // schedule compilation on by default
-    Runtime interp(comm);
-    interp.set_schedule_compilation(false);
-    ASSERT_TRUE(comp.schedule_compilation());
+    Runtime rt(comm);
 
     Rng map_rng(seed * 1000003 + 17);
     std::vector<int> map(static_cast<std::size_t>(n));
     for (int& p : map) p = static_cast<int>(map_rng.below(P));
-    DistHandle dc = paged ? comp.irregular_paged(map) : comp.irregular(map);
-    DistHandle di = paged ? interp.irregular_paged(map) : interp.irregular(map);
+    const DistHandle d = paged ? rt.irregular_paged(map) : rt.irregular(map);
 
     // Machine-wide style decisions from a rank-identical rng; per-rank
     // reference content from a rank-salted one (cross_epoch idiom).
@@ -364,86 +377,70 @@ void run_compiled_equivalence_scenario(std::uint64_t seed, bool paged) {
 
     std::vector<lang::IndirectionArray> inds;
     inds.reserve(static_cast<std::size_t>(nloops));
-    std::vector<ScheduleHandle> hc, hi;
+    std::vector<ScheduleHandle> hs;
     for (int l = 0; l < nloops; ++l) {
       const int style = static_cast<int>(global_rng.below(4));
       inds.emplace_back(draw_refs(style, n, ref_rng));
-      hc.push_back(comp.inspect(dc, inds.back()));
-      hi.push_back(interp.inspect(di, inds.back()));
+      hs.push_back(rt.inspect(d, inds.back()));
     }
     if (nloops >= 2) {  // derived schedules take the entry-cache plan path
-      hc.push_back(comp.merge({hc[0], hc[1]}));
-      hi.push_back(interp.merge({hi[0], hi[1]}));
-      hc.push_back(comp.incremental(hc[1], hc[0]));
-      hi.push_back(interp.incremental(hi[1], hi[0]));
+      hs.push_back(rt.merge({hs[0], hs[1]}));
+      hs.push_back(rt.incremental(hs[1], hs[0]));
     }
 
-    const auto extent_c = static_cast<std::size_t>(comp.local_extent(dc));
-    const auto extent_i = static_cast<std::size_t>(interp.local_extent(di));
-    ASSERT_EQ(extent_c, extent_i);
+    const auto extent = static_cast<std::size_t>(rt.local_extent(d));
 
     // Integer-valued payloads so combining order cannot hide behind FP
     // noise; ghosts pre-seeded rank-distinct so scatter directions move
-    // data the other arm must reproduce exactly.
-    std::vector<double> base(extent_c);
+    // data the oracle must reproduce exactly.
+    std::vector<double> base(extent);
     for (std::size_t i = 0; i < base.size(); ++i)
       base[i] = static_cast<double>(3 * i + 17) +
                 1024.0 * static_cast<double>(comm.rank());
 
-    for (std::size_t s = 0; s < hc.size(); ++s) {
+    for (std::size_t s = 0; s < hs.size(); ++s) {
       for (int dir = 0; dir < 3; ++dir) {
         std::vector<double> a = base, b = base;
-        if (dir == 0) {
-          comp.gather<double>(hc[s], std::span<double>{a});
-          interp.gather<double>(hi[s], std::span<double>{b});
-        } else if (dir == 1) {
-          comp.scatter<double>(hc[s], std::span<double>{a});
-          interp.scatter<double>(hi[s], std::span<double>{b});
-        } else {
-          comp.scatter_add<double>(hc[s], std::span<double>{a});
-          interp.scatter_add<double>(hi[s], std::span<double>{b});
-        }
+        if (dir == 0) rt.gather<double>(hs[s], std::span<double>{a});
+        if (dir == 1) rt.scatter<double>(hs[s], std::span<double>{a});
+        if (dir == 2) rt.scatter_add<double>(hs[s], std::span<double>{a});
+        oracle_exec(comm, rt, hs[s], dir, b);
         EXPECT_TRUE(ts::spans_equal(
             a, b,
             "schedule " + std::to_string(s) + " dir " + std::to_string(dir)));
       }
       // One non-8-byte payload per schedule: element size reaches the
       // kernels' memcpy arithmetic.
-      std::vector<int> ai(extent_c), bi(extent_c);
-      for (std::size_t i = 0; i < extent_c; ++i)
+      std::vector<int> ai(extent), bi(extent);
+      for (std::size_t i = 0; i < extent; ++i)
         ai[i] = bi[i] = static_cast<int>(7 * i) + comm.rank();
-      comp.gather<int>(hc[s], std::span<int>{ai});
-      interp.gather<int>(hi[s], std::span<int>{bi});
+      rt.gather<int>(hs[s], std::span<int>{ai});
+      oracle_exec(comm, rt, hs[s], 0, bi);
       EXPECT_TRUE(ts::spans_equal(ai, bi,
                                   "int gather, schedule " + std::to_string(s)));
     }
 
-    // Repartition round: both arms move to an identical new map, then the
-    // loops re-inspect and execute again — the compiled arm's plans are
-    // carried (patched schedules) or recompiled (rebuilt ones) and must
-    // still match the interpreted arm bitwise.
+    // Repartition round: move to a new map, then the loops re-inspect and
+    // execute again — their plans are carried (patched schedules) or
+    // recompiled (rebuilt ones) and must still match the oracle bitwise.
     std::vector<int> map2 = map;
     for (int& p : map2)
       if (global_rng.below(4) == 0) p = static_cast<int>(global_rng.below(P));
-    const DistHandle dc2 = comp.repartition(dc, map2);
-    const DistHandle di2 = interp.repartition(di, map2);
-    std::vector<ScheduleHandle> hc2, hi2;
-    for (int l = 0; l < nloops; ++l) {
-      hc2.push_back(comp.inspect(dc2, inds[static_cast<std::size_t>(l)]));
-      hi2.push_back(interp.inspect(di2, inds[static_cast<std::size_t>(l)]));
-    }
-    const auto extent2 = static_cast<std::size_t>(comp.local_extent(dc2));
-    ASSERT_EQ(extent2, static_cast<std::size_t>(interp.local_extent(di2)));
+    const DistHandle d2 = rt.repartition(d, map2);
+    std::vector<ScheduleHandle> hs2;
+    for (int l = 0; l < nloops; ++l)
+      hs2.push_back(rt.inspect(d2, inds[static_cast<std::size_t>(l)]));
+    const auto extent2 = static_cast<std::size_t>(rt.local_extent(d2));
     std::vector<double> base2(extent2);
     for (std::size_t i = 0; i < base2.size(); ++i)
       base2[i] = static_cast<double>(5 * i + 3) +
                  512.0 * static_cast<double>(comm.rank());
-    for (std::size_t s = 0; s < hc2.size(); ++s) {
+    for (std::size_t s = 0; s < hs2.size(); ++s) {
       std::vector<double> a = base2, b = base2;
-      comp.gather<double>(hc2[s], std::span<double>{a});
-      interp.gather<double>(hi2[s], std::span<double>{b});
-      comp.scatter_add<double>(hc2[s], std::span<double>{a});
-      interp.scatter_add<double>(hi2[s], std::span<double>{b});
+      rt.gather<double>(hs2[s], std::span<double>{a});
+      oracle_exec(comm, rt, hs2[s], 0, b);
+      rt.scatter_add<double>(hs2[s], std::span<double>{a});
+      oracle_exec(comm, rt, hs2[s], 2, b);
       EXPECT_TRUE(ts::spans_equal(
           a, b, "post-repartition schedule " + std::to_string(s)));
     }
@@ -471,10 +468,10 @@ TEST(ScheduleCompile, RandomizedEquivalencePaged) {
 // ---- locality remap --------------------------------------------------------
 
 /// After remap_ghost_locality the ghost region is renumbered, so results
-/// are checked two ways: against the interpreted arm run through the SAME
-/// deterministic remap, and against ground truth through the loop's
-/// re-localized references (data[local_ref[j]] must hold the value of
-/// global element refs[j], whatever slot that now is).
+/// are checked two ways: against the oracle run on the rewritten schedule,
+/// and against ground truth through the loop's re-localized references
+/// (data[local_ref[j]] must hold the value of global element refs[j],
+/// whatever slot that now is).
 TEST(ScheduleCompile, RandomizedLocalityRemapEquivalence) {
   const std::uint64_t seeds = seed_count(3, "CHAOS_COMPILE_SEEDS");
   const std::uint64_t base = env_seed_u64("CHAOS_COMPILE_SEED_BASE", 1);
@@ -485,22 +482,17 @@ TEST(ScheduleCompile, RandomizedLocalityRemapEquivalence) {
     const GlobalIndex n = 96;
     Machine m(P);
     m.run([&](Comm& comm) {
-      Runtime comp(comm);
-      Runtime interp(comm);
-      interp.set_schedule_compilation(false);
-      const DistHandle dc = comp.block(n);
-      const DistHandle di = interp.block(n);
+      Runtime rt(comm);
+      const DistHandle d = rt.block(n);
 
       Rng ref_rng(seed * 7919 + 211 +
                   static_cast<std::uint64_t>(comm.rank()) * 65537);
       std::vector<GlobalIndex> refs = draw_refs(0, n, ref_rng);
       lang::IndirectionArray ind(refs);
-      const LoopHandle lc = comp.bind(dc, ind);
-      const LoopHandle li = interp.bind(di, ind);
-      const ScheduleHandle hc = comp.inspect(lc);
-      const ScheduleHandle hi = interp.inspect(li);
+      const LoopHandle loop = rt.bind(d, ind);
+      const ScheduleHandle h = rt.inspect(loop);
 
-      auto filled = [&](Runtime& rt, DistHandle d) {
+      auto filled = [&] {
         std::vector<double> a(static_cast<std::size_t>(rt.local_extent(d)),
                               -9.0);
         const std::vector<GlobalIndex> own = rt.owned_globals(d);
@@ -510,27 +502,24 @@ TEST(ScheduleCompile, RandomizedLocalityRemapEquivalence) {
       };
 
       // Compile, then remap: the pass must invalidate the cached plan and
-      // the rewritten schedule must re-verify. Both arms remap so their
-      // ghost numbering stays comparable — the pass is deterministic.
-      std::vector<double> warm = filled(comp, dc);
-      comp.gather<double>(hc, std::span<double>{warm});
-      const std::vector<GlobalIndex> perm_c = comp.remap_ghost_locality(dc);
-      const std::vector<GlobalIndex> perm_i = interp.remap_ghost_locality(di);
-      EXPECT_TRUE(ts::spans_equal(perm_c, perm_i, "remap permutation"));
+      // the rewritten schedule must re-verify.
+      std::vector<double> warm = filled();
+      rt.gather<double>(h, std::span<double>{warm});
+      rt.remap_ghost_locality(d);
 
-      std::vector<double> a = filled(comp, dc);
-      std::vector<double> b = filled(interp, di);
-      comp.gather<double>(hc, std::span<double>{a});
-      interp.gather<double>(hi, std::span<double>{b});
+      std::vector<double> a = filled();
+      std::vector<double> b = filled();
+      rt.gather<double>(h, std::span<double>{a});
+      oracle_exec(comm, rt, h, 0, b);
       EXPECT_TRUE(ts::spans_equal(a, b, "post-remap gather"));
-      comp.scatter_add<double>(hc, std::span<double>{a});
-      interp.scatter_add<double>(hi, std::span<double>{b});
+      rt.scatter_add<double>(h, std::span<double>{a});
+      oracle_exec(comm, rt, h, 2, b);
       EXPECT_TRUE(ts::spans_equal(a, b, "post-remap scatter_add"));
 
       // Ground truth through the re-localized references.
-      std::vector<double> g = filled(comp, dc);
-      comp.gather<double>(hc, std::span<double>{g});
-      const std::span<const GlobalIndex> lrefs = comp.local_refs(lc);
+      std::vector<double> g = filled();
+      rt.gather<double>(h, std::span<double>{g});
+      const std::span<const GlobalIndex> lrefs = rt.local_refs(loop);
       ASSERT_EQ(lrefs.size(), refs.size());
       for (std::size_t j = 0; j < refs.size(); ++j)
         EXPECT_EQ(g[static_cast<std::size_t>(lrefs[j])],
@@ -538,6 +527,192 @@ TEST(ScheduleCompile, RandomizedLocalityRemapEquivalence) {
             << "ref " << j;
     });
   }
+}
+
+// ---- hand-built schedules: compiled, verbatim and the oracle ---------------
+
+/// Machine-wide description of a hand-built schedule: an ordered list of
+/// links (src rank -> dst rank, one block each). A rank's send blocks are
+/// its outgoing links in list order, its recv blocks its incoming ones, so
+/// same-peer blocks pair up in order; they may interleave with other peers
+/// or sit consecutively (which the lowering fuses into wire groups).
+struct HandLink {
+  int src = 0, dst = 0;
+  std::vector<GlobalIndex> send;  ///< owned offsets on src
+  std::vector<GlobalIndex> recv;  ///< ghost slots on dst
+};
+
+struct HandShape {
+  int P = 2;
+  std::vector<GlobalIndex> owned, extent;  ///< per rank
+  std::vector<HandLink> links;             ///< at most one self link a rank
+};
+
+HandShape draw_hand_shape(std::uint64_t seed) {
+  Rng rng(seed * 2654435761u + 9);
+  HandShape h;
+  h.P = 2 + static_cast<int>(rng.below(3));
+  for (int r = 0; r < h.P; ++r)
+    h.owned.push_back(6 + static_cast<GlobalIndex>(rng.below(12)));
+  std::vector<bool> has_self(static_cast<std::size_t>(h.P), false);
+  const int nlinks = 2 + static_cast<int>(rng.below(
+                             static_cast<std::uint64_t>(3 * h.P)));
+  for (int l = 0; l < nlinks; ++l) {
+    HandLink k;
+    k.src = static_cast<int>(rng.below(static_cast<std::uint64_t>(h.P)));
+    k.dst = static_cast<int>(rng.below(static_cast<std::uint64_t>(h.P)));
+    if (k.src == k.dst) {
+      if (has_self[static_cast<std::size_t>(k.src)]) continue;
+      has_self[static_cast<std::size_t>(k.src)] = true;
+    }
+    const auto own = static_cast<std::uint64_t>(h.owned[
+        static_cast<std::size_t>(k.src)]);
+    switch (rng.below(5)) {
+      case 0:  // empty block
+        break;
+      case 1:  // singleton
+        k.send.push_back(static_cast<GlobalIndex>(rng.below(own)));
+        break;
+      case 2: {  // contiguous window: a run for the lowering
+        const GlobalIndex len = 1 + static_cast<GlobalIndex>(rng.below(own));
+        const auto start = static_cast<GlobalIndex>(
+            rng.below(own - static_cast<std::uint64_t>(len) + 1));
+        for (GlobalIndex j = 0; j < len; ++j) k.send.push_back(start + j);
+        break;
+      }
+      case 3:  // descending stride 2
+        for (GlobalIndex j = static_cast<GlobalIndex>(own) - 1; j >= 0; j -= 2)
+          k.send.push_back(j);
+        break;
+      default:  // irregular, repeats allowed
+        for (std::uint64_t j = 1 + rng.below(8); j > 0; --j)
+          k.send.push_back(static_cast<GlobalIndex>(rng.below(own)));
+    }
+    h.links.push_back(std::move(k));
+  }
+  // Ghost slots per destination: a fresh slot per incoming element, in
+  // order or shuffled, so recv blocks land as runs or as residue.
+  h.extent = h.owned;
+  for (int r = 0; r < h.P; ++r) {
+    std::vector<GlobalIndex> slots;
+    for (const HandLink& k : h.links)
+      if (k.dst == r)
+        for (std::size_t j = 0; j < k.send.size(); ++j)
+          slots.push_back(h.extent[static_cast<std::size_t>(r)]++);
+    if (rng.below(2) == 0)
+      for (std::size_t j = slots.size(); j > 1; --j)
+        std::swap(slots[j - 1], slots[rng.below(j)]);
+    std::size_t at = 0;
+    for (HandLink& k : h.links)
+      if (k.dst == r)
+        for (std::size_t j = 0; j < k.send.size(); ++j)
+          k.recv.push_back(slots[at++]);
+  }
+  return h;
+}
+
+/// Rank `me`'s schedule over the shape (self links dropped for scatters,
+/// which do not support self blocks).
+Schedule hand_schedule(const HandShape& h, int me, bool with_self) {
+  std::vector<ScheduleBlock> send, recv;
+  for (const HandLink& k : h.links) {
+    if (k.src == k.dst && !with_self) continue;
+    if (k.src == me) send.push_back({k.dst, k.send});
+    if (k.dst == me) recv.push_back({k.src, k.recv});
+  }
+  return Schedule(std::move(send), std::move(recv));
+}
+
+enum class Exec { kOracle, kVerbatim, kCompiled };
+
+/// Per rank: the arrays left by transport, gather, scatter and
+/// scatter_add (concatenated), and comm.now() after each.
+struct HandRun {
+  std::vector<std::vector<double>> data;
+  std::vector<std::vector<double>> clock;
+};
+
+HandRun run_hand_shape(const HandShape& h, Exec exec) {
+  HandRun out;
+  out.data.resize(static_cast<std::size_t>(h.P));
+  out.clock.resize(static_cast<std::size_t>(h.P));
+  Machine m(h.P);
+  m.run([&](Comm& comm) {
+    const int me = comm.rank();
+    const auto r = static_cast<std::size_t>(me);
+    const Schedule fwd = hand_schedule(h, me, /*with_self=*/true);
+    const Schedule rev = hand_schedule(h, me, /*with_self=*/false);
+    const auto extent = static_cast<std::size_t>(h.extent[r]);
+    const auto owned = static_cast<std::size_t>(h.owned[r]);
+    std::vector<double> base(extent);
+    for (std::size_t i = 0; i < extent; ++i)
+      base[i] = static_cast<double>(3 * i + 17) + 1024.0 * me;
+
+    // dir: 0 transport (owned region -> fresh array), 1 gather, 2 scatter,
+    // 3 scatter_add.
+    for (int dir = 0; dir < 4; ++dir) {
+      const Schedule& sched = dir < 2 ? fwd : rev;
+      std::vector<double> data = base;
+      std::vector<double> dst(extent, -5.0);
+      const std::span<const double> src{base.data(), owned};
+      const std::span<double> d{data};
+      if (exec == Exec::kOracle) {
+        if (dir == 0) ts::reference_transport<double>(comm, sched, src, dst);
+        if (dir == 1) ts::reference_gather<double>(comm, sched, d);
+        if (dir == 2) ts::reference_scatter<double>(comm, sched, d);
+        if (dir == 3) ts::reference_scatter_add<double>(comm, sched, d);
+      } else {
+        const compile::SchedulePlan plan =
+            exec == Exec::kVerbatim ? compile::SchedulePlan::verbatim(sched)
+                                    : compile::SchedulePlan::compile(sched);
+        comm::Engine engine(comm);
+        engine.wait(
+            dir == 0   ? engine.post_transport<double>(sched, src, dst, plan)
+            : dir == 1 ? engine.post_gather<double>(sched, d, plan)
+            : dir == 2 ? engine.post_scatter<double>(sched, d, plan)
+                       : engine.post_scatter_add<double>(sched, d, plan));
+      }
+      const std::vector<double>& result = dir == 0 ? dst : data;
+      out.data[r].insert(out.data[r].end(), result.begin(), result.end());
+      out.clock[r].push_back(comm.now());
+    }
+  });
+  return out;
+}
+
+TEST(ScheduleCompile, RandomizedHandBuiltSchedulesMatchTheOracle) {
+  const std::uint64_t seeds = seed_count(12, "CHAOS_COMPILE_SEEDS");
+  const std::uint64_t base = env_seed_u64("CHAOS_COMPILE_SEED_BASE", 1);
+  bool saw_group = false, saw_self = false;
+  for (std::uint64_t s = 0; s < seeds; ++s) {
+    SCOPED_TRACE("seed " + std::to_string(base + s));
+    const HandShape shape = draw_hand_shape(base + s);
+    for (int r = 0; r < shape.P; ++r) {
+      const compile::SchedulePlan p =
+          compile::SchedulePlan::compile(hand_schedule(shape, r, true));
+      saw_group = saw_group || !p.send_groups().empty();
+      for (const HandLink& k : shape.links)
+        saw_self = saw_self || (k.src == k.dst && !k.send.empty());
+    }
+    const HandRun oracle = run_hand_shape(shape, Exec::kOracle);
+    const HandRun verbatim = run_hand_shape(shape, Exec::kVerbatim);
+    const HandRun compiled = run_hand_shape(shape, Exec::kCompiled);
+    for (int r = 0; r < shape.P; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      const std::string rank = "rank " + std::to_string(r);
+      EXPECT_TRUE(ts::spans_equal(verbatim.data[i], oracle.data[i],
+                                  "verbatim data, " + rank));
+      EXPECT_TRUE(ts::spans_equal(compiled.data[i], oracle.data[i],
+                                  "compiled data, " + rank));
+      // Same charges, same messages, same order: the same modeled clock,
+      // to the bit, after every direction.
+      EXPECT_TRUE(ts::spans_equal(verbatim.clock[i], oracle.clock[i],
+                                  "verbatim clock, " + rank));
+    }
+  }
+  // The sweep must actually reach the shapes it exists for.
+  EXPECT_TRUE(saw_group);
+  EXPECT_TRUE(saw_self);
 }
 
 // ---- cross-epoch counters --------------------------------------------------

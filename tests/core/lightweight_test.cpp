@@ -179,7 +179,11 @@ TEST(Lightweight, CheaperThanRegularScheduleForMigration) {
       const Stamp s = hash.hash(comm, table, ind);
       Schedule sched = build_schedule(comm, hash, StampExpr::only(s));
       std::vector<Particle> data(static_cast<size_t>(hash.local_extent()));
-      gather<Particle>(comm, sched, data);
+      // One-shot schedule: executed verbatim, as Runtime::inspect_once's.
+      const compile::SchedulePlan plan = compile::SchedulePlan::verbatim(sched);
+      comm::Engine engine(comm);
+      engine.wait(engine.post_gather<Particle>(
+          sched, std::span<Particle>{data}, plan));
     });
     return m.execution_time();
   };

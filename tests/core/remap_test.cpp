@@ -16,6 +16,15 @@ using sim::Comm;
 using sim::Machine;
 namespace ts = testing_support;
 
+/// Execute a remap schedule the way Runtime::remap does: one post through
+/// an Engine with the schedule's verbatim plan, then wait.
+void remap_through(Comm& comm, const Schedule& sched,
+                   std::span<const double> src, std::span<double> dst) {
+  const compile::SchedulePlan plan = compile::SchedulePlan::verbatim(sched);
+  comm::Engine engine(comm);
+  engine.wait(engine.post_transport<double>(sched, src, dst, plan));
+}
+
 TEST(Remap, BlockToReversedDistribution) {
   // 8 elements, block on 2 ranks -> reversed ownership.
   Machine m(2);
@@ -33,7 +42,7 @@ TEST(Remap, BlockToReversedDistribution) {
     Schedule sched = build_remap_schedule(comm, mine, new_t);
     std::vector<double> new_data(
         static_cast<size_t>(new_t.owned_count(comm.rank())), -1.0);
-    transport<double>(comm, sched, old_data, new_data);
+    remap_through(comm, sched, old_data, new_data);
 
     auto new_mine = new_t.owned_globals(comm.rank());
     for (std::size_t i = 0; i < new_mine.size(); ++i)
@@ -54,7 +63,7 @@ TEST(Remap, IdentityRemapIsSelfCopyOnly) {
     std::vector<double> src(mine.size()), dst(mine.size(), -1.0);
     for (std::size_t i = 0; i < mine.size(); ++i)
       src[i] = static_cast<double>(mine[i]);
-    transport<double>(comm, sched, src, dst);
+    remap_through(comm, sched, src, dst);
     EXPECT_EQ(src, dst);
   });
 }
@@ -80,7 +89,7 @@ TEST(Remap, RandomRedistributionsPreserveAllValues) {
     Schedule sched = build_remap_schedule(comm, mine, new_t);
     std::vector<double> new_data(
         static_cast<size_t>(new_t.owned_count(comm.rank())), -1.0);
-    transport<double>(comm, sched, old_data, new_data);
+    remap_through(comm, sched, old_data, new_data);
 
     auto new_mine = new_t.owned_globals(comm.rank());
     std::vector<double> expected(new_mine.size());
@@ -122,8 +131,8 @@ TEST(Remap, DeltaPlanMatchesColdPlan) {
     std::vector<double> via_cold(
         static_cast<size_t>(new_t.owned_count(comm.rank())), -1.0);
     std::vector<double> via_hot(via_cold.size(), -2.0);
-    transport<double>(comm, cold, src, via_cold);
-    transport<double>(comm, hot, src, via_hot);
+    remap_through(comm, cold, src, via_cold);
+    remap_through(comm, hot, src, via_hot);
     EXPECT_TRUE(ts::spans_equal(via_hot, via_cold, "remapped data"));
   });
 }
@@ -149,7 +158,7 @@ TEST(Remap, SameScheduleRemapsMultipleAlignedArrays) {
           static_cast<size_t>(new_t.owned_count(comm.rank())), -1.0);
       for (std::size_t i = 0; i < mine.size(); ++i)
         src[i] = scale * static_cast<double>(mine[i]);
-      transport<double>(comm, sched, src, dst);
+      remap_through(comm, sched, src, dst);
       auto new_mine = new_t.owned_globals(comm.rank());
       for (std::size_t i = 0; i < new_mine.size(); ++i)
         EXPECT_EQ(dst[i], scale * static_cast<double>(new_mine[i]));

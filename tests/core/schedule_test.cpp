@@ -1,12 +1,15 @@
-// Schedule generation and transport tests, including a golden test of the
-// paper's Figure 6 worked example and randomized property sweeps over
-// processor counts and distributions.
+// Schedule generation tests, including a golden test of the paper's
+// Figure 6 worked example and randomized property sweeps over processor
+// counts and distributions. Schedules are executed through the reference
+// executor (tests/support/reference_executor.hpp), so these tests check
+// what the schedules say, independent of the compiled data path.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <numeric>
 
 #include "core/chaos.hpp"
+#include "support/reference_executor.hpp"
 #include "util/rng.hpp"
 
 namespace chaos::core {
@@ -14,6 +17,7 @@ namespace {
 
 using sim::Comm;
 using sim::Machine;
+namespace ts = testing_support;
 
 // ---- Figure 6 golden test -------------------------------------------------
 //
@@ -142,7 +146,7 @@ TEST(Figure6, GatherDeliversExpectedValues) {
     std::vector<double> y(static_cast<size_t>(f.hash.local_extent()), -1.0);
     for (int k = 0; k < 5; ++k)
       y[static_cast<size_t>(k)] = 100.0 + comm.rank() * 5 + k;
-    gather<double>(comm, s, y);
+    ts::reference_gather<double>(comm, s, y);
     if (comm.rank() == 0) {
       // slots 5..8 hold globals 6,8,7,9
       EXPECT_EQ(y[5], 106.0);
@@ -191,7 +195,7 @@ TEST_P(GatherScatterSweep, GatherFetchesCorrectValuesEverywhere) {
     std::vector<double> data(static_cast<size_t>(hash.local_extent()), -1.0);
     for (std::size_t i = 0; i < setup.my_globals.size(); ++i)
       data[i] = 1000.0 + static_cast<double>(setup.my_globals[i]);
-    gather<double>(comm, sched, data);
+    ts::reference_gather<double>(comm, sched, data);
 
     // Every translated reference now reads the right global value.
     for (std::size_t k = 0; k < ind.size(); ++k)
@@ -218,7 +222,7 @@ TEST_P(GatherScatterSweep, ScatterAddAccumulatesAcrossRanks) {
 
     std::vector<double> data(static_cast<size_t>(hash.local_extent()), 0.0);
     for (GlobalIndex i : ind) data[static_cast<size_t>(i)] += 1.0;
-    scatter_add<double>(comm, sched, data);
+    ts::reference_scatter_add<double>(comm, sched, data);
 
     // Ground truth: how many ranks contributed to each global?
     std::vector<std::uint8_t> mine(static_cast<size_t>(n), 0);
@@ -291,8 +295,8 @@ TEST(Schedule, IncrementalThenBaseCoversMergedGather) {
     std::vector<double> data(static_cast<size_t>(hash.local_extent()), -1.0);
     for (std::size_t i = 0; i < setup.my_globals.size(); ++i)
       data[i] = 7.0 * static_cast<double>(setup.my_globals[i]);
-    gather<double>(comm, sched_a, data);
-    gather<double>(comm, inc_b, data);
+    ts::reference_gather<double>(comm, sched_a, data);
+    ts::reference_gather<double>(comm, inc_b, data);
 
     for (std::size_t k = 0; k < ib.size(); ++k)
       EXPECT_EQ(data[static_cast<size_t>(ib[k])],
@@ -335,7 +339,7 @@ TEST(Schedule, ScatterReplacePropagatesWrites) {
       y[5] = 42.0;  // ghost slot of global 6
       y[6] = 43.0;  // ghost slot of global 8
     }
-    scatter<double>(comm, s, y);
+    ts::reference_scatter<double>(comm, s, y);
     if (comm.rank() == 1) {
       EXPECT_EQ(y[1], 42.0);  // global 6 = offset 1 on rank 1
       EXPECT_EQ(y[3], 43.0);  // global 8 = offset 3
@@ -356,7 +360,7 @@ TEST(Schedule, EmptyStampProducesEmptySchedule) {
     EXPECT_EQ(sched.send_total(comm.rank()), 0);
     // Executing an empty schedule is a no-op.
     std::vector<double> y(static_cast<size_t>(f.hash.local_extent()), 5.0);
-    gather<double>(comm, sched, y);
+    ts::reference_gather<double>(comm, sched, y);
     for (double v : y) EXPECT_EQ(v, 5.0);
   });
 }

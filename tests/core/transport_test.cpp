@@ -6,14 +6,15 @@
 #include <gtest/gtest.h>
 
 #include "comm/engine.hpp"
+#include "compile/schedule_plan.hpp"
 #include "core/lightweight.hpp"
-#include "core/transport.hpp"
 
 namespace chaos::core {
 namespace {
 
 using comm::CommHandle;
 using comm::Engine;
+using compile::SchedulePlan;
 using sim::Comm;
 using sim::Machine;
 
@@ -36,6 +37,16 @@ Schedule two_rank_exchange(int me, std::vector<GlobalIndex> send_idx,
   return Schedule(std::move(send), std::move(recv));
 }
 
+/// One blocking gather: post through a fresh Engine with `sched`'s plan
+/// (lowered, or verbatim), then wait.
+void gather_through(Comm& comm, const Schedule& sched,
+                    std::vector<double>& data, bool verbatim = false) {
+  const SchedulePlan plan = verbatim ? SchedulePlan::verbatim(sched)
+                                     : SchedulePlan::compile(sched);
+  Engine engine(comm);
+  engine.wait(engine.post_gather<double>(sched, data, plan));
+}
+
 // ---- edge cases ------------------------------------------------------------
 
 TEST(TransportEdge, EmptyScheduleIsANoOp) {
@@ -45,11 +56,10 @@ TEST(TransportEdge, EmptyScheduleIsANoOp) {
     const std::vector<double> before = data;
     const Schedule empty;
 
-    gather<double>(comm, empty, data);
-    scatter_add<double>(comm, empty, data);
-
+    const SchedulePlan plan = SchedulePlan::compile(empty);
     Engine engine(comm);
-    const CommHandle h = engine.post_gather<double>(empty, data);
+    engine.wait(engine.post_scatter_add<double>(empty, data, plan));
+    const CommHandle h = engine.post_gather<double>(empty, data, plan);
     EXPECT_TRUE(engine.done(h));  // nothing to receive
     engine.wait(h);
 
@@ -67,7 +77,7 @@ TEST(TransportEdge, SelfBlockOnlyScheduleCopiesLocally) {
     const Schedule sched(std::move(send), std::move(recv));
 
     std::vector<double> data = initial_data(me);
-    gather<double>(comm, sched, data);
+    gather_through(comm, sched, data);
 
     EXPECT_EQ(data[4], data[0]);
     EXPECT_EQ(data[5], data[1]);
@@ -82,7 +92,7 @@ TEST(TransportEdge, GatherPlacesPeerElementsAtGhostSlots) {
     const int peer = 1 - me;
     const Schedule sched = two_rank_exchange(me, {0, 1}, {4, 5});
     std::vector<double> data = initial_data(me);
-    gather<double>(comm, sched, data);
+    gather_through(comm, sched, data);
     EXPECT_EQ(data[4], peer * 100 + 0);
     EXPECT_EQ(data[5], peer * 100 + 1);
   });
@@ -90,9 +100,8 @@ TEST(TransportEdge, GatherPlacesPeerElementsAtGhostSlots) {
 
 TEST(TransportEdge, MultipleBlocksPerPeerDeliverInBlockOrder) {
   // The Schedule constructor accepts several blocks for the same peer;
-  // the blocking loops historically paired sender block i with receiver
-  // block i via FIFO messages, and the engine must preserve that pairing
-  // within its coalesced message. Blocks have different sizes so any
+  // sender block i pairs with receiver block i, and the engine must
+  // preserve that pairing within its coalesced message. Blocks have different sizes so any
   // mispairing trips the segment-size check instead of passing silently.
   Machine m(2);
   m.run([](Comm& comm) {
@@ -102,13 +111,17 @@ TEST(TransportEdge, MultipleBlocksPerPeerDeliverInBlockOrder) {
     std::vector<ScheduleBlock> recv{{peer, {4}}, {peer, {5, 3}}};
     const Schedule sched(std::move(send), std::move(recv));
 
-    std::vector<double> data = initial_data(me);
-    gather<double>(comm, sched, data);
+    // The lowered plan fuses the same-peer blocks into one wire group;
+    // the verbatim plan walks them block by block. Both must pair them.
+    for (const bool verbatim : {false, true}) {
+      std::vector<double> data = initial_data(me);
+      gather_through(comm, sched, data, verbatim);
 
-    EXPECT_EQ(data[4], peer * 100 + 0);
-    EXPECT_EQ(data[5], peer * 100 + 1);
-    EXPECT_EQ(data[3], peer * 100 + 2);
-    EXPECT_EQ(comm.stats().msgs_sent, 1u);  // still one coalesced message
+      EXPECT_EQ(data[4], peer * 100 + 0);
+      EXPECT_EQ(data[5], peer * 100 + 1);
+      EXPECT_EQ(data[3], peer * 100 + 2);
+    }
+    EXPECT_EQ(comm.stats().msgs_sent, 2u);  // one coalesced message per run
   });
 }
 
@@ -124,9 +137,11 @@ TEST(CommEngine, CoalescesIndependentSchedulesIntoOneMessagePerPeer) {
     const Schedule b = two_rank_exchange(me, {1}, {5});
     std::vector<double> data = initial_data(me);
 
+    const SchedulePlan pa = SchedulePlan::compile(a);
+    const SchedulePlan pb = SchedulePlan::compile(b);
     Engine engine(comm);
-    const CommHandle ha = engine.post_gather<double>(a, data);
-    const CommHandle hb = engine.post_gather<double>(b, data);
+    const CommHandle ha = engine.post_gather<double>(a, data, pa);
+    const CommHandle hb = engine.post_gather<double>(b, data, pb);
     EXPECT_EQ(comm.stats().msgs_sent, 0u);  // staged, not sent
     engine.flush();
     EXPECT_EQ(comm.stats().msgs_sent, 1u);  // ONE message for both schedules
@@ -142,16 +157,17 @@ TEST(CommEngine, CoalescesIndependentSchedulesIntoOneMessagePerPeer) {
 }
 
 TEST(CommEngine, BlockingWrapperSendsOneMessagePerSchedule) {
-  // The historical behavior the engine improves on: each blocking call is
-  // its own flush, so two schedules cost two messages per peer.
+  // What batching improves on: each blocking call (one post + one wait on
+  // its own engine) is its own flush, so two schedules cost two messages
+  // per peer.
   Machine m(2);
   m.run([](Comm& comm) {
     const int me = comm.rank();
     const Schedule a = two_rank_exchange(me, {0}, {4});
     const Schedule b = two_rank_exchange(me, {1}, {5});
     std::vector<double> data = initial_data(me);
-    gather<double>(comm, a, data);
-    gather<double>(comm, b, data);
+    gather_through(comm, a, data);
+    gather_through(comm, b, data);
     EXPECT_EQ(comm.stats().msgs_sent, 2u);
   });
 }
@@ -167,10 +183,12 @@ TEST(CommEngine, OverlappingBatchesUseDisjointTagsAndWaitOutOfOrder) {
     const Schedule b = two_rank_exchange(me, {1}, {5});
     std::vector<double> data = initial_data(me);
 
+    const SchedulePlan pa = SchedulePlan::compile(a);
+    const SchedulePlan pb = SchedulePlan::compile(b);
     Engine engine(comm);
-    const CommHandle ha = engine.post_gather<double>(a, data);
+    const CommHandle ha = engine.post_gather<double>(a, data, pa);
     engine.flush();  // batch 0 in flight
-    const CommHandle hb = engine.post_gather<double>(b, data);
+    const CommHandle hb = engine.post_gather<double>(b, data, pb);
     engine.flush();  // batch 1 in flight alongside batch 0
 
     engine.wait(hb);  // out-of-order wait completes the earlier batch too
@@ -190,8 +208,9 @@ TEST(CommEngine, WaitFlushesTheOpenBatchImplicitly) {
     const int peer = 1 - me;
     const Schedule a = two_rank_exchange(me, {2}, {5});
     std::vector<double> data = initial_data(me);
+    const SchedulePlan pa = SchedulePlan::compile(a);
     Engine engine(comm);
-    const CommHandle h = engine.post_gather<double>(a, data);
+    const CommHandle h = engine.post_gather<double>(a, data, pa);
     engine.wait(h);  // no explicit flush
     EXPECT_EQ(data[5], peer * 100 + 2);
   });
@@ -204,8 +223,9 @@ TEST(CommEngine, TestProbeEventuallyCompletesWithoutBlocking) {
     const int peer = 1 - me;
     const Schedule a = two_rank_exchange(me, {3}, {4});
     std::vector<double> data = initial_data(me);
+    const SchedulePlan pa = SchedulePlan::compile(a);
     Engine engine(comm);
-    const CommHandle h = engine.post_gather<double>(a, data);
+    const CommHandle h = engine.post_gather<double>(a, data, pa);
     EXPECT_FALSE(engine.test(h));  // still in the open batch
     engine.flush();
     // The probe is gated on modeled arrival, so a polling loop must burn
@@ -227,8 +247,9 @@ TEST(CommEngine, ScatterAddCombinesGhostContributions) {
     std::vector<double> data = initial_data(me);
     data[4] = 1000 + me;  // ghost contribution to send back
 
+    const SchedulePlan plan = SchedulePlan::compile(sched);
     Engine engine(comm);
-    engine.post_scatter_add<double>(sched, data);
+    engine.post_scatter_add<double>(sched, data, plan);
     engine.flush();
     engine.wait_all();
 
@@ -245,8 +266,9 @@ TEST(CommEngine, ScatterReplacesAtOwner) {
     std::vector<double> data = initial_data(me);
     data[5] = 7000 + me;
 
+    const SchedulePlan plan = SchedulePlan::compile(sched);
     Engine engine(comm);
-    engine.wait(engine.post_scatter<double>(sched, data));
+    engine.wait(engine.post_scatter<double>(sched, data, plan));
     EXPECT_EQ(data[1], 7000 + (1 - me));
   });
 }

@@ -5,9 +5,10 @@
 
 #include <numeric>
 
-#include "lang/distributed_array.hpp"
+#include "lang/array.hpp"
 #include "lang/distribution.hpp"
 #include "lang/forall.hpp"
+#include "runtime/runtime.hpp"
 #include "runtime/schedule_registry.hpp"
 #include "util/rng.hpp"
 
@@ -57,11 +58,14 @@ TEST(Distribution, EpochsDistinguishInstances) {
 }
 
 TEST(DistributedArray, SizesFollowDistribution) {
+  // ALIGN x WITH d: a chaos::Array's owned region follows its epoch and
+  // its ghost region grows on demand, never below the owned part.
   Machine m(2);
   m.run([](Comm& c) {
-    auto d = Distribution::block(c, 7);
-    DistributedArray<double> x(c, d);
-    EXPECT_EQ(x.owned(), d.owned_count(c.rank()));
+    Runtime rt(c);
+    const DistHandle d = rt.block(7);
+    Array<double> x(rt, d, "x");
+    EXPECT_EQ(x.owned(), rt.dist(d).owned_count(c.rank()));
     x.ensure_extent(x.owned() + 3);
     EXPECT_EQ(static_cast<GlobalIndex>(x.local().size()), x.owned() + 3);
     EXPECT_THROW(x.ensure_extent(x.owned() - 1), Error);
@@ -69,21 +73,21 @@ TEST(DistributedArray, SizesFollowDistribution) {
 }
 
 TEST(Remapper, MovesAlignedArraysBetweenDistributions) {
+  // Executable re-DISTRIBUTE: one rt.plan_remap schedule moves every
+  // aligned array onto the new distribution (Array::retarget runs it).
   Machine m(2);
   m.run([](Comm& c) {
-    auto block = Distribution::block(c, 8);
-    std::vector<int> swapped{1, 1, 1, 1, 0, 0, 0, 0};
-    auto irreg = Distribution::irregular(c, swapped);
+    Runtime rt(c);
+    const DistHandle block = rt.block(8);
+    const DistHandle irreg =
+        rt.irregular(std::vector<int>{1, 1, 1, 1, 0, 0, 0, 0});
 
-    DistributedArray<double> x(c, block);
-    auto mine = block.owned_globals(c.rank());
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      x[static_cast<GlobalIndex>(i)] = 100.0 + static_cast<double>(mine[i]);
+    Array<double> x(rt, block, "x");
+    x.fill([](GlobalIndex g) { return 100.0 + static_cast<double>(g); });
 
-    Remapper r(c, block, irreg);
-    r.apply(c, x);
+    x.retarget(rt.plan_remap(block, irreg), irreg);
 
-    auto new_mine = irreg.owned_globals(c.rank());
+    const auto new_mine = rt.owned_globals(irreg);
     ASSERT_EQ(x.owned(), static_cast<GlobalIndex>(new_mine.size()));
     for (std::size_t i = 0; i < new_mine.size(); ++i)
       EXPECT_EQ(x[static_cast<GlobalIndex>(i)],
@@ -176,23 +180,24 @@ TEST(ForallReduceSum, MatchesSequentialReduction) {
   }
 
   m.run([&](Comm& c) {
-    auto d = Distribution::cyclic(c, N);
-    DistributedArray<double> x(c, d), y(c, d);
-    auto mine = d.owned_globals(c.rank());
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      y[static_cast<GlobalIndex>(i)] = 1.0 + static_cast<double>(mine[i]);
+    Runtime rt(c);
+    const DistHandle d = rt.cyclic(N);
+    Array<double> x(rt, d, "x"), y(rt, d, "y");
+    y.fill([](GlobalIndex g) { return 1.0 + static_cast<double>(g); });
 
     // This rank executes its slice of the reference stream.
     std::vector<GlobalIndex> refs(
         all_refs.begin() + c.rank() * 30,
         all_refs.begin() + (c.rank() + 1) * 30);
-    runtime::ScheduleRegistry cache;
     IndirectionArray ind(refs);
-    forall_reduce_sum(c, cache, d, ind, y, x,
-                      [&](std::span<const GlobalIndex> lrefs) {
-                        for (GlobalIndex j : lrefs) x[j] += 2.0 * y[j];
-                      });
+    const LoopHandle loop =
+        forall_reduce_sum(rt, d, ind, y, x,
+                          [&](std::span<const GlobalIndex> lrefs) {
+                            for (GlobalIndex j : lrefs) x[j] += 2.0 * y[j];
+                          });
+    EXPECT_TRUE(rt.valid(loop));
 
+    const std::vector<GlobalIndex>& mine = x.globals();
     for (std::size_t i = 0; i < mine.size(); ++i)
       EXPECT_NEAR(x[static_cast<GlobalIndex>(i)],
                   seq_x[static_cast<size_t>(mine[i])], 1e-12)
@@ -204,15 +209,15 @@ TEST(ForallReduceSum, RepeatedExecutionsDoNotDoubleCount) {
   // Ghost accumulators must reset between executions.
   Machine m(2);
   m.run([](Comm& c) {
-    auto d = Distribution::block(c, 10);
-    DistributedArray<double> x(c, d), y(c, d);
-    for (GlobalIndex i = 0; i < y.owned(); ++i) y[i] = 1.0;
-    runtime::ScheduleRegistry cache;
+    Runtime rt(c);
+    const DistHandle d = rt.block(10);
+    Array<double> x(rt, d, "x"), y(rt, d, "y");
+    y.fill([](GlobalIndex) { return 1.0; });
     // Both ranks reference global 0 (owned by rank 0).
     IndirectionArray ind(std::vector<GlobalIndex>{0});
     for (int step = 0; step < 3; ++step) {
       for (GlobalIndex i = 0; i < x.owned(); ++i) x[i] = 0.0;
-      forall_reduce_sum(c, cache, d, ind, y, x,
+      forall_reduce_sum(rt, d, ind, y, x,
                         [&](std::span<const GlobalIndex> lrefs) {
                           for (GlobalIndex j : lrefs) x[j] += 1.0;
                         });
@@ -220,8 +225,8 @@ TEST(ForallReduceSum, RepeatedExecutionsDoNotDoubleCount) {
         EXPECT_EQ(x[0], 2.0) << "step " << step;
       }
     }
-    EXPECT_EQ(cache.stats().builds, 1u);
-    EXPECT_EQ(cache.stats().reuses, 2u);
+    EXPECT_EQ(rt.registry_stats(d).builds, 1u);
+    EXPECT_EQ(rt.registry_stats(d).reuses, 2u);
   });
 }
 

@@ -78,11 +78,11 @@ TEST(TypedArray, SizesFillsAndGuardsFollowTheDistribution) {
 
 // ---- forall on views -------------------------------------------------------
 
-TEST(TypedForall, MatchesTheLangLoweringAndTheLoopBuilder) {
-  // forall(rt, d, ind, in(y), sum(x)) must produce exactly what the
-  // LoopBuilder (and the lang:: registry-level lowering beneath it)
-  // produces for the same loop.
-  std::vector<double> via_forall, via_builder;
+TEST(TypedForall, MatchesHandSequencedGatherBodyScatterAdd) {
+  // forall(rt, d, ind, in(y), sum(x)) must produce exactly what the same
+  // loop produces hand-sequenced on raw vectors: inspect, rt.gather, zero
+  // the ghost accumulators, the body, rt.scatter_add.
+  std::vector<double> via_forall, via_hand;
   for (int arm = 0; arm < 2; ++arm) {
     Machine m(kRanks);
     m.run([&](Comm& c) {
@@ -100,21 +100,24 @@ TEST(TypedForall, MatchesTheLangLoweringAndTheLoopBuilder) {
         auto out = collect(c, x.globals(), x.owned_region());
         if (c.rank() == 0) via_forall = out;
       } else {
-        lang::DistributedArray<double> y(c, rt.dist(d)), x(c, rt.dist(d));
+        const LoopHandle loop = rt.bind(d, ind);
+        const ScheduleHandle h = rt.inspect(loop);
+        const auto extent = static_cast<std::size_t>(rt.extent(h));
         const std::vector<GlobalIndex> globals = rt.owned_globals(d);
+        std::vector<double> y(extent, 0.0), x(extent, 0.0);
         for (std::size_t i = 0; i < globals.size(); ++i)
-          y[static_cast<GlobalIndex>(i)] =
-              1.0 + static_cast<double>(globals[i]);
-        rt.loop(d).indirection(ind).gather(y).scatter_add(x).run(
-            [&](std::span<const GlobalIndex> lrefs) {
-              for (GlobalIndex j : lrefs) x[j] += 2.0 * y[j];
-            });
-        auto out = collect(c, globals, x.owned_region());
-        if (c.rank() == 0) via_builder = out;
+          y[i] = 1.0 + static_cast<double>(globals[i]);
+        rt.gather<double>(h, std::span<double>{y});
+        for (GlobalIndex j : rt.local_refs(loop))
+          x[static_cast<std::size_t>(j)] +=
+              2.0 * y[static_cast<std::size_t>(j)];
+        rt.scatter_add<double>(h, std::span<double>{x});
+        auto out = collect(c, globals, {x.data(), globals.size()});
+        if (c.rank() == 0) via_hand = out;
       }
     });
   }
-  EXPECT_TRUE(spans_equal(via_forall, via_builder, "forall vs LoopBuilder"));
+  EXPECT_TRUE(spans_equal(via_forall, via_hand, "forall vs hand-sequenced"));
 }
 
 TEST(TypedForall, ForallReduceSumRidesTheViews) {
@@ -336,6 +339,79 @@ TEST(ViewInference, TwoViewsOverOneArrayViaDifferentIndirections) {
   EXPECT_TRUE(spans_equal(views.x, eager.x, "x (pipelined vs eager)"));
   EXPECT_TRUE(spans_equal(views.y, eager.y, "y (pipelined vs eager)"));
   EXPECT_EQ(views.stats.gather_batches, hand.stats.gather_batches);
+}
+
+// ---- hand-declared migrates() vs the migrate() view ------------------------
+
+struct MigrateResult {
+  std::vector<double> items;  ///< every rank's final items, rank-major
+  StepGraph::Stats stats;
+};
+
+/// A particle-style cycle: "update" touches the items, "move" computes a
+/// destination per item and migrates them, swapping the arrivals in when
+/// the motion completes (the DSMC collide/move shape).
+MigrateResult run_migrate_cycle(bool pipelining, bool by_hand, int iters) {
+  MigrateResult out;
+  Machine m(kRanks);
+  m.run([&](Comm& c) {
+    Runtime rt(c);
+    std::vector<double> items, arrived;
+    std::vector<int> dest;
+    for (int k = 0; k < 6; ++k)
+      items.push_back(10.0 * c.rank() + k + 0.25);
+
+    StepGraph g(rt);
+    g.set_pipelining(pipelining);
+    const auto touch = [&] {
+      for (double& v : items) v = 0.5 * v + 1.0;
+    };
+    const auto route = [&] {
+      dest.resize(items.size());
+      for (std::size_t i = 0; i < items.size(); ++i)
+        dest[i] = static_cast<int>(static_cast<long long>(items[i] * 7.0) %
+                                   kRanks);
+      arrived.clear();
+    };
+    const auto swap_in = [&] { items.swap(arrived); };
+    if (by_hand) {
+      g.step("update").updates(items).compute(touch);
+      g.step("move")
+          .updates(items)
+          .updates(dest)
+          .compute(route)
+          .migrates(items, dest, arrived)
+          .then(swap_in);
+    } else {
+      g.step("update").bind(update(items)).compute(touch);
+      g.step("move")
+          .bind(update(items), update(dest))
+          .compute(route)
+          .bind(migrate(items).to(dest).into(arrived))
+          .then(swap_in);
+    }
+    rt.run(g, iters);
+
+    std::vector<double> all = c.allgatherv<double>(items);
+    if (c.rank() == 0) {
+      out.items = std::move(all);
+      out.stats = g.stats();
+    }
+  });
+  return out;
+}
+
+TEST(ViewInference, HandDeclaredMigratesMatchesTheMigrateView) {
+  const auto views = run_migrate_cycle(true, /*by_hand=*/false, 5);
+  const auto hand = run_migrate_cycle(true, /*by_hand=*/true, 5);
+  const auto eager = run_migrate_cycle(false, /*by_hand=*/false, 5);
+  EXPECT_TRUE(spans_equal(views.items, hand.items, "items (views vs hand)"));
+  EXPECT_TRUE(spans_equal(views.items, eager.items, "items (pipelined vs eager)"));
+  // Same dependence structure: the migration's wait lands at the same
+  // point in both constructions.
+  EXPECT_EQ(views.stats.hazard_stalls, hand.stats.hazard_stalls);
+  EXPECT_EQ(views.stats.overlapped_posts, hand.stats.overlapped_posts);
+  EXPECT_EQ(views.stats.write_batches, hand.stats.write_batches);
 }
 
 TEST(ViewInference, SelfZeroingAccumulatorGatheredInSameStepIsRejected) {

@@ -1,13 +1,14 @@
 // Tests for the chaos::Runtime facade: handle lifetime, inspector cache
 // reuse/invalidation via modification records, merged/incremental schedule
 // equivalence against the paper's Figure 6 golden expectations, epoch
-// retirement invalidating stale handles, the fluent loop builder, and the
-// process-wide uniqueness of indirection-array ids.
+// retirement invalidating stale handles, irregular loops through
+// chaos::forall, and the process-wide uniqueness of indirection-array ids.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 
+#include "lang/array.hpp"
 #include "runtime/runtime.hpp"
 #include "util/rng.hpp"
 
@@ -283,9 +284,10 @@ TEST(RuntimeEpochs, RepartitionProducesBalancedFreshEpoch) {
   });
 }
 
-// ---- Remap of aligned DistributedArrays -----------------------------------
+// ---- Remap of aligned arrays ----------------------------------------------
 
 TEST(RuntimeRemap, MovesAlignedArraysBetweenEpochs) {
+  // One remap plan moves every array aligned with the old epoch.
   Machine m(2);
   m.run([](Comm& comm) {
     Runtime rt(comm);
@@ -293,27 +295,34 @@ TEST(RuntimeRemap, MovesAlignedArraysBetweenEpochs) {
     std::vector<int> swapped{1, 1, 1, 1, 0, 0, 0, 0};
     const DistHandle irreg = rt.irregular(swapped);
 
-    lang::DistributedArray<double> x(comm, rt.dist(block));
-    auto mine = rt.owned_globals(block);
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      x[static_cast<GlobalIndex>(i)] = 100.0 + static_cast<double>(mine[i]);
+    const auto mine = rt.owned_globals(block);
+    std::vector<double> x(mine.size()), y(mine.size());
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      x[i] = 100.0 + static_cast<double>(mine[i]);
+      y[i] = -static_cast<double>(mine[i]);
+    }
 
     const ScheduleHandle remap = rt.plan_remap(block, irreg);
-    rt.remap(remap, x);
+    const std::vector<double> x2 =
+        rt.remap<double>(remap, std::span<const double>{x});
+    std::vector<double> y2(static_cast<std::size_t>(rt.owned_count(irreg)));
+    rt.remap<double>(remap, y, y2);
 
-    auto new_mine = rt.owned_globals(irreg);
-    ASSERT_EQ(x.owned(), static_cast<GlobalIndex>(new_mine.size()));
-    for (std::size_t i = 0; i < new_mine.size(); ++i)
-      EXPECT_EQ(x[static_cast<GlobalIndex>(i)],
-                100.0 + static_cast<double>(new_mine[i]));
+    const auto new_mine = rt.owned_globals(irreg);
+    ASSERT_EQ(x2.size(), new_mine.size());
+    for (std::size_t i = 0; i < new_mine.size(); ++i) {
+      EXPECT_EQ(x2[i], 100.0 + static_cast<double>(new_mine[i]));
+      EXPECT_EQ(y2[i], -static_cast<double>(new_mine[i]));
+    }
   });
 }
 
-// ---- Fluent loop builder ---------------------------------------------------
+// ---- Irregular loops through chaos::forall -------------------------------
 
 TEST(RuntimeLoop, BuilderMatchesSequentialReduction) {
-  // x(ind(j)) += 2 * y(ind(j)) over a random indirection array, compared
-  // against a sequential evaluation of the same loop.
+  // x(ind(j)) += 2 * y(ind(j)) over a random indirection array, assembled
+  // from views (forall + in/sum), compared against a sequential evaluation
+  // of the same loop.
   const int P = 4;
   const GlobalIndex N = 50;
   Machine m(P);
@@ -336,23 +345,22 @@ TEST(RuntimeLoop, BuilderMatchesSequentialReduction) {
   m.run([&](Comm& comm) {
     Runtime rt(comm);
     const DistHandle d = rt.cyclic(N);
-    lang::DistributedArray<double> x(comm, rt.dist(d)), y(comm, rt.dist(d));
-    auto mine = rt.owned_globals(d);
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      y[static_cast<GlobalIndex>(i)] = 1.0 + static_cast<double>(mine[i]);
+    Array<double> x(rt, d, "x"), y(rt, d, "y");
+    y.fill([](GlobalIndex g) { return 1.0 + static_cast<double>(g); });
 
     // This rank executes its slice of the reference stream.
     lang::IndirectionArray ind(std::vector<GlobalIndex>(
         all_refs.begin() + comm.rank() * 30,
         all_refs.begin() + (comm.rank() + 1) * 30));
 
-    const LoopHandle loop =
-        rt.loop(d).indirection(ind).gather(y).scatter_add(x).run(
-            [&](std::span<const GlobalIndex> lrefs) {
-              for (GlobalIndex j : lrefs) x[j] += 2.0 * y[j];
-            });
+    const LoopHandle loop = forall(rt, d, ind, in(y), sum(x))
+                                .run([&](std::span<const GlobalIndex> lrefs) {
+                                  for (GlobalIndex j : lrefs)
+                                    x[j] += 2.0 * y[j];
+                                });
     EXPECT_TRUE(rt.valid(loop));
 
+    const std::vector<GlobalIndex>& mine = x.globals();
     for (std::size_t i = 0; i < mine.size(); ++i)
       EXPECT_NEAR(x[static_cast<GlobalIndex>(i)],
                   seq_x[static_cast<size_t>(mine[i])], 1e-12)
@@ -367,14 +375,14 @@ TEST(RuntimeLoop, RepeatedRunsReuseInspectorAndDoNotDoubleCount) {
   m.run([](Comm& comm) {
     Runtime rt(comm);
     const DistHandle d = rt.block(10);
-    lang::DistributedArray<double> x(comm, rt.dist(d)), y(comm, rt.dist(d));
-    for (GlobalIndex i = 0; i < y.owned(); ++i) y[i] = 1.0;
+    Array<double> x(rt, d, "x"), y(rt, d, "y");
+    y.fill([](GlobalIndex) { return 1.0; });
     // Both ranks reference global 0 (owned by rank 0).
     lang::IndirectionArray ind(std::vector<GlobalIndex>{0});
     for (int step = 0; step < 3; ++step) {
       for (GlobalIndex i = 0; i < x.owned(); ++i) x[i] = 0.0;
-      rt.loop(d).indirection(ind).gather(y).scatter_add(x).run(
-          [&](std::span<const GlobalIndex> lrefs) {
+      forall(rt, d, ind, in(y), sum(x))
+          .run([&](std::span<const GlobalIndex> lrefs) {
             for (GlobalIndex j : lrefs) x[j] += 1.0;
           });
       if (comm.rank() == 0) {

@@ -559,24 +559,20 @@ TEST(VerifyDiagnostics, StepGraphAtNamesTheDeclaredSteps) {
 
 // ---- shipped graphs stay clean ---------------------------------------------
 
-charmm::ParallelCharmmConfig charmm_cfg(charmm::CharmmShape shape,
-                                        bool by_hand) {
+charmm::ParallelCharmmConfig charmm_cfg(charmm::CharmmShape shape) {
   charmm::ParallelCharmmConfig cfg;
   cfg.system = charmm::SystemParams::small(300);
   cfg.shape = shape;
-  cfg.declare_by_hand = by_hand;
   cfg.verify_graph = true;
   return cfg;
 }
 
-dsmc::ParallelDsmcConfig dsmc_cfg(dsmc::DsmcExecutor executor,
-                                  bool by_hand) {
+dsmc::ParallelDsmcConfig dsmc_cfg(dsmc::DsmcExecutor executor) {
   dsmc::ParallelDsmcConfig cfg;
   cfg.params.nx = 8;
   cfg.params.ny = 8;
   cfg.params.n_particles = 400;
   cfg.executor = executor;
-  cfg.declare_by_hand = by_hand;
   cfg.verify_graph = true;
   return cfg;
 }
@@ -593,15 +589,10 @@ TEST(VerifyShippedGraphs, EveryCharmmGraphIsCertified) {
   for (const CharmmShape shape :
        {CharmmShape::kStepGraph, CharmmShape::kStepGraphEager,
         CharmmShape::kStepGraphArrival}) {
-    for (const bool by_hand : {false, true}) {
-      Machine machine(kRanks);
-      const auto res = charmm::run_parallel_charmm(
-          machine, charmm_cfg(shape, by_hand));
-      expect_certified(res.verify_diagnostics,
-                       "charmm shape=" +
-                           std::to_string(static_cast<int>(shape)) +
-                           " by_hand=" + std::to_string(by_hand));
-    }
+    Machine machine(kRanks);
+    const auto res = charmm::run_parallel_charmm(machine, charmm_cfg(shape));
+    expect_certified(res.verify_diagnostics,
+                     "charmm shape=" + std::to_string(static_cast<int>(shape)));
   }
 }
 
@@ -610,15 +601,10 @@ TEST(VerifyShippedGraphs, EveryDsmcGraphIsCertified) {
   for (const DsmcExecutor ex :
        {DsmcExecutor::kStepGraph, DsmcExecutor::kStepGraphEager,
         DsmcExecutor::kStepGraphArrival}) {
-    for (const bool by_hand : {false, true}) {
-      Machine machine(kRanks);
-      const auto res =
-          dsmc::run_parallel_dsmc(machine, dsmc_cfg(ex, by_hand));
-      expect_certified(res.verify_diagnostics,
-                       "dsmc executor=" +
-                           std::to_string(static_cast<int>(ex)) +
-                           " by_hand=" + std::to_string(by_hand));
-    }
+    Machine machine(kRanks);
+    const auto res = dsmc::run_parallel_dsmc(machine, dsmc_cfg(ex));
+    expect_certified(res.verify_diagnostics,
+                     "dsmc executor=" + std::to_string(static_cast<int>(ex)));
   }
 }
 
