@@ -1,9 +1,10 @@
 // Wall-clock microbenchmarks (google-benchmark) of the CHAOS++ primitives
 // themselves: inspector hashing (cold, warm, and a cache-missing adaptive
 // re-hash), schedule generation, cross-epoch seeding, residue lowering,
-// transport, light-weight schedules, the partitioners, the two CHARMM
-// host kernels (non-bonded row, cell-list build) and the two DSMC per-step
-// passes (cell-ordered collide, fused move). These measure
+// transport, the engine's post/flush/wait path per word, light-weight
+// schedules, the partitioners, the two CHARMM host kernels (non-bonded
+// row, cell-list build) and the two DSMC per-step passes (cell-ordered
+// collide, fused move). These measure
 // the real implementation on the host, complementing the modeled-time
 // table harnesses.
 #include <benchmark/benchmark.h>
@@ -192,6 +193,80 @@ void BM_ScheduleBuildAndGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ScheduleBuildAndGather)->Arg(40000);
+
+void BM_EnginePostWait(benchmark::State& state) {
+  // The engine's host cost per word: post_gather + post_scatter_add into
+  // one batch, flush, wait. 4 ranks, 2^18 doubles each way machine-wide,
+  // spread evenly over every rank pair, through a run-only plan (Arg 0:
+  // contiguous send blocks, compiled) or a residue-only plan (Arg 1:
+  // shuffled send blocks, verbatim). Manual time is the slowest rank's
+  // mean post-to-wait span over kRounds rounds after one warm-up round;
+  // bytes count both directions machine-wide.
+  constexpr int kRounds = 8;
+  const int P = 4;
+  const GlobalIndex words = GlobalIndex{1} << 18;
+  const GlobalIndex per_link = words / (P * (P - 1));
+  const bool residue = state.range(0) != 0;
+  sim::Machine machine(P);
+  for (auto _ : state) {
+    double seconds = 0.0;
+    machine.run([&](sim::Comm& comm) {
+      const GlobalIndex owned = per_link * (P - 1);
+      Rng rng(static_cast<std::uint64_t>(comm.rank()) + 29);
+      std::vector<core::ScheduleBlock> send, recv;
+      GlobalIndex k = 0;
+      for (int q = 0; q < P; ++q) {
+        if (q == comm.rank()) continue;
+        std::vector<GlobalIndex> out(static_cast<std::size_t>(per_link));
+        std::vector<GlobalIndex> in(out.size());
+        for (GlobalIndex j = 0; j < per_link; ++j) {
+          out[static_cast<std::size_t>(j)] = k * per_link + j;
+          in[static_cast<std::size_t>(j)] = owned + k * per_link + j;
+        }
+        if (residue)
+          for (std::size_t j = out.size(); j > 1; --j)
+            std::swap(out[j - 1], out[rng.below(j)]);
+        send.push_back(core::ScheduleBlock{q, std::move(out)});
+        recv.push_back(core::ScheduleBlock{q, std::move(in)});
+        ++k;
+      }
+      const core::Schedule sched(std::move(send), std::move(recv));
+      const compile::SchedulePlan plan =
+          residue ? compile::SchedulePlan::verbatim(sched)
+                  : compile::SchedulePlan::compile(sched);
+      std::vector<double> data(static_cast<std::size_t>(2 * owned), 1.0);
+      comm::Engine engine(comm);
+      const auto round = [&] {
+        const comm::CommHandle g =
+            engine.post_gather<double>(sched, std::span<double>{data}, plan);
+        const comm::CommHandle s = engine.post_scatter_add<double>(
+            sched, std::span<double>{data}, plan);
+        engine.flush();
+        engine.wait(g);
+        engine.wait(s);
+      };
+      round();
+      comm.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < kRounds; ++r) round();
+      const double dt = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      benchmark::DoNotOptimize(data.data());
+      benchmark::ClobberMemory();
+      const double slowest = comm.allreduce_max(dt);
+      if (comm.rank() == 0) seconds = slowest / kRounds;
+    });
+    state.SetIterationTime(seconds);
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * per_link * P * (P - 1) *
+                          static_cast<std::int64_t>(sizeof(double)));
+}
+BENCHMARK(BM_EnginePostWait)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_LightweightMigration(benchmark::State& state) {
   const GlobalIndex n = state.range(0);

@@ -52,26 +52,27 @@ void Engine::flush() {
   // collective, so the open-batch pattern — and therefore the machine-wide
   // tag sequence — is identical on every rank.
   b.tag = comm_.fresh_tag();
-  if (!b.out_bytes.empty() && peer_traffic_.empty())
-    peer_traffic_.resize(static_cast<std::size_t>(comm_.size()));
-  for (auto& [peer, bytes] : b.out_bytes) {
-    comm_.send<std::byte>(peer, b.tag, bytes);
+  for (std::size_t peer = 0; peer < b.out.size(); ++peer) {
+    Outgoing& o = b.out[peer];
+    if (o.segments == 0) continue;
+    if (peer_traffic_.empty())
+      peer_traffic_.resize(static_cast<std::size_t>(comm_.size()));
+    const std::size_t bytes = o.bytes.size();
+    comm_.send(static_cast<int>(peer), b.tag, std::move(o.bytes));
     ++traffic_.messages;
-    traffic_.bytes += bytes.size();
-    ++peer_traffic_[static_cast<std::size_t>(peer)].messages;
-    peer_traffic_[static_cast<std::size_t>(peer)].bytes += bytes.size();
+    traffic_.bytes += bytes;
+    ++peer_traffic_[peer].messages;
+    peer_traffic_[peer].bytes += bytes;
     ++b.sent_traffic.messages;
-    b.sent_traffic.bytes += bytes.size();
+    b.sent_traffic.bytes += bytes;
     // Only messages that actually packed several operations' segments
     // count as coalesced: single-segment engine sends are indistinguishable
     // on the wire from blocking sends, and counting them would dilute the
     // segments-per-message reduction factor the benches report.
-    if (b.out_segments[peer] >= 2)
-      comm_.note_coalesced_send(b.out_segments[peer], bytes.size());
+    if (o.segments >= 2) comm_.note_coalesced_send(o.segments, bytes);
   }
   b.sent = true;
-  b.out_bytes.clear();
-  b.out_segments.clear();
+  b.out = {};
   open_ = kNone;
 }
 

@@ -16,10 +16,14 @@
 //   ...local work overlapped with the transfers...
 //   engine.wait(ha);     // or wait_all() / test(ha)
 //
-// Posting packs outgoing elements into a per-peer coalescer and records the
-// segments the rank expects back; no message leaves until flush(). A flush
-// closes the open batch under one fresh tag and sends at most one message
-// per peer, regardless of how many operations were posted — the run-time
+// Posting packs outgoing elements straight into the tail of the open
+// batch's wire buffer for their peer and records the segments the rank
+// expects back; no message leaves until flush(). A flush closes the open
+// batch under one fresh tag and moves each peer's buffer into one message,
+// which the receiver pops by move and unpacks in place: every word is
+// written once at pack time and read once at unpack time, and the receiver
+// owns the payload after the pop. At most one message goes to each peer
+// per batch, regardless of how many operations were posted — the run-time
 // counterpart of compile-time schedule merging, without requiring the
 // schedules to share a hash table. Successive batches use distinct tags, so
 // independent batches may be in flight simultaneously and waited out of
@@ -58,7 +62,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -297,15 +300,20 @@ class Engine {
     bool received = false;  ///< delivered (possibly out of canonical order)
   };
 
+  struct Outgoing {
+    std::vector<std::byte> bytes;  ///< the wire buffer, packed in place
+    std::uint64_t segments = 0;    ///< staged segments; 0 = no message
+  };
+
   struct Batch {
     int tag = 0;
     bool sent = false;
     Traffic sent_traffic;  ///< this batch's share of traffic_, set at flush
     std::vector<PeerIncoming> incoming;  ///< ascending peer
     std::size_t next = 0;                ///< receive progress
-    // Outgoing coalescer, dropped at flush.
-    std::map<int, std::vector<std::byte>> out_bytes;
-    std::map<int, std::uint64_t> out_segments;
+    /// Outgoing coalescer, indexed by peer (sized comm.size() at open);
+    /// flush moves the buffers out and drops it.
+    std::vector<Outgoing> out;
   };
 
   /// The open batch, creating one if needed; returns its index. Opening a
@@ -324,16 +332,22 @@ class Engine {
         recv_batch_ = 0;
       }
       batches_.emplace_back();
+      batches_.back().out.resize(static_cast<std::size_t>(comm_.size()));
       open_ = static_cast<std::uint32_t>(batches_.size() - 1);
     }
     return open_;
   }
 
-  /// Append outgoing payload for `peer` to the open batch's coalescer.
-  void stage_out(Batch& b, int peer, std::span<const std::byte> bytes) {
-    auto& buf = b.out_bytes[peer];
-    buf.insert(buf.end(), bytes.begin(), bytes.end());
-    ++b.out_segments[peer];
+  /// Grow `peer`'s wire buffer in the open batch by one segment of
+  /// `bytes` and return where the segment starts, for packing in place.
+  std::byte* stage_out(Batch& b, int peer, std::size_t bytes) {
+    CHAOS_CHECK(peer >= 0 && peer < comm_.size(),
+                "schedule peer out of range");
+    Outgoing& o = b.out[static_cast<std::size_t>(peer)];
+    ++o.segments;
+    const std::size_t at = o.bytes.size();
+    o.bytes.resize(at + bytes);
+    return o.bytes.data() + at;
   }
 
   /// Record that op `id` expects its `part`-th segment, of `bytes`, from
@@ -359,18 +373,16 @@ class Engine {
   static void check_lowers(const compile::SchedulePlan& plan,
                            const core::Schedule& sched);
 
-  /// Pack one wire part of `src` into the batch's coalescer for its peer,
+  /// Pack one wire part of `src` straight into its peer's wire buffer,
   /// charging the plan's rate.
   template <typename T>
   void pack_out(Batch& b, const compile::SchedulePlan& plan,
-                const compile::BlockPlan& part, std::span<const T> src,
-                std::vector<T>& buf) {
-    buf.resize(static_cast<std::size_t>(part.count));
-    compile::pack_block<T>(part, src, buf.data());
+                const compile::BlockPlan& part, std::span<const T> src) {
+    compile::pack_block<T>(
+        part, src,
+        stage_out(b, part.proc,
+                  static_cast<std::size_t>(part.count) * sizeof(T)));
     comm_.charge_work(plan.work(part, sizeof(T)));
-    stage_out(b, part.proc,
-              {reinterpret_cast<const std::byte*>(buf.data()),
-               buf.size() * sizeof(T)});
   }
 
   /// Record that op `id` expects wire part `part` (its next part ordinal)
@@ -426,7 +438,6 @@ CommHandle Engine::post_transport(const core::Schedule& sched,
   const core::ScheduleBlock* self_send = nullptr;
   const core::ScheduleBlock* self_recv = nullptr;
 
-  std::vector<T> buf;
   for_each_part(plan.send(), plan.send_groups(),
                 [&](const compile::BlockPlan& bp, std::size_t first) {
                   if (bp.proc == me) {
@@ -436,7 +447,7 @@ CommHandle Engine::post_transport(const core::Schedule& sched,
                                 "self blocks cannot be wire-grouped");
                     return;
                   }
-                  pack_out<T>(b, plan, bp, src, buf);
+                  pack_out<T>(b, plan, bp, src);
                 });
 
   std::vector<const compile::BlockPlan*> in_plans;  // post order
@@ -492,14 +503,12 @@ CommHandle Engine::post_scatter_op(const core::Schedule& sched,
   ops_.emplace_back();
   Batch& b = batches_[batch_id];
 
-  std::vector<T> buf;
   for_each_part(plan.recv(), plan.recv_groups(),
                 [&](const compile::BlockPlan& bp, std::size_t) {
                   CHAOS_CHECK(bp.proc != me,
                               "scatter does not support self-blocks");
                   pack_out<T>(b, plan, bp,
-                              std::span<const T>{data.data(), data.size()},
-                              buf);
+                              std::span<const T>{data.data(), data.size()});
                 });
 
   std::vector<const compile::BlockPlan*> in_plans;  // post order
@@ -535,19 +544,15 @@ CommHandle Engine::post_migrate(core::LightweightSchedule sched,
 
   auto kept = std::make_shared<core::LightweightSchedule>(std::move(sched));
 
-  std::vector<T> buf;
   for (const auto& blk : kept->send_blocks()) {
-    buf.clear();
-    buf.reserve(blk.indices.size());
+    std::byte* w = stage_out(b, blk.proc, blk.indices.size() * sizeof(T));
     for (GlobalIndex i : blk.indices) {
       CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < items.size(),
                   "schedule item position outside item array");
-      buf.push_back(items[static_cast<std::size_t>(i)]);
+      std::memcpy(w, &items[static_cast<std::size_t>(i)], sizeof(T));
+      w += sizeof(T);
     }
-    comm_.charge_work(core::costs::pack_work(buf.size(), sizeof(T)));
-    stage_out(b, blk.proc,
-              {reinterpret_cast<const std::byte*>(buf.data()),
-               buf.size() * sizeof(T)});
+    comm_.charge_work(core::costs::pack_work(blk.indices.size(), sizeof(T)));
   }
 
   // Items that stay local are appended at post time, before any arrival —

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/costs.hpp"
@@ -181,9 +182,11 @@ inline void check_hull(const BlockPlan& b, std::size_t size) {
 }  // namespace detail
 
 /// Gather/transport pack: read `src` at the block's indices (wire order)
-/// into `out` (capacity >= count elements).
+/// into the wire bytes at `out` (room for count elements). Writes go
+/// through memcpy, like place_block's reads, because a segment inside a
+/// coalesced peer buffer may start at an offset misaligned for `T`.
 template <typename T>
-void pack_block(const BlockPlan& b, std::span<const T> src, T* out) {
+void pack_block(const BlockPlan& b, std::span<const T> src, std::byte* out) {
   detail::check_hull(b, src.size());
   const T* s0 = src.data();
   for (const SegmentOp& op : b.ops) {
@@ -193,14 +196,21 @@ void pack_block(const BlockPlan& b, std::span<const T> src, T* out) {
     } else if (op.stride == 0) {
       const GlobalIndex* idx = b.residue.data() + op.start;
       for (GlobalIndex k = 0; k < op.len; ++k)
-        out[k] = s0[idx[k]];
+        std::memcpy(out + k * sizeof(T), s0 + idx[k], sizeof(T));
     } else {
       const T* s = s0 + op.start;
       for (GlobalIndex k = 0; k < op.len; ++k)
-        out[k] = s[k * op.stride];
+        std::memcpy(out + k * sizeof(T), s + k * op.stride, sizeof(T));
     }
-    out += op.len;
+    out += static_cast<std::size_t>(op.len) * sizeof(T);
   }
+}
+
+/// The same kernel into a typed array of count elements.
+template <typename T>
+  requires(!std::is_same_v<T, std::byte>)
+void pack_block(const BlockPlan& b, std::span<const T> src, T* out) {
+  pack_block<T>(b, src, reinterpret_cast<std::byte*>(out));
 }
 
 /// Gather/transport place: write an incoming wire segment to `dst` at the

@@ -33,7 +33,7 @@ void Comm::charge_comm_seconds(double seconds) {
   st_.comm_s += seconds;
 }
 
-void Comm::send_bytes(int dst, int tag, std::span<const std::byte> bytes) {
+void Comm::send(int dst, int tag, std::vector<std::byte>&& payload) {
   CHAOS_CHECK(dst >= 0 && dst < nranks_, "send destination out of range");
   const double overhead = m_.model_.message_send_cost();
   st_.clock += overhead;
@@ -41,10 +41,10 @@ void Comm::send_bytes(int dst, int tag, std::span<const std::byte> bytes) {
   Message msg;
   msg.src = rank_;
   msg.tag = tag;
-  msg.arrival = st_.clock + m_.model_.transfer_time(bytes.size());
-  msg.payload.assign(bytes.begin(), bytes.end());
+  msg.arrival = st_.clock + m_.model_.transfer_time(payload.size());
   ++st_.msgs_sent;
-  st_.bytes_sent += bytes.size();
+  st_.bytes_sent += payload.size();
+  msg.payload = std::move(payload);
   m_.mailboxes_[static_cast<std::size_t>(dst)]->push(std::move(msg));
 }
 

@@ -82,14 +82,20 @@ class Comm {
 
   // ---- point-to-point -----------------------------------------------
 
-  /// Send a span of trivially copyable elements to `dst` with `tag`.
-  /// Non-blocking (mailboxes are unbounded); self-sends are allowed.
+  /// Send `payload` to `dst` with `tag` by move: the buffer itself becomes
+  /// the message, and the receiver owns it after the pop, so no byte is
+  /// copied on the way. Non-blocking (mailboxes are unbounded); self-sends
+  /// are allowed. The one send path; the modeled charge depends only on
+  /// the payload size.
+  void send(int dst, int tag, std::vector<std::byte>&& payload);
+
+  /// Send a span of trivially copyable elements: copies it into a fresh
+  /// payload and sends that by move.
   template <typename T>
   void send(int dst, int tag, std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dst, tag,
-               {reinterpret_cast<const std::byte*>(data.data()),
-                data.size_bytes()});
+    const auto* p = reinterpret_cast<const std::byte*>(data.data());
+    send(dst, tag, std::vector<std::byte>(p, p + data.size_bytes()));
   }
 
   template <typename T>
@@ -98,15 +104,10 @@ class Comm {
   }
 
   /// Receive a message from exactly (src, tag); returns its elements.
+  /// recv<std::byte> hands back the sender's payload itself, by move.
   template <typename T>
   std::vector<T> recv(int src, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> bytes = recv_bytes(src, tag);
-    CHAOS_CHECK(bytes.size() % sizeof(T) == 0,
-                "received payload size is not a multiple of element size");
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
+    return from_payload<T>(recv_bytes(src, tag));
   }
 
   template <typename T>
@@ -125,13 +126,9 @@ class Comm {
   /// still in modeled transit.
   template <typename T>
   bool try_recv(int src, int tag, std::vector<T>& out) {
-    static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> bytes;
     if (!try_recv_bytes(src, tag, bytes)) return false;
-    CHAOS_CHECK(bytes.size() % sizeof(T) == 0,
-                "received payload size is not a multiple of element size");
-    out.resize(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+    out = from_payload<T>(std::move(bytes));
     return true;
   }
 
@@ -369,9 +366,24 @@ class Comm {
   friend class Machine;
   Comm(Machine& m, int rank);
 
-  void send_bytes(int dst, int tag, std::span<const std::byte> bytes);
   std::vector<std::byte> recv_bytes(int src, int tag);
   bool try_recv_bytes(int src, int tag, std::vector<std::byte>& out);
+
+  /// A popped payload as elements: the payload itself for std::byte, a
+  /// typed copy otherwise.
+  template <typename T>
+  static std::vector<T> from_payload(std::vector<std::byte>&& bytes) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if constexpr (std::is_same_v<T, std::byte>) {
+      return std::move(bytes);
+    } else {
+      CHAOS_CHECK(bytes.size() % sizeof(T) == 0,
+                  "received payload size is not a multiple of element size");
+      std::vector<T> out(bytes.size() / sizeof(T));
+      if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+      return out;
+    }
+  }
 
   // Staged-collective protocol: publish own contribution, then read peers',
   // then finish (which synchronizes and charges modeled cost).

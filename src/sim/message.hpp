@@ -8,7 +8,9 @@ namespace chaos::sim {
 
 /// A point-to-point message in flight. `arrival` is the virtual time at
 /// which the payload becomes available at the receiver (sender departure
-/// time plus modeled transfer time).
+/// time plus modeled transfer time). The payload is the sender's buffer,
+/// moved in by Comm::send and moved out to the receiver by the pop: it is
+/// packed once and owned by the receiver afterwards, never copied.
 struct Message {
   int src = -1;
   int tag = 0;

@@ -32,6 +32,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -713,6 +715,138 @@ TEST(ScheduleCompile, RandomizedHandBuiltSchedulesMatchTheOracle) {
   // The sweep must actually reach the shapes it exists for.
   EXPECT_TRUE(saw_group);
   EXPECT_TRUE(saw_self);
+}
+
+// ---- mixed element types coalesced into one batch --------------------------
+
+/// A 1-byte and a 12-byte trivially copyable element. Coalesced behind
+/// doubles and int32s, their segments, and every segment after them, start
+/// at wire offsets misaligned for the element type.
+struct Byte1 {
+  std::uint8_t v = 0;
+  friend bool operator==(const Byte1&, const Byte1&) = default;
+};
+struct Rec12 {
+  std::int32_t id = 0;
+  float w = 0.0f;
+  std::int32_t tag = 0;
+  friend bool operator==(const Rec12&, const Rec12&) = default;
+};
+static_assert(sizeof(Byte1) == 1 && sizeof(Rec12) == 12);
+std::ostream& operator<<(std::ostream& os, const Byte1& b) {
+  return os << static_cast<int>(b.v);
+}
+std::ostream& operator<<(std::ostream& os, const Rec12& r) {
+  return os << "{" << r.id << ", " << r.w << ", " << r.tag << "}";
+}
+
+/// Per rank: the arrays one mixed batch leaves behind.
+struct MixedRun {
+  std::vector<double> d;
+  std::vector<std::int32_t> i;
+  std::vector<Byte1> b;
+  std::vector<Rec12> r;
+  std::vector<float> f;         ///< scatter_add target
+  std::vector<Rec12> migrated;  ///< post_migrate output
+};
+
+/// Gathers of double, int32, Byte1 and Rec12 over the shape's forward
+/// schedule, a scatter_add<float> over its reverse and a migrate of
+/// Rec12 items: the oracle runs them one at a time, the engine posts all
+/// six into ONE batch, so each peer gets a single mixed-type message.
+std::vector<MixedRun> run_mixed_batch(const HandShape& h, Exec exec,
+                                      std::uint64_t seed) {
+  std::vector<MixedRun> out(static_cast<std::size_t>(h.P));
+  Machine m(h.P);
+  m.run([&](Comm& comm) {
+    const int me = comm.rank();
+    const Schedule fwd = hand_schedule(h, me, /*with_self=*/true);
+    const Schedule rev = hand_schedule(h, me, /*with_self=*/false);
+    const auto extent =
+        static_cast<std::size_t>(h.extent[static_cast<std::size_t>(me)]);
+    MixedRun& o = out[static_cast<std::size_t>(me)];
+    for (std::size_t k = 0; k < extent; ++k) {
+      const auto v = static_cast<std::int32_t>(k) + 1000 * me;
+      o.d.push_back(3.0 * v + 0.125);
+      o.i.push_back(-7 * v);
+      o.b.push_back(Byte1{static_cast<std::uint8_t>(31 * v + 5)});
+      o.r.push_back(Rec12{v, 0.5f * static_cast<float>(v), ~v});
+      o.f.push_back(0.1f * static_cast<float>(v) + 0.3f);
+    }
+    Rng rng(seed * 7919 + static_cast<std::uint64_t>(me));
+    std::vector<Rec12> items;
+    std::vector<int> dest;
+    for (std::uint64_t n = rng.below(24); n > 0; --n) {
+      const auto id = static_cast<std::int32_t>(items.size()) + 100 * me;
+      items.push_back(Rec12{id, 1.5f * static_cast<float>(id), -id});
+      dest.push_back(static_cast<int>(
+          rng.below(static_cast<std::uint64_t>(h.P))));
+    }
+    const core::LightweightSchedule lw =
+        core::LightweightSchedule::build(comm, dest);
+
+    if (exec == Exec::kOracle) {
+      ts::reference_gather<double>(comm, fwd, o.d);
+      ts::reference_gather<std::int32_t>(comm, fwd, o.i);
+      ts::reference_gather<Byte1>(comm, fwd, o.b);
+      ts::reference_gather<Rec12>(comm, fwd, o.r);
+      ts::reference_scatter_add<float>(comm, rev, o.f);
+      core::scatter_append<Rec12>(comm, lw, items, o.migrated);
+      return;
+    }
+    const auto lower = [&](const Schedule& sched) {
+      return exec == Exec::kVerbatim ? compile::SchedulePlan::verbatim(sched)
+                                     : compile::SchedulePlan::compile(sched);
+    };
+    const compile::SchedulePlan fplan = lower(fwd), rplan = lower(rev);
+    comm::Engine engine(comm);
+    engine.post_gather<double>(fwd, o.d, fplan);
+    engine.post_gather<std::int32_t>(fwd, o.i, fplan);
+    engine.post_gather<Byte1>(fwd, o.b, fplan);
+    engine.post_gather<Rec12>(fwd, o.r, fplan);
+    engine.post_scatter_add<float>(rev, o.f, rplan);
+    engine.post_migrate<Rec12>(lw, items, o.migrated);
+    engine.wait_all();
+  });
+  return out;
+}
+
+TEST(ScheduleCompile, MixedTypeBatchWithMisalignedSegmentsMatchesTheOracle) {
+  const std::uint64_t seeds = seed_count(12, "CHAOS_COMPILE_SEEDS");
+  const std::uint64_t base = env_seed_u64("CHAOS_COMPILE_SEED_BASE", 1);
+  bool saw_misaligned = false;
+  for (std::uint64_t s = 0; s < seeds; ++s) {
+    SCOPED_TRACE("seed " + std::to_string(base + s));
+    const HandShape shape = draw_hand_shape(base + s);
+    // Each peer's message holds n elements per gather (8+4+1 bytes before
+    // the Rec12 segment), so the Rec12, float and migrate segments start
+    // misaligned for their 4-byte types whenever n % 4 != 0.
+    std::map<std::pair<int, int>, std::size_t> n;
+    for (const HandLink& k : shape.links)
+      if (k.src != k.dst) n[{k.src, k.dst}] += k.send.size();
+    for (const auto& [link, count] : n)
+      saw_misaligned = saw_misaligned || count % 4 != 0;
+
+    const auto oracle = run_mixed_batch(shape, Exec::kOracle, base + s);
+    for (Exec exec : {Exec::kVerbatim, Exec::kCompiled}) {
+      const auto got = run_mixed_batch(shape, exec, base + s);
+      for (int r = 0; r < shape.P; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        const std::string at = std::string(exec == Exec::kVerbatim
+                                               ? "verbatim"
+                                               : "compiled") +
+                               ", rank " + std::to_string(r);
+        EXPECT_TRUE(ts::spans_equal(got[i].d, oracle[i].d, "double " + at));
+        EXPECT_TRUE(ts::spans_equal(got[i].i, oracle[i].i, "int32 " + at));
+        EXPECT_TRUE(ts::spans_equal(got[i].b, oracle[i].b, "Byte1 " + at));
+        EXPECT_TRUE(ts::spans_equal(got[i].r, oracle[i].r, "Rec12 " + at));
+        EXPECT_TRUE(ts::spans_equal(got[i].f, oracle[i].f, "float " + at));
+        EXPECT_TRUE(ts::spans_equal(got[i].migrated, oracle[i].migrated,
+                                    "migrate " + at));
+      }
+    }
+  }
+  EXPECT_TRUE(saw_misaligned);
 }
 
 // ---- cross-epoch counters --------------------------------------------------
