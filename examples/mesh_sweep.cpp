@@ -12,38 +12,25 @@
 // at iteration start and the short-family scatter stays in flight across
 // the long-range compute (the CHARMM bonded/non-bonded shape on a mesh).
 // Pipelined and eager arms must be bitwise identical; the example exits
-// nonzero otherwise, so the ctest smoke-run doubles as the check.
+// nonzero otherwise, so the ctest smoke-run doubles as the check. The
+// set-up and graph declaration live in mesh_sweep.hpp, which chaos-verify
+// certifies as is.
 //
 // Run: ./mesh_sweep [ranks]
 #include <cstdlib>
 #include <iostream>
 #include <vector>
 
-#include "lang/array.hpp"
-#include "runtime/runtime.hpp"
-#include "runtime/step_graph.hpp"
+#include "mesh_sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace chaos;
-using core::GlobalIndex;
+using examples::MeshSweep;
 
-constexpr GlobalIndex kNodes = 1024;
+constexpr GlobalIndex kNodes = MeshSweep::kNodes;
 constexpr int kIters = 30;
-constexpr double kDt = 0.05;
-
-/// Endpoint pairs (a, b) of one edge family, one edge per owned node.
-std::vector<GlobalIndex> family_edges(const std::vector<GlobalIndex>& owned,
-                                      GlobalIndex mul, GlobalIndex add) {
-  std::vector<GlobalIndex> refs;
-  refs.reserve(owned.size() * 2);
-  for (GlobalIndex a : owned) {
-    refs.push_back(a);
-    refs.push_back((a * mul + add) % kNodes);
-  }
-  return refs;
-}
 
 struct ArmResult {
   std::vector<double> u;
@@ -56,54 +43,12 @@ ArmResult run_arm(int ranks, bool pipelining) {
   sim::Machine machine(ranks);
   machine.run([&](sim::Comm& comm) {
     Runtime rt(comm);
-    // Scattered node ownership, as a graph partitioner would produce.
-    std::vector<int> map(static_cast<std::size_t>(kNodes));
-    for (GlobalIndex g = 0; g < kNodes; ++g)
-      map[static_cast<std::size_t>(g)] = static_cast<int>((g * 5 + 2) % ranks);
-    const DistHandle d = rt.irregular(map);
-
-    Array<double> u(rt, d, "u");
-    Array<double> du_short(rt, d, "du_short"), du_long(rt, d, "du_long");
-    u.fill([](GlobalIndex g) {
-      return static_cast<double>(g % 17) - 8.0;  // rough initial field
-    });
-
-    lang::IndirectionArray mesh(family_edges(u.globals(), 1, 1));
-    lang::IndirectionArray diag(family_edges(u.globals(), 31, 11));
-    const ScheduleHandle hm = rt.inspect(d, mesh);
-    const ScheduleHandle hd = rt.inspect(d, diag);
-    const std::span<const GlobalIndex> lm = rt.local_refs(rt.bind(d, mesh));
-    const std::span<const GlobalIndex> ld = rt.local_refs(rt.bind(d, diag));
-
-    // Per-edge flux f = w*(u[b]-u[a]) accumulated du[a] += f, du[b] -= f.
-    const auto sweep = [&](std::span<const GlobalIndex> edges,
-                           Array<double>& du, double w) {
-      for (GlobalIndex i = 0; i < du.owned(); ++i) du[i] = 0.0;
-      for (std::size_t e = 0; e + 1 < edges.size(); e += 2) {
-        const double flux = w * (u[edges[e + 1]] - u[edges[e]]);
-        du[edges[e]] += flux;
-        du[edges[e + 1]] -= flux;
-      }
-      comm.charge_work(static_cast<double>(edges.size()) * 3.0);
-    };
-
-    StepGraph g(rt);
+    MeshSweep m(rt);
+    StepGraph& g = m.graph;
     g.set_pipelining(pipelining);
-    g.set_strict(true);  // static verification gates arming (chaos-verify)
-    g.step("sweep_mesh")
-        .bind(in(u).via(hm), sum(du_short).via(hm))
-        .compute([&] { sweep(lm, du_short, 0.25); });
-    g.step("sweep_diag")
-        .bind(in(u).via(hd), sum(du_long).via(hd))
-        .compute([&] { sweep(ld, du_long, 0.0625); });
-    g.step("advance")
-        .bind(use(du_short), use(du_long), update(u))
-        .compute([&] {
-          for (GlobalIndex i = 0; i < u.owned(); ++i)
-            u[i] += kDt * (du_short[i] + du_long[i]);
-          comm.charge_work(static_cast<double>(u.owned()) * 2.0);
-        });
+    g.set_strict(true);  // static verification gates arming
     rt.run(g, kIters);
+    const Array<double>& u = m.u;
 
     struct IdVal {
       GlobalIndex id;

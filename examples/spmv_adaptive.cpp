@@ -10,129 +10,42 @@
 // rows are repartitioned by nonzero load (Array::retarget + graph
 // retarget onto the seeded successor epoch). Both arms — pipelined and
 // eager — must be bitwise identical; the example exits nonzero otherwise,
-// so the ctest smoke-run doubles as the equivalence check.
+// so the ctest smoke-run doubles as the equivalence check. The set-up,
+// graph declaration and adaptation steps live in spmv_adaptive.hpp, which
+// chaos-verify certifies as is.
 //
 // Run: ./spmv_adaptive [ranks]
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
 
-#include "lang/array.hpp"
-#include "runtime/runtime.hpp"
-#include "runtime/step_graph.hpp"
+#include "spmv_adaptive.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace chaos;
-using core::GlobalIndex;
+using examples::SpmvAdaptive;
 
-constexpr GlobalIndex kRows = 768;
+constexpr GlobalIndex kRows = SpmvAdaptive::kRows;
 constexpr int kIters = 24;
-
-// The (deterministic) adaptive sparsity pattern: row g in phase p.
-GlobalIndex nnz(GlobalIndex g, int p) { return 3 + (g * 7 + p) % 5; }
-GlobalIndex col(GlobalIndex g, GlobalIndex k, int p) {
-  return (g * 13 + k * 17 + static_cast<GlobalIndex>(p) * 29 + 3) % kRows;
-}
-double coeff(GlobalIndex g, GlobalIndex k) {
-  return 1.0 / (1.0 + static_cast<double>((g + 2 * k) % 7));
-}
-
-/// CSR of the owned rows: row_ptr over `rows`, columns concatenated.
-void build_rows(const std::vector<GlobalIndex>& rows, int phase,
-                std::vector<GlobalIndex>& row_ptr,
-                std::vector<GlobalIndex>& cols) {
-  row_ptr.assign(1, 0);
-  cols.clear();
-  for (GlobalIndex g : rows) {
-    for (GlobalIndex k = 0; k < nnz(g, phase); ++k)
-      cols.push_back(col(g, k, phase));
-    row_ptr.push_back(static_cast<GlobalIndex>(cols.size()));
-  }
-}
-
-/// Row->rank map balancing the nonzero counts (replicated computation).
-std::vector<int> balance_by_nnz(int ranks, int phase) {
-  double total = 0;
-  for (GlobalIndex g = 0; g < kRows; ++g)
-    total += static_cast<double>(nnz(g, phase));
-  std::vector<int> map(static_cast<std::size_t>(kRows));
-  double seen = 0;
-  for (GlobalIndex g = 0; g < kRows; ++g) {
-    map[static_cast<std::size_t>(g)] = std::min(
-        ranks - 1, static_cast<int>(seen / total * ranks));
-    seen += static_cast<double>(nnz(g, phase));
-  }
-  return map;
-}
 
 std::vector<double> run_arm(int ranks, bool pipelining) {
   std::vector<double> result(static_cast<std::size_t>(kRows), 0.0);
   sim::Machine machine(ranks);
   machine.run([&](sim::Comm& comm) {
     Runtime rt(comm);
-    DistHandle d = rt.irregular(balance_by_nnz(ranks, 0));
-    Array<double> x(rt, d, "x"), y(rt, d, "y");
-    x.fill([](GlobalIndex g) { return 1.0 + static_cast<double>(g % 5); });
-
-    int phase = 0;
-    std::vector<GlobalIndex> row_ptr, cols;
-    build_rows(x.globals(), phase, row_ptr, cols);
-    lang::IndirectionArray cols_ind{std::vector<GlobalIndex>(cols)};
-    ScheduleHandle h = rt.inspect(d, cols_ind);
-    std::span<const GlobalIndex> lcols = rt.local_refs(rt.bind(d, cols_ind));
-
-    StepGraph g(rt);
-    g.set_pipelining(pipelining);
-    g.set_strict(true);  // static verification gates arming (chaos-verify)
-    g.step("spmv").bind(in(x).via(h), update(y)).compute([&] {
-      for (GlobalIndex r = 0; r < y.owned(); ++r) {
-        double acc = 0;
-        for (GlobalIndex at = row_ptr[static_cast<std::size_t>(r)];
-             at < row_ptr[static_cast<std::size_t>(r) + 1]; ++at)
-          acc += coeff(y.globals()[static_cast<std::size_t>(r)],
-                       at - row_ptr[static_cast<std::size_t>(r)]) *
-                 x[lcols[static_cast<std::size_t>(at)]];
-        y[r] = acc;
-      }
-      comm.charge_work(static_cast<double>(cols.size()) * 4.0);
-    });
-    g.step("normalize").bind(use(y), update(x)).compute([&] {
-      double sq = 0;
-      for (GlobalIndex r = 0; r < y.owned(); ++r) sq += y[r] * y[r];
-      const double norm = std::sqrt(comm.allreduce_sum(sq));
-      for (GlobalIndex r = 0; r < x.owned(); ++r) x[r] = y[r] / norm;
-    });
+    SpmvAdaptive s(rt);
+    s.graph.set_pipelining(pipelining);
+    s.graph.set_strict(true);  // static verification gates arming
 
     for (int it = 0; it < kIters; ++it) {
-      if (it == kIters / 3) {  // adaptive sparsity: new pattern, re-inspect
-        g.quiesce();
-        phase = 1;
-        build_rows(x.globals(), phase, row_ptr, cols);
-        cols_ind.assign(std::vector<GlobalIndex>(cols));
-        h = rt.inspect(d, cols_ind);  // same handle, regenerated in place
-        lcols = rt.local_refs(rt.bind(d, cols_ind));
-      }
-      if (it == 2 * kIters / 3) {  // repartition rows by nonzero load
-        g.quiesce();  // hoisted gathers hold spans into x until completion
-        const DistHandle d2 = rt.repartition(d, balance_by_nnz(ranks, phase));
-        const ScheduleHandle plan = rt.plan_remap(d, d2);
-        x.retarget(plan, d2);
-        y.retarget(plan, d2);
-        build_rows(x.globals(), phase, row_ptr, cols);
-        cols_ind.assign(std::vector<GlobalIndex>(cols));
-        const ScheduleHandle h2 = rt.inspect(d2, cols_ind);
-        g.retarget(h, h2);  // quiesces, re-arms onto the successor epoch
-        lcols = rt.local_refs(rt.bind(d2, cols_ind));
-        rt.retire(d);
-        d = d2;
-        h = h2;
-      }
-      g.advance();
+      if (it == kIters / 3) s.adapt_sparsity();  // new pattern, re-inspect
+      if (it == 2 * kIters / 3) s.repartition();  // rows by nonzero load
+      s.graph.advance();
     }
-    g.quiesce();
+    s.graph.quiesce();
+    const Array<double>& x = s.x;
 
     // Collect the final iterate in global order (harness, untimed).
     struct IdVal {

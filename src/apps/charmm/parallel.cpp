@@ -6,6 +6,7 @@
 
 #include "apps/charmm/forces.hpp"
 #include "balance/monitor.hpp"
+#include "balance/service.hpp"
 #include "partition/diffusion.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/step_graph.hpp"
@@ -487,25 +488,13 @@ class Driver {
     std::vector<int> forced;
     if (a == Action::kDiffuse) {
       // Replicated per-atom weights (the §4.1 partner-count model) give
-      // the mover exact bookkeeping; the rank-uniform fallback oscillates
-      // on skewed partner counts (partition/diffusion.hpp).
-      struct AtomWeight {
-        GlobalIndex id;
-        double w;
-      };
-      std::vector<AtomWeight> local(my_globals_.size());
-      for (std::size_t r = 0; r < my_globals_.size(); ++r) {
-        double wt = 1.0;
-        if (r + 1 < nb_.inblo.size())
-          wt = 2.0 + static_cast<double>(nb_.inblo[r + 1] - nb_.inblo[r]);
-        local[r] = {my_globals_[r], wt};
-      }
-      const auto& amap = rt_.dist(dist_).map();
-      std::vector<double> atom_w(amap.size(), 0.0);
-      for (const AtomWeight& aw : comm_.allgatherv<AtomWeight>(local))
-        atom_w[static_cast<std::size_t>(aw.id)] = aw.w;
-      part::DiffusionResult diff = part::diffuse_partition(
-          amap, w.load, policy_->config().target_balance, atom_w);
+      // the mover exact bookkeeping on skewed partner counts.
+      std::vector<double> atom_w(my_globals_.size(), 1.0);
+      for (std::size_t r = 0; r < atom_w.size() && r + 1 < nb_.inblo.size(); ++r)
+        atom_w[r] = 2.0 + static_cast<double>(nb_.inblo[r + 1] - nb_.inblo[r]);
+      part::DiffusionResult diff = balance::diffuse_replicated(
+          comm_, rt_.dist(dist_).map(), my_globals_, atom_w, w.load,
+          policy_->config().target_balance);
       if (diff.moved == 0) {
         a = Action::kRebuild;  // nothing diffusible: fall back to a rebuild
       } else {

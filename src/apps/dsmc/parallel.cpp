@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "balance/monitor.hpp"
+#include "balance/service.hpp"
 #include "partition/diffusion.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/step_graph.hpp"
@@ -487,21 +488,10 @@ class Driver {
       const double t0 = comm_.now();
       if (act == balance::Action::kDiffuse) {
         // Replicated per-cell particle counts give the mover exact
-        // bookkeeping; the rank-uniform fallback oscillates when cell
-        // populations are skewed (partition/diffusion.hpp).
-        struct CellWeight {
-          GlobalIndex c;
-          double w;
-        };
-        const std::vector<double> loads = cell_loads();
-        std::vector<CellWeight> local(my_cells_.size());
-        for (std::size_t i = 0; i < my_cells_.size(); ++i)
-          local[i] = {my_cells_[i], loads[i]};
-        std::vector<double> cell_w(static_cast<size_t>(p_.n_cells()), 0.0);
-        for (const CellWeight& cw : comm_.allgatherv<CellWeight>(local))
-          cell_w[static_cast<size_t>(cw.c)] = cw.w;
-        part::DiffusionResult diff = part::diffuse_partition(
-            cell_map_, w.load, policy_->config().target_balance, cell_w);
+        // bookkeeping when cell populations are skewed.
+        part::DiffusionResult diff = balance::diffuse_replicated(
+            comm_, cell_map_, my_cells_, cell_loads(), w.load,
+            policy_->config().target_balance);
         if (diff.moved == 0) return;
         apply_map(std::move(diff.map));
         ++diffusions_;

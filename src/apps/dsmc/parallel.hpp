@@ -21,9 +21,9 @@ enum class MigrationMode {
 
 /// How the per-step collide/move cycle is driven.
 enum class DsmcExecutor {
-  /// Declarative chaos::StepGraph (primary): the move step declares
-  /// migrates(mine, dest, arrived) and the runtime defers the migration
-  /// wait to the next collide's derived dependence on `mine`.
+  /// Declarative chaos::StepGraph (primary): the move step binds
+  /// migrate(mine).to(dest).into(arrived) and the runtime defers the
+  /// migration wait to the next collide's derived dependence on `mine`.
   kStepGraph,
   /// The same graph, eager post/flush/wait — the bitwise reference arm.
   kStepGraphEager,

@@ -35,6 +35,26 @@ struct ServiceState {
         monitor(comm, policy->config().window_steps) {}
 };
 
+part::DiffusionResult diffuse_replicated(sim::Comm& comm,
+                                         std::span<const int> map,
+                                         std::span<const GlobalIndex> ids,
+                                         std::span<const double> weights,
+                                         std::span<const double> rank_loads,
+                                         double target_balance) {
+  CHAOS_CHECK(ids.size() == weights.size(),
+              "diffuse_replicated: one weight per owned id");
+  struct IdWeight {
+    GlobalIndex id;
+    double w;
+  };
+  std::vector<IdWeight> mine(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) mine[i] = {ids[i], weights[i]};
+  std::vector<double> elem_w(map.size(), 0.0);
+  for (const IdWeight& iw : comm.allgatherv<IdWeight>(mine))
+    elem_w[static_cast<std::size_t>(iw.id)] = iw.w;
+  return part::diffuse_partition(map, rank_loads, target_balance, elem_w);
+}
+
 }  // namespace balance
 
 Runtime::Runtime(sim::Comm& comm) : comm_(comm) {}
@@ -99,31 +119,22 @@ bool Runtime::balance_step(StepGraph& graph) {
   DistHandle to;
   if (a == Action::kDiffuse) {
     const auto& pmap = dist(from).map();
+    const double target = st.policy->config().target_balance;
     // Exact per-element weights whenever the app can attribute its load:
-    // pair this rank's owned-offset weights with its ascending owned ids
-    // and replicate. The fallback rank-uniform model oscillates on
-    // mixed-weight populations (see partition/diffusion.hpp).
-    std::vector<double> ew;
+    // this rank's owned-offset weights belong to its ascending owned ids.
+    part::DiffusionResult diff;
     if (st.binding.weights) {
       const std::vector<double> mine = st.binding.weights();
-      struct IdWeight {
-        int id;
-        double w;
-      };
-      std::vector<IdWeight> contrib;
-      contrib.reserve(mine.size());
-      std::size_t k = 0;
-      for (std::size_t g = 0; g < pmap.size(); ++g) {
-        if (pmap[g] == comm_.rank() && k < mine.size())
-          contrib.push_back({static_cast<int>(g), mine[k++]});
+      std::vector<GlobalIndex> ids;
+      for (std::size_t g = 0; g < pmap.size() && ids.size() < mine.size();
+           ++g) {
+        if (pmap[g] == comm_.rank()) ids.push_back(static_cast<GlobalIndex>(g));
       }
-      ew.assign(pmap.size(), 0.0);
-      for (const IdWeight& c :
-           comm_.allgatherv<IdWeight>(std::span<const IdWeight>(contrib)))
-        ew[static_cast<std::size_t>(c.id)] = c.w;
+      diff = balance::diffuse_replicated(
+          comm_, pmap, ids, std::span(mine).first(ids.size()), w.load, target);
+    } else {
+      diff = part::diffuse_partition(pmap, w.load, target);
     }
-    part::DiffusionResult diff = part::diffuse_partition(
-        pmap, w.load, st.policy->config().target_balance, ew);
     if (diff.moved == 0) {
       // Nothing diffusible (e.g. the hot rank owns a single element):
       // escalate to a rebuild when the binding allows one, otherwise pass.

@@ -25,10 +25,12 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "lang/array.hpp"
+#include "partition/diffusion.hpp"
 #include "runtime/runtime.hpp"
 
 namespace chaos::balance {
@@ -68,5 +70,21 @@ struct Binding {
         [&a](ScheduleHandle plan, DistHandle to) { a.retarget(plan, to); });
   }
 };
+
+/// The diffusion strategy under exact per-element weights, shared by the
+/// service and the apps' own autonomic paths: pair this rank's owned
+/// `ids` with their `weights` (one each), replicate the pairs in one
+/// allgatherv of 16-byte records, spread them into a dense per-element
+/// vector over `map`, and run part::diffuse_partition toward
+/// `target_balance`. Collective; every rank returns the same result. The
+/// rank-uniform fallback (no weights) oscillates on mixed-weight
+/// populations (partition/diffusion.hpp), so callers that can attribute
+/// load to elements use this.
+part::DiffusionResult diffuse_replicated(sim::Comm& comm,
+                                         std::span<const int> map,
+                                         std::span<const GlobalIndex> ids,
+                                         std::span<const double> weights,
+                                         std::span<const double> rank_loads,
+                                         double target_balance);
 
 }  // namespace chaos::balance

@@ -1,13 +1,14 @@
 // Array-access descriptors for the declarative step-graph executor.
 //
-// A step declares *what* it touches — which distributed array, through
+// A step states *what* it touches — which distributed array, through
 // which communication pattern — instead of choreographing post/flush/wait
-// by hand. The runtime derives RAW/WAR/WAW hazards between steps from
-// these declarations and pipelines the communication of independent steps
+// by hand. The descriptors are inferred from the typed views a step binds
+// (lang/array.hpp); the runtime derives RAW/WAR/WAW hazards between steps
+// from them and pipelines the communication of independent steps
 // (runtime/step_graph.hpp). The vocabulary lives here in lang/ because it
 // is part of the language surface: the same declarations a compiler would
 // emit from FORALL access analysis (paper §5.2) and that Rolinger et al.
-// style access declarations expose for irregular PGAS loops.
+// infer from access expressions in irregular PGAS loops.
 #pragma once
 
 #include <cstdint>
@@ -16,21 +17,21 @@ namespace chaos::lang {
 
 /// How one step touches one array.
 enum class AccessKind : std::uint8_t {
-  kGather,      ///< reads(a, via): fetch off-processor ghosts before compute
-  kScatter,     ///< writes(a, via): push ghost writes to owners after compute
-  kScatterAdd,  ///< writes_add(a, via): combine ghost contributions at owners
-  kMigrate,     ///< migrates(items, dest, out): light-weight item motion
-  kLocalRead,   ///< uses(a): the compute callback reads `a`, no communication
-  kLocalWrite,  ///< updates(a): the compute callback writes `a`, no comm
+  kGather,      ///< in(a).via(h): fetch off-processor ghosts before compute
+  kScatter,     ///< out(a).via(h): push ghost writes to owners after compute
+  kScatterAdd,  ///< sum(a).via(h): combine ghost contributions at owners
+  kMigrate,     ///< migrate(items).to(dest).into(out): light-weight motion
+  kLocalRead,   ///< use(a): the compute callback reads `a`, no communication
+  kLocalWrite,  ///< update(a): the compute callback writes `a`, no comm
 };
 // Note: the current hazard analysis is conservative and treats both local
 // kinds alike (a hoisted gather's early ghost delivery is observable to
-// readers as well as writers) — declare the weaker uses() when the
+// readers as well as writers) — bind the weaker use() when the
 // compute only reads; the distinction stays available for a finer future
 // analysis.
 
-/// Short human-readable name of an access kind (error messages: the
-/// hand-declared vs inferred agreement check renders both sets with it).
+/// Short human-readable name of an access kind — the view factory that
+/// produces it (error messages and analyzer subjects).
 constexpr const char* to_string(AccessKind k) {
   switch (k) {
     case AccessKind::kGather: return "in";

@@ -3,13 +3,12 @@
 // way arrays are bound into loop bodies.
 //
 // The paper's compiler support (§5) works because the compiler can see
-// which arrays a FORALL gathers, scatters, or reduces into; our
-// reproduction transcribed that knowledge by hand into StepGraph
-// declarations (reads/writes_add/...), which can silently drift from the
-// compute lambdas that actually touch the data. The typed view API closes
-// the gap the way PGAS compilers infer communication from access
-// expressions (Rolinger et al.): the binding expression IS the access
-// declaration, and the bound object IS the gather/scatter buffer.
+// which arrays a FORALL gathers, scatters, or reduces into. The typed view
+// API gives the runtime the same knowledge the way PGAS compilers infer
+// communication from access expressions (Rolinger et al.): the binding
+// expression IS the access declaration, and the bound object IS the
+// gather/scatter buffer — there is no second statement of the accesses
+// that could drift from the data the compute touches.
 //
 //   chaos::Array<double> x(rt, dist, "x"), f(rt, dist, "f");
 //   graph.step("force")
@@ -33,12 +32,11 @@
 // Inside chaos::forall the .via(h) is optional — the loop's own inspected
 // schedule is used. Factories accept both chaos::Array<T> (typed facade:
 // automatic extent management, named traffic/error attribution, retarget
-// guards) and raw std::vector<T> (the caller keeps sizing duties, exactly
-// like the hand-declared Step methods).
-//
-// Hand-declared Step sets remain available as a *checked escape hatch*:
-// when a step carries both hand declarations and view bindings, the two
-// access sets must agree or the graph refuses to arm (Step::resolve).
+// guards) and raw std::vector<T> (the caller keeps sizing duties: the
+// container must be sized to the schedule's extent, and the span is
+// re-read at post time). Views are the only way a step states its
+// accesses; the raw post/flush/wait surface (rt.gather_async & friends)
+// stays the low-level route for patterns no step graph expresses.
 #pragma once
 
 #include <cstdint>
@@ -188,9 +186,6 @@ struct Binding {
   /// not also gather the same array — the ghost slots cannot hold both
   /// the gathered values and zeroed accumulation (Step::resolve rejects).
   bool zeroes_ghosts = false;
-  /// Migrate bindings: the destination-ranks container, so the
-  /// hand-declared-vs-inferred agreement check catches a drifted .to().
-  const void* migrate_dest = nullptr;
 
   /// Attach a diagnostic name to a raw-container binding — Array-backed
   /// bindings already carry the registered name. Error messages, traffic
@@ -253,8 +248,8 @@ Binding comm_binding(lang::AccessKind kind, Array<T>* a) {
   return b;
 }
 
-/// Raw-container flavor: no sizing duties taken over (exactly the
-/// hand-declared Step semantics — the span is re-read at post time).
+/// Raw-container flavor: no sizing duties taken over — the span is
+/// re-read at post time.
 template <typename T>
 Binding comm_binding(lang::AccessKind kind, std::vector<T>* v) {
   Binding b;
@@ -322,7 +317,6 @@ class MigrateView {
                 "migrate(items): call .to(dest_procs) before .into(out)");
     Binding b;
     b.decl = {lang::AccessKind::kMigrate, items_, &out};
-    b.migrate_dest = dest_;
     std::vector<T>* items = items_;
     const std::vector<int>* dest = dest_;
     std::vector<T>* o = &out;

@@ -1,7 +1,6 @@
 #include "runtime/step_graph.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "verify/analyzer.hpp"
 
@@ -55,9 +54,9 @@ void Step::bind_view(views::Binding b) {
       a.expected_revision = a.revision ? a.revision() : 0;
       a.zeroes_ghosts = b.zeroes_ghosts;
       if (b.decl.kind == lang::AccessKind::kGather)
-        view_gathers_.push_back(std::move(a));
+        gathers_.push_back(std::move(a));
       else
-        view_writes_.push_back(std::move(a));
+        writes_.push_back(std::move(a));
       break;
     }
     case lang::AccessKind::kMigrate: {
@@ -65,8 +64,7 @@ void Step::bind_view(views::Binding b) {
       a.decl = b.decl;
       a.post = std::move(b.post);
       a.name = std::move(b.name);
-      a.migrate_dest = b.migrate_dest;
-      view_writes_.push_back(std::move(a));
+      writes_.push_back(std::move(a));
       break;
     }
     case lang::AccessKind::kLocalRead:
@@ -76,107 +74,21 @@ void Step::bind_view(views::Binding b) {
       l.name = std::move(b.name);
       l.revision = std::move(b.revision);
       l.expected_revision = l.revision ? l.revision() : 0;
-      view_locals_.push_back(std::move(l));
+      locals_.push_back(std::move(l));
       break;
     }
   }
 }
 
-std::string Step::render_accesses(
-    const std::vector<CommAccess>& comm,
-    const std::vector<LocalAccess>& locals) const {
-  // Names live on view entries only; recover them for hand-declared
-  // entries by matching container addresses against every known binding.
-  const auto name_of = [&](const void* array) -> std::string {
-    for (const auto* list : {&gathers_, &writes_, &view_gathers_,
-                             &view_writes_}) {
-      for (const CommAccess& a : *list)
-        if (!a.name.empty() && a.decl.touches(array)) return a.name;
-    }
-    for (const auto* list : {&locals_, &view_locals_}) {
-      for (const LocalAccess& l : *list)
-        if (!l.name.empty() && l.decl.array == array) return l.name;
-    }
-    return verify::array_subject({}, array);
-  };
-  std::vector<std::string> parts;
-  for (const CommAccess& a : comm) {
-    std::string p = std::string(lang::to_string(a.decl.kind)) + "(" +
-                    name_of(a.decl.array) + ")";
-    if (a.decl.kind != lang::AccessKind::kMigrate)
-      p += ".via(s" + std::to_string(a.via.id) + ")";
-    parts.push_back(std::move(p));
-  }
-  for (const LocalAccess& l : locals)
-    parts.push_back(std::string(lang::to_string(l.decl.kind)) + "(" +
-                    name_of(l.decl.array) + ")");
-  std::sort(parts.begin(), parts.end());
-  std::string out = "{";
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += ", ";
-    out += parts[i];
-  }
-  return out + "}";
-}
-
 void Step::resolve() {
   if (resolved_) return;
   resolved_ = true;
-  const bool has_view =
-      !view_gathers_.empty() || !view_writes_.empty() || !view_locals_.empty();
-  const bool has_decl =
-      !gathers_.empty() || !writes_.empty() || !locals_.empty();
-  if (has_view && has_decl) {
-    // The escape-hatch contract: hand-declared sets are a redundant
-    // statement of what the views already infer — they must agree exactly
-    // (kind, container(s), schedule, migrate destinations), or the
-    // declaration has drifted from the data access and the graph refuses
-    // to arm.
-    using Key =
-        std::tuple<int, const void*, const void*, const void*, std::uint32_t>;
-    const auto keys = [](const std::vector<CommAccess>& comm,
-                         const std::vector<LocalAccess>& locals) {
-      std::vector<Key> ks;
-      for (const CommAccess& a : comm)
-        ks.emplace_back(static_cast<int>(a.decl.kind), a.decl.array,
-                        a.decl.array2, a.migrate_dest,
-                        a.decl.kind == lang::AccessKind::kMigrate ? 0
-                                                                  : a.via.id);
-      for (const LocalAccess& l : locals)
-        ks.emplace_back(static_cast<int>(l.decl.kind), l.decl.array, nullptr,
-                        nullptr, 0u);
-      std::sort(ks.begin(), ks.end());
-      return ks;
-    };
-    if (keys(gathers_, locals_) != keys(view_gathers_, view_locals_) ||
-        keys(writes_, {}) != keys(view_writes_, {})) {
-      throw Error("step '" + name_ +
-                  "': hand-declared access sets disagree with the sets "
-                  "inferred from bound views — declared " +
-                  render_accesses(gathers_, locals_) + " + writes " +
-                  render_accesses(writes_, {}) + " vs inferred " +
-                  render_accesses(view_gathers_, view_locals_) +
-                  " + writes " + render_accesses(view_writes_, {}) +
-                  "; fix one side (or drop the redundant declaration)");
-    }
-  }
-  if (has_view) {
-    // Adopt the view lists: identical access sets when hand declarations
-    // were present, and they carry the richer metadata (names, retarget
-    // revision guards).
-    gathers_ = std::move(view_gathers_);
-    writes_ = std::move(view_writes_);
-    locals_ = std::move(view_locals_);
-    view_gathers_.clear();
-    view_writes_.clear();
-    view_locals_.clear();
-  }
   // A self-managing accumulator (sum over an Array) zeroes the ghost
   // region just before the compute — gathering the SAME array in the same
   // step would have those ghost slots hold gathered values and zeroed
-  // accumulation at once, and the zeroing would win. Refuse rather than silently wipe the gather; use
-  // the raw-vector convention (the compute owns ghost zeroing) or split
-  // the accesses across steps.
+  // accumulation at once, and the zeroing would win. Refuse rather than
+  // silently wipe the gather; use the raw-vector convention (the compute
+  // owns ghost zeroing) or split the accesses across steps.
   for (const CommAccess& w : writes_) {
     if (!w.zeroes_ghosts) continue;
     for (const CommAccess& g : gathers_) {
@@ -237,8 +149,8 @@ Step::AccessInfo access_info(const lang::AccessDecl& decl,
 std::vector<Step::AccessInfo> Step::declared_gathers() const {
   CHAOS_CHECK(resolved_,
               "step '" + name_ +
-                  "': access introspection before the view/hand sets were "
-                  "folded — call StepGraph::resolve_for_analysis() first");
+                  "': access introspection before the step was resolved — "
+                  "call StepGraph::resolve_for_analysis() first");
   std::vector<AccessInfo> out;
   for (const CommAccess& a : gathers_)
     out.push_back(access_info(a.decl, a.via, a.name, a.zeroes_ghosts,
@@ -249,8 +161,8 @@ std::vector<Step::AccessInfo> Step::declared_gathers() const {
 std::vector<Step::AccessInfo> Step::declared_writes() const {
   CHAOS_CHECK(resolved_,
               "step '" + name_ +
-                  "': access introspection before the view/hand sets were "
-                  "folded — call StepGraph::resolve_for_analysis() first");
+                  "': access introspection before the step was resolved — "
+                  "call StepGraph::resolve_for_analysis() first");
   std::vector<AccessInfo> out;
   for (const CommAccess& a : writes_)
     out.push_back(access_info(a.decl, a.via, a.name, a.zeroes_ghosts,
@@ -261,8 +173,8 @@ std::vector<Step::AccessInfo> Step::declared_writes() const {
 std::vector<Step::AccessInfo> Step::declared_locals() const {
   CHAOS_CHECK(resolved_,
               "step '" + name_ +
-                  "': access introspection before the view/hand sets were "
-                  "folded — call StepGraph::resolve_for_analysis() first");
+                  "': access introspection before the step was resolved — "
+                  "call StepGraph::resolve_for_analysis() first");
   std::vector<AccessInfo> out;
   for (const LocalAccess& l : locals_)
     out.push_back(access_info(l.decl, ScheduleHandle{}, l.name, false,
@@ -295,7 +207,7 @@ bool StepGraph::step_blocks_hoist(const Step& s,
   // A gather may not be hoisted across a step that touches its array in
   // any way EXCEPT through that step's own gather of the same array (two
   // gathers deliver identical owned values, the engine-coalescing case).
-  // Writers are the obvious hazard; plain readers (uses/updates, or the
+  // Writers are the obvious hazard; plain readers (use/update, or the
   // ghost region a scatter packs) matter too — the hoisted gather's early
   // FIFO delivery would hand them ghost values one write fresher than the
   // eager schedule does.

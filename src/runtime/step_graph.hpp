@@ -3,14 +3,15 @@
 // The imperative executor (Runtime Phase F, comm::Engine) makes the caller
 // choreograph communication: gather_async -> comm_flush -> comm_wait around
 // every loop, by hand, in the right order. The step graph turns that into a
-// declaration problem: the program states *what* each step touches —
+// declaration problem: the program binds the array views each step touches
+// (lang/array.hpp) —
 //
 //   graph.step("nonbonded")
-//       .reads(pos, h_nb)            // gather pos ghosts before compute
-//       .compute([&] { ... })        // runs against localized references
-//       .writes_add(force, h_nbx);   // scatter-add force ghosts after
+//       .bind(in(pos).via(h_nb),      // gather pos ghosts before compute
+//             sum(force).via(h_nb))   // scatter-add force ghosts after
+//       .compute([&] { ... });        // runs against localized references
 //
-// — and the runtime derives the hazards between steps from the declared
+// — and the runtime derives the hazards between steps from the inferred
 // (array, access-kind) sets and schedules the communication itself. Each
 // step's gathers and writes form tag-disjoint comm::Engine batches;
 // independent steps' batches overlap in flight, and step k+1's gathers are
@@ -118,17 +119,10 @@ class ChunkContext {
 
 /// One declared step: communication accesses around one compute callback.
 /// Created by StepGraph::step(); references into it stay valid for the
-/// graph's lifetime.
-///
-/// Two ways to state the accesses:
-///   - typed views (preferred): bind(in(x).via(h), sum(f).via(h), ...) —
-///     the lang::Access sets are INFERRED from the bindings, and the bound
-///     Array/vector doubles as the gather/scatter buffer;
-///   - hand declarations (the low-level escape hatch): reads/writes/
-///     writes_add/migrates/uses/updates.
-/// A step may carry both; they must then describe the same access sets or
-/// the graph refuses to arm (the declaration check a compiler would get
-/// for free from seeing the loop body).
+/// graph's lifetime. The accesses are stated only through typed views —
+/// bind(in(x).via(h), sum(f).via(h), ...): the lang::Access sets are
+/// INFERRED from the bindings, and the bound Array/vector doubles as the
+/// gather/scatter buffer.
 class Step {
  public:
   /// Passkey: only StepGraph can create Steps (via StepGraph::step), but
@@ -150,98 +144,13 @@ class Step {
   /// pre-compute gather, out/sum(x).via(h) a post-compute scatter /
   /// scatter-add, migrate(items).to(d).into(o) a post-compute migration,
   /// use(x)/update(x) local effects. Communication views bound to a step
-  /// must carry .via(schedule) (only forall may omit it).
+  /// must carry .via(schedule) (only forall may omit it). Bind update(x)
+  /// whenever the compute mutates an array other steps gather — it is what
+  /// keeps their gathers from being hoisted across the write. A migrate
+  /// pairs with then() to consume its arrivals once the motion completes.
   template <typename... Bs>
   Step& bind(Bs&&... bs) {
     (bind_view(views::Binding(std::forward<Bs>(bs))), ...);
-    return *this;
-  }
-
-  // ---- hand-declared communication accesses ---------------------------
-
-  /// Gather `data`'s off-processor ghosts through `via` before the
-  /// compute. The container must be sized to the schedule's extent.
-  template <typename T>
-  Step& reads(std::vector<T>& data, ScheduleHandle via) {
-    CommAccess a;
-    a.decl = {lang::AccessKind::kGather, &data, nullptr};
-    a.via = via;
-    a.post = [&data](Runtime& rt, ScheduleHandle h) {
-      return rt.gather_async<T>(h, std::span<T>{data.data(), data.size()});
-    };
-    gathers_.push_back(std::move(a));
-    return *this;
-  }
-
-  /// Push ghost writes of `data` back to their owners after the compute
-  /// (replacement semantics).
-  template <typename T>
-  Step& writes(std::vector<T>& data, ScheduleHandle via) {
-    CommAccess a;
-    a.decl = {lang::AccessKind::kScatter, &data, nullptr};
-    a.via = via;
-    a.post = [&data](Runtime& rt, ScheduleHandle h) {
-      return rt.scatter_async<T>(h, std::span<T>{data.data(), data.size()});
-    };
-    writes_.push_back(std::move(a));
-    return *this;
-  }
-
-  /// Combine ghost contributions of `data` into their owners after the
-  /// compute (scatter-add).
-  template <typename T>
-  Step& writes_add(std::vector<T>& data, ScheduleHandle via) {
-    CommAccess a;
-    a.decl = {lang::AccessKind::kScatterAdd, &data, nullptr};
-    a.via = via;
-    a.post = [&data](Runtime& rt, ScheduleHandle h) {
-      return rt.scatter_add_async<T>(h,
-                                     std::span<T>{data.data(), data.size()});
-    };
-    writes_.push_back(std::move(a));
-    return *this;
-  }
-
-  /// Light-weight migration after the compute: `items[i]` moves to rank
-  /// `dest_procs[i]` (filled in by the compute), arrivals append to `out`.
-  /// Use then() to consume `out` when the motion completes.
-  template <typename T>
-  Step& migrates(std::vector<T>& items, const std::vector<int>& dest_procs,
-                 std::vector<T>& out) {
-    CommAccess a;
-    a.decl = {lang::AccessKind::kMigrate, &items, &out};
-    a.migrate_dest = &dest_procs;
-    a.post = [&items, &dest_procs, &out](Runtime& rt, ScheduleHandle) {
-      CHAOS_CHECK(dest_procs.size() == items.size(),
-                  "migrates: one destination rank per item");
-      return rt.migrate_async<T>(
-          dest_procs, std::span<const T>{items.data(), items.size()}, out);
-    };
-    writes_.push_back(std::move(a));
-    return *this;
-  }
-
-  // ---- local effect declarations ------------------------------------
-
-  /// Declare that the compute callback reads `array` (no communication).
-  template <typename C>
-  Step& uses(const C& array) {
-    locals_.push_back({{lang::AccessKind::kLocalRead, &array, nullptr},
-                       std::string{},
-                       nullptr,
-                       0});
-    return *this;
-  }
-
-  /// Declare that the compute callback writes `array` (no communication).
-  /// Required whenever the compute mutates an array other steps gather —
-  /// it is what keeps their gathers from being hoisted across the write.
-  template <typename C>
-  Step& updates(C& array) {
-    locals_.push_back({{lang::AccessKind::kLocalWrite, &array, nullptr},
-                       std::string{},
-                       nullptr,
-                       0});
     return *this;
   }
 
@@ -308,8 +217,8 @@ class Step {
 
   /// One declared access as the static analyzer sees it: the declaration
   /// plus the view-carried metadata the rules key on. Snapshot semantics —
-  /// `stale` is evaluated at call time. Valid only after the view/hand
-  /// sets are folded (StepGraph::resolve_for_analysis or first advance).
+  /// `stale` is evaluated at call time. Valid only after the step is
+  /// resolved (StepGraph::resolve_for_analysis or first advance).
   struct AccessInfo {
     lang::AccessDecl decl;
     ScheduleHandle via{};
@@ -320,7 +229,7 @@ class Step {
   };
   std::vector<AccessInfo> declared_gathers() const;  ///< pre-compute comm
   std::vector<AccessInfo> declared_writes() const;   ///< post-compute comm
-  std::vector<AccessInfo> declared_locals() const;   ///< uses/updates
+  std::vector<AccessInfo> declared_locals() const;   ///< use/update
   bool chunked() const { return static_cast<bool>(chunk_fn_); }
   /// 0 = chunks keyed by the gather schedules' recv blocks.
   std::size_t fixed_chunk_count() const { return chunk_count_; }
@@ -343,13 +252,9 @@ class Step {
     std::function<std::uint64_t()> revision;
     std::uint64_t expected_revision = 0;
     /// The prepare zeroes the ghost region (self-managing accumulators:
-    /// sum over an Array). Resolve
-    /// rejects combining one with a gather of the same array in the same
-    /// step — the ghost slots cannot hold both.
+    /// sum over an Array). Resolve rejects combining one with a gather of
+    /// the same array in the same step — the ghost slots cannot hold both.
     bool zeroes_ghosts = false;
-    /// Migrate accesses: destination-ranks container, part of the
-    /// hand-declared-vs-inferred agreement identity.
-    const void* migrate_dest = nullptr;
   };
 
   struct LocalAccess {
@@ -359,26 +264,18 @@ class Step {
     std::uint64_t expected_revision = 0;
   };
 
-  /// Route one type-erased view binding into the staging lists.
+  /// Route one type-erased view binding into the access lists.
   void bind_view(views::Binding b);
-  /// First-advance resolution: adopt the inferred sets, or — when hand
-  /// declarations are also present — verify they agree and keep the view
-  /// lists (richer metadata, identical access sets). Idempotent; throws
-  /// chaos::Error on disagreement.
+  /// First-advance resolution: closes the step to further bind() calls and
+  /// refuses a self-zeroing accumulator that is also gathered in the same
+  /// step. Idempotent; throws chaos::Error on that conflict.
   void resolve();
-  /// Render one side's access set for the disagreement error.
-  std::string render_accesses(const std::vector<CommAccess>& comm,
-                              const std::vector<LocalAccess>& locals) const;
 
   std::string name_;
   std::size_t idx_;
   std::vector<CommAccess> gathers_;  ///< pre-compute communication
   std::vector<CommAccess> writes_;   ///< post-compute communication
   std::vector<LocalAccess> locals_;
-  /// View-inferred staging, folded into the lists above by resolve().
-  std::vector<CommAccess> view_gathers_;
-  std::vector<CommAccess> view_writes_;
-  std::vector<LocalAccess> view_locals_;
   bool resolved_ = false;
   std::function<void()> compute_;
   std::function<void()> finalize_;
@@ -425,10 +322,10 @@ class StepGraph {
 
   Runtime& runtime() const { return rt_; }
 
-  /// Fold every step's view bindings into its final access sets (and run
-  /// the hand-vs-view agreement check) without executing anything — the
-  /// entry point verify::Analyzer uses. Idempotent; advance() performs
-  /// the same fold on first execution.
+  /// Resolve every step (close it to bind() and run its self-zeroing
+  /// accumulator check) without executing anything — the entry point
+  /// verify::Analyzer uses. Idempotent; advance() performs the same
+  /// resolution on first execution.
   void resolve_for_analysis() {
     for (Step& s : steps_) s.resolve();
   }

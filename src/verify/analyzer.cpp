@@ -33,7 +33,7 @@ struct StepSnap {
   std::size_t idx = 0;
   std::vector<Access> gathers;  ///< pre-compute communication
   std::vector<Access> writes;   ///< post-compute communication
-  std::vector<Access> locals;   ///< uses/updates
+  std::vector<Access> locals;   ///< use/update
   bool chunked = false;
   std::size_t fixed_chunks = 0;  ///< 0 = keyed by gather recv blocks
   bool claims_disjoint = false;

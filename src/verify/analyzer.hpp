@@ -69,9 +69,8 @@ class Analyzer {
 
   /// Run every rule over `graph` and return the findings (order: rule
   /// declaration order above, then step order; render() sorts a report by
-  /// severity). Folds the graph's view bindings first
-  /// (resolve_for_analysis), so a hand-vs-view disagreement throws the
-  /// same chaos::Error arming would.
+  /// severity). Resolves the graph first (resolve_for_analysis), so a
+  /// step arming would refuse throws the same chaos::Error here.
   std::vector<Diagnostic> analyze(StepGraph& graph);
 };
 

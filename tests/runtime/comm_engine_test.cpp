@@ -414,7 +414,7 @@ TEST(RuntimeCompact, AccountsArrivalStateAndReleasesChunkPlans) {
 
     StepGraph g(rt);
     g.set_arrival_driven(true);
-    Step& s = g.step("halo").reads(x, h).updates(y);
+    Step& s = g.step("halo").bind(in(x).via(h), update(y));
     s.compute_chunks([&](ChunkContext& ctx) {
       if (ctx.chunk().peer < 0)
         for (std::size_t i = 0; i < globals.size(); ++i) y[i] = 2.0 * x[i];

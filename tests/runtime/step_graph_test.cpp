@@ -96,28 +96,25 @@ PairCycleResult run_pair_cycle(bool pipelining, int iters) {
     StepGraph g(rt);
     g.set_pipelining(pipelining);
     g.step("a")
-        .reads(xa, ha)
+        .bind(in(xa).via(ha))
         .compute([&] {
           std::fill(ya.begin(), ya.end(), 0.0);
           for (GlobalIndex j : lrefs_a)
             ya[static_cast<std::size_t>(j)] +=
                 xa[static_cast<std::size_t>(j)] + 1.0;
         })
-        .writes_add(ya, ha);
+        .bind(sum(ya).via(ha));
     g.step("b")
-        .reads(xb, hb)
+        .bind(in(xb).via(hb))
         .compute([&] {
           std::fill(yb.begin(), yb.end(), 0.0);
           for (GlobalIndex j : lrefs_b)
             yb[static_cast<std::size_t>(j)] +=
                 0.5 * xb[static_cast<std::size_t>(j)];
         })
-        .writes_add(yb, hb);
+        .bind(sum(yb).via(hb));
     g.step("advance")
-        .uses(ya)
-        .uses(yb)
-        .updates(xa)
-        .updates(xb)
+        .bind(use(ya), use(yb), update(xa), update(xb))
         .compute([&] {
           for (std::size_t i = 0; i < globals.size(); ++i) {
             xa[i] = 0.5 * xa[i] + 0.25 * ya[i] + 0.125;
@@ -218,10 +215,9 @@ SameArrayResult run_raw_cycle(bool pipelining, int iters) {
             x[static_cast<std::size_t>(j)] =
                 0.75 * x[static_cast<std::size_t>(j)] + 2.0;
         })
-        .writes(x, h1);
+        .bind(chaos::out(x).via(h1));
     g.step("read_x")
-        .reads(x, h2)
-        .updates(y)
+        .bind(in(x).via(h2), update(y))
         .compute([&] {
           for (GlobalIndex j : lrefs2)
             y[static_cast<std::size_t>(j % static_cast<GlobalIndex>(
@@ -283,8 +279,7 @@ SameArrayResult run_war_cycle(bool pipelining, int iters) {
     StepGraph g(rt);
     g.set_pipelining(pipelining);
     g.step("read_x")
-        .reads(x, h1)
-        .updates(y)
+        .bind(in(x).via(h1), update(y))
         .compute([&] {
           for (GlobalIndex j : lrefs1)
             y[static_cast<std::size_t>(j % static_cast<GlobalIndex>(
@@ -297,7 +292,7 @@ SameArrayResult run_war_cycle(bool pipelining, int iters) {
             x[static_cast<std::size_t>(j)] =
                 0.5 * x[static_cast<std::size_t>(j)] + 1.0;
         })
-        .writes(x, h2);
+        .bind(chaos::out(x).via(h2));
 
     rt.run(g, iters);
 
@@ -322,7 +317,7 @@ TEST(StepGraph, ScatterAfterGatherSameArraySerializesBitwise) {
 
 // ---- reader in the hoist window --------------------------------------------
 
-/// A step that only READS an array (uses(), no gather of its own) must
+/// A step that only READS an array (use(), no gather of its own) must
 /// still block hoisting a later step's gather of that array across it:
 /// the hoisted gather's early FIFO delivery would hand the reader ghost
 /// values one owned-write fresher than the eager schedule provides.
@@ -352,7 +347,7 @@ SameArrayResult run_reader_window_cycle(bool pipelining, int iters) {
     StepGraph g(rt);
     g.set_pipelining(pipelining);
     // Writes owned x: the values a hoisted refresh-gather would pack.
-    g.step("bump").updates(x).compute([&] {
+    g.step("bump").bind(update(x)).compute([&] {
       for (std::size_t i = 0; i < globals.size(); ++i) x[i] += 1.0;
     });
     // Unrelated scatter whose hazard wait drains the batch FIFO — the
@@ -363,15 +358,15 @@ SameArrayResult run_reader_window_cycle(bool pipelining, int iters) {
           for (GlobalIndex j : lrefs_b)
             b[static_cast<std::size_t>(j)] += 1.0;
         })
-        .writes_add(b, hb);
+        .bind(sum(b).via(hb));
     // Reads x's GHOST slots — under the eager schedule these are the
     // previous refresh's (pre-bump) values.
-    g.step("readghost").uses(b).uses(x).updates(acc).compute([&] {
+    g.step("readghost").bind(use(b), use(x), update(acc)).compute([&] {
       for (std::size_t i = 0; i < lrefs_x.size(); ++i)
         acc[i % acc.size()] += x[static_cast<std::size_t>(lrefs_x[i])];
     });
     // The refresh: gathers post-bump ghosts for the next iteration.
-    g.step("refresh").reads(x, hx).compute([] {});
+    g.step("refresh").bind(in(x).via(hx)).compute([] {});
 
     rt.run(g, iters);
 
@@ -428,15 +423,15 @@ RepartResult run_repart_cycle(bool pipelining, bool reuse, int iters) {
     StepGraph g(rt);
     g.set_pipelining(pipelining);
     g.step("force")
-        .reads(x, h)
+        .bind(in(x).via(h))
         .compute([&] {
           std::fill(y.begin(), y.end(), 0.0);
           for (GlobalIndex j : lrefs)
             y[static_cast<std::size_t>(j)] +=
                 0.5 * x[static_cast<std::size_t>(j)] + 1.0;
         })
-        .writes_add(y, h);
-    g.step("advance").uses(y).updates(x).compute([&] {
+        .bind(sum(y).via(h));
+    g.step("advance").bind(use(y), update(x)).compute([&] {
       for (std::size_t i = 0; i < globals.size(); ++i)
         x[i] = 0.5 * x[i] + 0.25 * y[i];
     });
@@ -521,19 +516,18 @@ TEST(StepGraph, MigrateStepMovesItemsAndRunsFinalizer) {
 
       StepGraph g(rt);
       g.set_pipelining(pipelining);
-      g.step("tally").updates(items).compute([&] {
+      g.step("tally").bind(update(items)).compute([&] {
         for (Item& q : items) q.v += 1.0;
       });
       g.step("move")
-          .updates(items)
-          .updates(dest)
+          .bind(update(items), update(dest))
           .compute([&] {
             dest.resize(items.size());
             for (std::size_t i = 0; i < items.size(); ++i)
               dest[i] = (c.rank() + 1 + static_cast<int>(i)) % c.size();
             arrived.clear();
           })
-          .migrates(items, dest, arrived)
+          .bind(migrate(items).to(dest).into(arrived))
           .then([&] {
             items = std::move(arrived);
             arrived = std::vector<Item>{};
@@ -574,7 +568,7 @@ TEST(StepGraph, AdvanceRejectsStaleBindingsAfterRepartition) {
     std::vector<double> x(static_cast<std::size_t>(rt.local_extent(d)), 1.0);
 
     StepGraph g(rt);
-    g.step("s").reads(x, h).compute([] {});
+    g.step("s").bind(in(x).via(h)).compute([] {});
     g.advance();
     g.quiesce();
 
@@ -654,14 +648,14 @@ ChunkedResult run_chunked_halo(bool arrival, ChunkShape shape, int iters,
     g.set_arrival_driven(arrival);
     if (tol) g.set_tolerance(*tol);
 
-    g.step("local").uses(y).updates(x).compute([&] {
+    g.step("local").bind(use(y), update(x)).compute([&] {
       for (std::size_t i = 0; i < globals.size(); ++i)
         x[i] = 0.5 * x[i] + 0.25 * y[i] + 0.125;
       c.charge_work(500.0 * (c.rank() == iter % kRanks ? 5.0 : 1.0));
       ++iter;
     });
 
-    Step& halo = g.step("halo").reads(x, h).updates(y);
+    Step& halo = g.step("halo").bind(in(x).via(h), update(y));
     if (shape == ChunkShape::kDisjointByPeer) {
       halo.compute_chunks([&](ChunkContext& ctx) {
         const int peer = ctx.chunk().peer;
@@ -806,7 +800,7 @@ TEST(StepGraphArrival, FixedCountChunksRunConcurrentWavesBitwise) {
       g.set_pipelining(arrival);
       g.set_arrival_driven(arrival);
       g.set_worker_threads(3);
-      Step& s = g.step("sweep").updates(x);
+      Step& s = g.step("sweep").bind(update(x));
       s.compute_chunks(4, [&](ChunkContext& ctx) {
         const std::size_t n = x.size();
         const std::size_t lo = n * ctx.chunk().index / ctx.chunk().count;
@@ -867,7 +861,7 @@ TEST(StepGraphArrival, RetargetRebuildsChunkPlanOnSuccessorEpoch) {
       StepGraph g(rt);
       g.set_pipelining(arrival);
       g.set_arrival_driven(arrival);
-      Step& halo = g.step("halo").reads(x, h).updates(y);
+      Step& halo = g.step("halo").bind(in(x).via(h), update(y));
       halo.compute_chunks([&](ChunkContext& ctx) {
         const int peer = ctx.chunk().peer;
         if (peer < 0) {
@@ -882,7 +876,7 @@ TEST(StepGraphArrival, RetargetRebuildsChunkPlanOnSuccessorEpoch) {
         ctx.charge(20.0);
       });
       halo.chunk_writes_disjoint();
-      g.step("advance").uses(y).updates(x).compute([&] {
+      g.step("advance").bind(use(y), update(x)).compute([&] {
         for (std::size_t i = 0; i < globals.size(); ++i)
           x[i] = 0.75 * x[i] + 0.25 * y[i];
       });

@@ -91,8 +91,8 @@ TEST(VerifyAnalyzer, ReadBeforeGatherFlagged) {
     y.assign(x.size(), 0.0);
     // 'early' consumes x's ghosts before 'late' gathers them: iteration 1
     // reads value-initialized slots, k>1 reads one-iteration-stale ones.
-    g.step("early").uses(x).updates(y).compute([] {});
-    g.step("late").reads(x, h).compute([] {});
+    g.step("early").bind(use(x), update(y)).compute([] {});
+    g.step("late").bind(in(x).via(h)).compute([] {});
   });
   const Diagnostic* e =
       find_rule(ds, "read-before-gather", Severity::kError);
@@ -109,8 +109,8 @@ TEST(VerifyAnalyzer, ReadBeforeGatherCleanWhenGatherComesFirst) {
     static thread_local std::vector<double> x, y;
     x.assign(static_cast<std::size_t>(rt.local_extent(d)), 0.0);
     y.assign(x.size(), 0.0);
-    g.step("gatherer").reads(x, h).compute([] {});
-    g.step("consumer").uses(x).updates(y).compute([] {});
+    g.step("gatherer").bind(in(x).via(h)).compute([] {});
+    g.step("consumer").bind(use(x), update(y)).compute([] {});
   });
   EXPECT_EQ(count_rule(ds, "read-before-gather", Severity::kError), 0u);
 }
@@ -127,7 +127,7 @@ TEST(VerifyAnalyzer, DeadScatterFlagged) {
     y.assign(x.size(), 0.0);
     // y's contributions ship to owners every iteration; nothing declared
     // ever consumes them.
-    g.step("produce").reads(x, h).compute([] {}).writes_add(y, h);
+    g.step("produce").bind(in(x).via(h), sum(y).via(h)).compute([] {});
   });
   const Diagnostic* w = find_rule(ds, "dead-scatter", Severity::kWarning);
   ASSERT_NE(w, nullptr);
@@ -142,8 +142,8 @@ TEST(VerifyAnalyzer, DeadScatterCleanWithDeclaredConsumer) {
     static thread_local std::vector<double> x, y;
     x.assign(static_cast<std::size_t>(rt.local_extent(d)), 0.0);
     y.assign(x.size(), 0.0);
-    g.step("produce").reads(x, h).compute([] {}).writes_add(y, h);
-    g.step("consume").uses(y).updates(x).compute([] {});
+    g.step("produce").bind(in(x).via(h), sum(y).via(h)).compute([] {});
+    g.step("consume").bind(use(y), update(x)).compute([] {});
   });
   EXPECT_EQ(count_rule(ds, "dead-scatter", Severity::kWarning), 0u);
 }
@@ -161,9 +161,9 @@ TEST(VerifyAnalyzer, RedundantGatherSameScheduleFlagged) {
     yb.assign(x.size(), 0.0);
     // Same array, same schedule, nothing writes x between the posts: the
     // second delivery is provably identical.
-    g.step("first").reads(x, h).compute([] {}).writes_add(ya, h);
-    g.step("second").reads(x, h).compute([] {}).writes_add(yb, h);
-    g.step("consume").uses(ya).uses(yb).updates(x).compute([] {});
+    g.step("first").bind(in(x).via(h), sum(ya).via(h)).compute([] {});
+    g.step("second").bind(in(x).via(h), sum(yb).via(h)).compute([] {});
+    g.step("consume").bind(use(ya), use(yb), update(x)).compute([] {});
   });
   const Diagnostic* w =
       find_rule(ds, "redundant-gather", Severity::kWarning);
@@ -182,10 +182,10 @@ TEST(VerifyAnalyzer, RedundantGatherCleanWithInterleavingWrite) {
     yb.assign(x.size(), 0.0);
     // The mutate step rewrites x's owned values between the two gathers,
     // so the second delivery is genuinely fresh.
-    g.step("first").reads(x, h).compute([] {}).writes_add(ya, h);
-    g.step("mutate").uses(ya).updates(x).compute([] {});
-    g.step("second").reads(x, h).compute([] {}).writes_add(yb, h);
-    g.step("consume").uses(yb).compute([] {});
+    g.step("first").bind(in(x).via(h), sum(ya).via(h)).compute([] {});
+    g.step("mutate").bind(use(ya), update(x)).compute([] {});
+    g.step("second").bind(in(x).via(h), sum(yb).via(h)).compute([] {});
+    g.step("consume").bind(use(yb)).compute([] {});
   });
   EXPECT_EQ(count_rule(ds, "redundant-gather", Severity::kWarning), 0u);
   EXPECT_EQ(count_rule(ds, "redundant-gather", Severity::kNote), 0u);
@@ -204,9 +204,9 @@ TEST(VerifyAnalyzer, RedundantGatherCrossScheduleOverlapNoted) {
     x.assign(static_cast<std::size_t>(rt.local_extent(d)), 0.0);
     ya.assign(x.size(), 0.0);
     yb.assign(x.size(), 0.0);
-    g.step("first").reads(x, ha).compute([] {}).writes_add(ya, ha);
-    g.step("second").reads(x, hb).compute([] {}).writes_add(yb, hb);
-    g.step("consume").uses(ya).uses(yb).updates(x).compute([] {});
+    g.step("first").bind(in(x).via(ha), sum(ya).via(ha)).compute([] {});
+    g.step("second").bind(in(x).via(hb), sum(yb).via(hb)).compute([] {});
+    g.step("consume").bind(use(ya), use(yb), update(x)).compute([] {});
   });
   const Diagnostic* note =
       find_rule(ds, "redundant-gather", Severity::kNote);
@@ -229,11 +229,11 @@ TEST(VerifyAnalyzer, RaceCertificationRefutesClaimOverSharedReduction) {
     // Gather-keyed chunks all accumulating into one shared accumulator:
     // the disjointness claim is provably wrong.
     g.step("halo")
-        .reads(x, h)
+        .bind(in(x).via(h))
         .compute_chunks([](ChunkContext&) {})
-        .writes_add(y, h)
+        .bind(sum(y).via(h))
         .chunk_writes_disjoint();
-    g.step("consume").uses(y).updates(x).compute([] {});
+    g.step("consume").bind(use(y), update(x)).compute([] {});
   });
   const Diagnostic* e =
       find_rule(ds, "race-certification", Severity::kError);
@@ -255,11 +255,11 @@ TEST(VerifyAnalyzer, RaceCertificationProvesDisjointScatterPartitions) {
     // disjoint — the claim is PROVABLE from the schedule shape alone.
     // This is the property the TSan CI job can only certify dynamically.
     g.step("halo")
-        .reads(x, h)
+        .bind(in(x).via(h))
         .compute_chunks([](ChunkContext&) {})
-        .writes(y, h)
+        .bind(out(y).via(h))
         .chunk_writes_disjoint();
-    g.step("consume").uses(y).updates(x).compute([] {});
+    g.step("consume").bind(use(y), update(x)).compute([] {});
   });
   const Diagnostic* note =
       find_rule(ds, "race-certification", Severity::kNote);
@@ -279,9 +279,9 @@ TEST(VerifyAnalyzer, RaceCertificationAssumedForOpaqueFixedCountChunks) {
     // Fixed-count chunks writing locally: nothing in the declarations
     // shows WHICH slots each chunk writes — the claim stands unproven.
     g.step("cells")
-        .uses(x)
+        .bind(use(x))
         .compute_chunks(4, [](ChunkContext&) {})
-        .updates(y)
+        .bind(update(y))
         .chunk_writes_disjoint();
   });
   const Diagnostic* note =
@@ -299,9 +299,9 @@ TEST(VerifyAnalyzer, RaceCertificationSilentWithoutArrivalIntent) {
     // No set_arrival_driven: the claim licenses nothing, so there is
     // nothing to certify.
     g.step("cells")
-        .uses(x)
+        .bind(use(x))
         .compute_chunks(4, [](ChunkContext&) {})
-        .updates(y)
+        .bind(update(y))
         .chunk_writes_disjoint();
   });
   EXPECT_EQ(count_rule(ds, "race-certification", Severity::kNote), 0u);
@@ -322,10 +322,10 @@ TEST(VerifyAnalyzer, DeterminismAuditWarnsOnSilentStaticFallback) {
     // Conflicted (no claim), no tolerance: the executor will silently run
     // this step on the static path despite the arrival-driven intent.
     g.step("halo")
-        .reads(x, h)
+        .bind(in(x).via(h))
         .compute_chunks([](ChunkContext&) {})
-        .writes_add(y, h);
-    g.step("consume").uses(y).updates(x).compute([] {});
+        .bind(sum(y).via(h));
+    g.step("consume").bind(use(y), update(x)).compute([] {});
   });
   const Diagnostic* w =
       find_rule(ds, "determinism-audit", Severity::kWarning);
@@ -344,10 +344,10 @@ TEST(VerifyAnalyzer, DeterminismAuditNotesToleranceCertifiedReduction) {
     g.set_arrival_driven(true);
     g.set_tolerance(EquivalenceTolerance{1e-12, 1e-9});
     g.step("halo")
-        .reads(x, h)
+        .bind(in(x).via(h))
         .compute_chunks([](ChunkContext&) {})
-        .writes_add(y, h);
-    g.step("consume").uses(y).updates(x).compute([] {});
+        .bind(sum(y).via(h));
+    g.step("consume").bind(use(y), update(x)).compute([] {});
   });
   EXPECT_EQ(count_rule(ds, "determinism-audit", Severity::kWarning), 0u);
   const Diagnostic* note =
@@ -367,9 +367,9 @@ TEST(VerifyAnalyzer, DeterminismAuditNotesUnconsumedTolerance) {
     // Every chunked step claims disjoint writes: the bitwise contract
     // holds and the declared tolerance is dead weight.
     g.step("cells")
-        .uses(x)
+        .bind(use(x))
         .compute_chunks(4, [](ChunkContext&) {})
-        .updates(y)
+        .bind(update(y))
         .chunk_writes_disjoint();
   });
   const Diagnostic* note =
@@ -417,7 +417,7 @@ TEST(VerifyAnalyzer, StaleBindingErrorsOnRetiredSchedule) {
     std::vector<double> x(static_cast<std::size_t>(rt.local_extent(d)), 0.0);
 
     StepGraph g(rt);
-    g.step("s").reads(x, h).compute([] {});
+    g.step("s").bind(in(x).via(h)).compute([] {});
 
     const DistHandle d2 = rt.repartition(d, std::vector<int>(
         static_cast<std::size_t>(kN), 0));
@@ -448,8 +448,8 @@ TEST(VerifyAnalyzer, StaleBindingNotesUnguardedRawUnderAutonomicPolicy) {
         std::move(b));
 
     StepGraph g(rt);
-    g.step("s").reads(x, h).compute([] {}).writes_add(y, h);
-    g.step("c").uses(y).updates(x).compute([] {});
+    g.step("s").bind(in(x).via(h), sum(y).via(h)).compute([] {});
+    g.step("c").bind(use(y), update(x)).compute([] {});
 
     const Diags ds = rt.verify(g);
     // Raw std::vector bindings carry no revision probe: a rebalance that
@@ -473,8 +473,8 @@ TEST(VerifyStrict, StrictGraphRefusesToArmOnErrorFindings) {
 
     StepGraph g(rt);
     g.set_strict(true);
-    g.step("early").uses(x).updates(y).compute([] {});
-    g.step("late").reads(x, h).compute([] {});
+    g.step("early").bind(use(x), update(y)).compute([] {});
+    g.step("late").bind(in(x).via(h)).compute([] {});
 
     try {
       g.advance();
@@ -504,11 +504,11 @@ TEST(VerifyStrict, StrictGraphArmsWhenCleanAndKeepsReport) {
     int ran = 0;
     StepGraph g(rt);
     g.set_strict(true);
-    g.step("halo").reads(x, h).compute([&] {
+    g.step("halo").bind(in(x).via(h)).compute([&] {
       for (GlobalIndex j : lrefs) y[static_cast<std::size_t>(j)] = 1.0;
       ++ran;
     });
-    g.step("advance").uses(y).updates(x).compute([&] { ++ran; });
+    g.step("advance").bind(use(y), update(x)).compute([&] { ++ran; });
 
     g.advance();
     g.quiesce();
@@ -543,8 +543,8 @@ TEST(VerifyDiagnostics, StepGraphAtNamesTheDeclaredSteps) {
     Runtime rt(c);
     std::vector<double> x(8, 0.0), y(8, 0.0);
     StepGraph g(rt);
-    g.step("alpha").uses(x).compute([] {});
-    g.step("beta").uses(y).compute([] {});
+    g.step("alpha").bind(use(x)).compute([] {});
+    g.step("beta").bind(use(y)).compute([] {});
     EXPECT_EQ(&g.at(1), &g.at(1));
     try {
       (void)g.at(2);

@@ -1,38 +1,41 @@
 // chaos-verify — standalone static-analysis driver over every shipped
 // step graph (the CI gate for the verify:: rule pipeline).
 //
-// Each target constructs its graph exactly the way the app or example
-// does — same schedules, same bindings, same chunk plans — then runs the
-// analyzer in analysis-only mode (no simulation) and prints the findings.
-// The apps are driven through their real drivers (cfg.verify_graph), so
-// this binary cannot drift from what `rt.run(graph)` would actually arm;
-// the example graphs are declared inline with no-op computes (the
-// analyzer never executes a compute body, only the declarations).
+// Each target runs the declaration code of the app or example it names —
+// same schedules, same bindings, same chunk plans — then runs the analyzer
+// in analysis-only mode (no simulation) and prints the findings. The apps
+// are driven through their real drivers (cfg.verify_graph) and the
+// examples through the set-up types their main() uses (examples/*.hpp),
+// so this binary declares no graph of its own and cannot drift from what
+// `rt.run(graph)` would actually arm.
 //
 // Exit status: 0 clean, 1 if any target produced an error finding — or,
-// under --strict, a warning finding. Notes never fail the run.
+// under --strict, a warning finding. Notes never fail the run. 2 on a
+// command line it cannot certify: an unknown target, or a --ranks value
+// that is not an integer >= 1.
 //
 // Usage: chaos-verify [--strict] [--ranks=N] [target...]
 //   targets: charmm charmm-arrival dsmc dsmc-arrival
 //            step-pipeline spmv-adaptive mesh-sweep      (default: all)
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/charmm/parallel.hpp"
 #include "apps/dsmc/parallel.hpp"
-#include "lang/array.hpp"
+#include "examples/mesh_sweep.hpp"
+#include "examples/spmv_adaptive.hpp"
+#include "examples/step_pipeline.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/step_graph.hpp"
 #include "verify/diagnostic.hpp"
 
 namespace {
 
 using namespace chaos;
-using core::GlobalIndex;
 
 using Diags = std::vector<verify::Diagnostic>;
 
@@ -58,108 +61,20 @@ Diags dsmc_graph(int ranks, dsmc::DsmcExecutor executor) {
   return dsmc::run_parallel_dsmc(machine, cfg).verify_diagnostics;
 }
 
-// ---- example targets: the same declarations, no-op computes ----------------
+// ---- example targets: the examples' own set-up and declaration ------------
 
-/// examples/step_pipeline.cpp — two hand-declared gather/scatter-add field
-/// steps over disjoint array pairs plus a local advance.
-Diags step_pipeline_graph(int ranks) {
+/// Build an example's graph through the same type its main() runs
+/// (examples/*.hpp) and analyze it. The analyzer never executes a compute,
+/// so the real compute lambdas ride along unrun.
+template <typename Example>
+Diags example_graph(int ranks) {
   Diags out;
   sim::Machine machine(ranks);
   machine.run([&](sim::Comm& comm) {
     Runtime rt(comm);
-    const GlobalIndex n = 4096;
-    const DistHandle dist = rt.block(n);
-    const std::vector<GlobalIndex> mine = rt.owned_globals(dist);
-    std::vector<GlobalIndex> refs_a, refs_b;
-    for (int k = 0; k < 64; ++k) {
-      refs_a.push_back((mine.front() + 1024 + 2 * k + 13) % n);
-      refs_b.push_back((mine.front() + 2048 + 2 * k + 29) % n);
-    }
-    lang::IndirectionArray ind_a(refs_a), ind_b(refs_b);
-    const ScheduleHandle ha = rt.inspect(rt.bind(dist, ind_a));
-    const ScheduleHandle hb = rt.inspect(rt.bind(dist, ind_b));
-    const auto extent = static_cast<std::size_t>(rt.local_extent(dist));
-    std::vector<double> xa(extent, 1.0), ya(extent, 0.0);
-    std::vector<double> xb(extent, 2.0), yb(extent, 0.0);
-
-    StepGraph g(rt);
-    g.step("field_a").reads(xa, ha).compute([] {}).writes_add(ya, ha);
-    g.step("field_b").reads(xb, hb).compute([] {}).writes_add(yb, hb);
-    g.step("advance").uses(ya).uses(yb).updates(xa).updates(xb).compute(
-        [] {});
-    Diags d = rt.verify(g);
+    Example example(rt);
+    Diags d = rt.verify(example.graph);
     if (comm.rank() == 0) out = std::move(d);
-  });
-  return out;
-}
-
-/// examples/spmv_adaptive.cpp — y = A x through a column indirection, then
-/// a local normalize writing x back.
-Diags spmv_graph(int ranks) {
-  Diags out;
-  sim::Machine machine(ranks);
-  machine.run([&](sim::Comm& comm) {
-    Runtime rt(comm);
-    const GlobalIndex rows = 768;
-    std::vector<int> map(static_cast<std::size_t>(rows));
-    for (GlobalIndex i = 0; i < rows; ++i)
-      map[static_cast<std::size_t>(i)] = static_cast<int>(i % ranks);
-    const DistHandle d = rt.irregular(map);
-    Array<double> x(rt, d, "x"), y(rt, d, "y");
-    std::vector<GlobalIndex> cols;
-    for (GlobalIndex g = 0; g < rows; ++g)
-      for (GlobalIndex k = 0; k < 3; ++k)
-        cols.push_back((g * 13 + k * 17 + 3) % rows);
-    lang::IndirectionArray cols_ind{std::move(cols)};
-    const ScheduleHandle h = rt.inspect(d, cols_ind);
-
-    StepGraph g(rt);
-    g.step("spmv").bind(in(x).via(h), update(y)).compute([] {});
-    g.step("normalize").bind(use(y), update(x)).compute([] {});
-    Diags diags = rt.verify(g);
-    if (comm.rank() == 0) out = std::move(diags);
-  });
-  return out;
-}
-
-/// examples/mesh_sweep.cpp — two edge families accumulating into disjoint
-/// per-family node accumulators, then a local advance.
-Diags mesh_sweep_graph(int ranks) {
-  Diags out;
-  sim::Machine machine(ranks);
-  machine.run([&](sim::Comm& comm) {
-    Runtime rt(comm);
-    const GlobalIndex nodes = 1024;
-    std::vector<int> map(static_cast<std::size_t>(nodes));
-    for (GlobalIndex g = 0; g < nodes; ++g)
-      map[static_cast<std::size_t>(g)] = static_cast<int>((g * 5 + 2) % ranks);
-    const DistHandle d = rt.irregular(map);
-    Array<double> u(rt, d, "u");
-    Array<double> du_short(rt, d, "du_short"), du_long(rt, d, "du_long");
-    const auto edges = [&](GlobalIndex mul, GlobalIndex add) {
-      std::vector<GlobalIndex> refs;
-      for (GlobalIndex a : u.globals()) {
-        refs.push_back(a);
-        refs.push_back((a * mul + add) % nodes);
-      }
-      return refs;
-    };
-    lang::IndirectionArray mesh(edges(1, 1)), diag(edges(31, 11));
-    const ScheduleHandle hm = rt.inspect(d, mesh);
-    const ScheduleHandle hd = rt.inspect(d, diag);
-
-    StepGraph g(rt);
-    g.step("sweep_mesh")
-        .bind(in(u).via(hm), sum(du_short).via(hm))
-        .compute([] {});
-    g.step("sweep_diag")
-        .bind(in(u).via(hd), sum(du_long).via(hd))
-        .compute([] {});
-    g.step("advance")
-        .bind(use(du_short), use(du_long), update(u))
-        .compute([] {});
-    Diags diags = rt.verify(g);
-    if (comm.rank() == 0) out = std::move(diags);
   });
   return out;
 }
@@ -176,10 +91,33 @@ const Target kTargets[] = {
     {"dsmc", [](int r) { return dsmc_graph(r, dsmc::DsmcExecutor::kStepGraph); }},
     {"dsmc-arrival",
      [](int r) { return dsmc_graph(r, dsmc::DsmcExecutor::kStepGraphArrival); }},
-    {"step-pipeline", step_pipeline_graph},
-    {"spmv-adaptive", spmv_graph},
-    {"mesh-sweep", mesh_sweep_graph},
+    {"step-pipeline", example_graph<examples::StepPipeline>},
+    {"spmv-adaptive", example_graph<examples::SpmvAdaptive>},
+    {"mesh-sweep", example_graph<examples::MeshSweep>},
 };
+
+/// The usage line and the target list.
+void usage(std::ostream& os) {
+  os << "usage: chaos-verify [--strict] [--ranks=N] [target...]\n"
+     << "targets:";
+  for (const Target& t : kTargets) os << ' ' << t.name;
+  os << "\n";
+}
+
+/// A --ranks value: a whole decimal integer >= 1, or nullopt.
+std::optional<int> parse_ranks(std::string_view text) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < 1) return std::nullopt;
+  return value;
+}
+
+bool known_target(std::string_view name) {
+  for (const Target& t : kTargets)
+    if (name == t.name) return true;
+  return false;
+}
 
 }  // namespace
 
@@ -192,15 +130,24 @@ int main(int argc, char** argv) {
     if (arg == "--strict") {
       strict = true;
     } else if (arg.rfind("--ranks=", 0) == 0) {
-      ranks = std::atoi(arg.c_str() + 8);
+      const std::string value = arg.substr(8);
+      const std::optional<int> r = parse_ranks(value);
+      if (!r) {
+        std::cerr << "chaos-verify: --ranks needs an integer >= 1, got '"
+                  << value << "'\n";
+        usage(std::cerr);
+        return 2;
+      }
+      ranks = *r;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: chaos-verify [--strict] [--ranks=N] [target...]\n"
-                << "targets:";
-      for (const Target& t : kTargets) std::cout << ' ' << t.name;
-      std::cout << "\n";
+      usage(std::cout);
       return 0;
-    } else {
+    } else if (known_target(arg)) {
       wanted.push_back(arg);
+    } else {
+      std::cerr << "chaos-verify: unknown target '" << arg << "'\n";
+      usage(std::cerr);
+      return 2;
     }
   }
 
