@@ -172,7 +172,7 @@ class Driver {
       return static_cast<std::uint64_t>(
           comm_.allreduce_sum(static_cast<long long>(v)));
     };
-    // Arrival-driven counters depend on message arrival and differ per
+    // Arrival-driven counters depend on modeled arrivals and differ per
     // rank; report machine-wide sums.
     const std::uint64_t fired = total(gs.chunks_fired_early);
     const std::uint64_t wakeups = total(gs.arrival_wakeups);
@@ -561,18 +561,17 @@ class Driver {
                                 sum(force_).via(h_nb_).named("force"));
     if (shape() == CharmmShape::kStepGraphArrival) {
       // Message-driven arm: the pair list is split by the peer owning the
-      // off-processor partner, and each chunk fires as soon as that peer's
-      // ghost positions land. The chunks all accumulate into force_
-      // (conflicted — a pair's own-atom row is shared across chunks), so
-      // the graph requires the declared tolerance and serializes the
-      // chunks in arrival order.
+      // off-processor partner, and each chunk fires once that peer's ghost
+      // positions have landed by the rank's modeled clock. The chunks all
+      // accumulate into force_ (conflicted — a pair's own-atom row is
+      // shared across chunks), so they fire one at a time in canonical
+      // order and the forces are bitwise identical run to run.
       nonbonded.compute([this] {
         std::fill(force_.begin(), force_.end(), part::Vec3{});
       });
       nonbonded.compute_chunks(
           [this](ChunkContext& ctx) { nonbonded_chunk(ctx); });
       graph_->set_arrival_driven(true);
-      graph_->set_tolerance(EquivalenceTolerance{1e-12, 1e-9});
     } else {
       nonbonded.compute([this] { compute_nonbonded_step(); });
     }

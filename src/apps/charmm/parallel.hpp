@@ -30,11 +30,13 @@ enum class CharmmShape {
   kStepGraphEager,
   /// Message-driven arm: the non-bonded compute is split into partition
   /// chunks keyed by the gather schedule's recv peers, and each chunk
-  /// fires the moment its peer's ghost positions land instead of waiting
-  /// for the whole gather batch. The non-bonded chunks share one force
-  /// accumulator (conflicted), so this arm runs under a declared
-  /// EquivalenceTolerance — arrival order reorders the floating-point
-  /// accumulation within the declared bound.
+  /// fires once its peer's ghost positions have landed by the rank's
+  /// modeled clock instead of waiting for the whole gather batch. The
+  /// non-bonded chunks share one force accumulator (conflicted), so they
+  /// fire one at a time in canonical order (local, then ascending peer):
+  /// the forces are bitwise identical run to run and across delivery
+  /// permutations, though not to kStepGraph, whose unchunked loop sums
+  /// in pair-list order.
   kStepGraphArrival,
   /// One merged gather/scatter schedule for both force loops (Table 3 a).
   kMerged,
@@ -133,11 +135,11 @@ struct ParallelCharmmResult {
   std::uint64_t hazard_stalls = 0;
 
   /// Message-driven execution accounting (kStepGraphArrival), summed over
-  /// ranks — unlike the arming counters above these are arrival-dependent
-  /// and genuinely differ per rank: chunks that fired while their step's
-  /// gather batch was still partially outstanding, sleeps for "any useful
-  /// message", color classes over built chunk plans, and pool worker
-  /// busy-time.
+  /// ranks — unlike the arming counters above these depend on modeled
+  /// arrivals and genuinely differ per rank: chunks that fired while their
+  /// step's gather batch was still partially outstanding, clock advances
+  /// to the next modeled arrival, conflict classes over built chunk plans,
+  /// and pool worker busy-time (host time, the one non-modeled field).
   std::uint64_t chunks_fired_early = 0;
   std::uint64_t arrival_wakeups = 0;
   std::uint64_t color_classes = 0;

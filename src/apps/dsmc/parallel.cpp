@@ -205,7 +205,7 @@ class Driver {
       // Chunked collide: the serial prelude sorts the particle keys by
       // cell, then fixed-count chunks each gather and collide a disjoint
       // cell range. No two cells share a particle, so the writes are
-      // disjoint — the chunks form one color class and run concurrently on
+      // disjoint — the chunks form one conflict class and run concurrently on
       // the worker pool, bitwise identical to the serial arms. The
       // finalizer swaps the gathered array in.
       graph_->set_arrival_driven(true);

@@ -1,7 +1,6 @@
 #include "comm/engine.hpp"
 
 #include <algorithm>
-#include <thread>
 
 namespace chaos::comm {
 
@@ -21,12 +20,7 @@ void Engine::expect_in(Batch& b, int peer, std::uint32_t id,
   }
   it->segments.push_back(Segment{id, part, bytes});
   it->total_bytes += bytes;
-  Op& op = ops_[id];
-  ++op.remaining;
-  // Parts are numbered in post order, so these stay part-indexed.
-  CHAOS_ASSERT(op.part_peer.size() == part);
-  op.part_peer.push_back(peer);
-  op.part_done.push_back(false);
+  ++ops_[id].remaining;
 }
 
 void Engine::check_lowers(const compile::SchedulePlan& plan,
@@ -85,7 +79,6 @@ void Engine::deliver(Batch&, PeerIncoming& pi,
     Op& op = ops_[seg.op];
     CHAOS_ASSERT(op.remaining > 0);
     op.unpack(seg.part, payload.subspan(at, seg.bytes));
-    op.part_done[seg.part] = true;
     at += seg.bytes;
     if (--op.remaining == 0) {
       // Release the completed operation's heavy state (captured closures,
@@ -103,7 +96,7 @@ bool Engine::receive_one(bool blocking) {
   while (recv_batch_ < batches_.size()) {
     Batch& b = batches_[recv_batch_];
     if (!b.sent) return false;  // the open batch; nothing in flight yet
-    // Skip entries receive_any already delivered out of canonical order.
+    // Skip entries receive_peer already delivered out of canonical order.
     while (b.next < b.incoming.size() && b.incoming[b.next].received)
       ++b.next;
     if (b.next == b.incoming.size()) {
@@ -127,112 +120,47 @@ bool Engine::receive_one(bool blocking) {
   return false;
 }
 
-bool Engine::safe_out_of_order(const PeerIncoming& pi) const {
-  for (const Segment& seg : pi.segments)
-    if (!ops_[seg.op].order_independent) return false;
-  return true;
-}
-
-bool Engine::receive_any() {
-  for (std::size_t bi = recv_batch_; bi < batches_.size(); ++bi) {
-    Batch& b = batches_[bi];
-    if (!b.sent) break;  // the open batch ends the flushed prefix
-    for (PeerIncoming& pi : b.incoming) {
-      if (pi.received || !safe_out_of_order(pi)) continue;
-      std::vector<std::byte> payload;
-      if (!comm_.try_recv<std::byte>(pi.peer, b.tag, payload)) continue;
-      deliver(b, pi, payload);
-      return true;
-    }
-  }
-  return false;
-}
-
-void Engine::wait_arrival() {
-  for (;;) {
-    if (receive_any()) return;
-    // Earliest modeled arrival among safe messages physically queued; a
-    // candidate whose sender thread lags in real time is invisible here,
-    // so the choice can depend on real scheduling — harmless for
-    // order-independent ops (any delivery order is bitwise identical) and
-    // exactly the latitude the tolerance arm declares for the rest.
-    bool have_candidate = false;
-    bool have_best = false;
-    double best = 0.0;
-    for (std::size_t bi = recv_batch_; bi < batches_.size(); ++bi) {
-      Batch& b = batches_[bi];
-      if (!b.sent) break;
-      for (PeerIncoming& pi : b.incoming) {
-        if (pi.received || !safe_out_of_order(pi)) continue;
-        have_candidate = true;
-        if (std::optional<double> t = comm_.peek_arrival(pi.peer, b.tag))
-          if (!have_best || *t < best) {
-            best = *t;
-            have_best = true;
-          }
-      }
-    }
-    if (!have_candidate) {
-      // Everything left is order-dependent (or nothing is left): make one
-      // canonical blocking receive instead.
-      const bool progressed = receive_one(/*blocking=*/true);
-      CHAOS_CHECK(progressed,
-                  "wait_arrival: no outstanding flushed message to receive");
-      return;
-    }
-    if (have_best) {
-      comm_.wait_until(best);  // idle until the wire delivers it
-      continue;                // now consumable in modeled time
-    }
-    std::this_thread::yield();  // sender threads lag in real time
-  }
-}
-
-bool Engine::test_peer(CommHandle h, int peer) {
+Engine::Batch& Engine::arrival_batch(CommHandle h) {
   CHAOS_CHECK(h.id < ops_.size(), "invalid comm handle");
-  // Drain whatever is consumable without blocking: arrived safe messages
-  // in any order, plus canonical in-order progress (the only way an
-  // order-dependent segment completes).
-  while (ops_[h.id].remaining > 0 &&
-         (receive_any() || receive_one(/*blocking=*/false))) {
-  }
-  const Op& op = ops_[h.id];
-  if (op.remaining == 0) return true;
-  for (std::size_t p = 0; p < op.part_peer.size(); ++p)
-    if (op.part_peer[p] == peer && !op.part_done[p]) return false;
-  return true;
+  const std::uint32_t bi = ops_[h.id].batch;
+  CHAOS_CHECK(bi != kNone && batches_[bi].sent,
+              "arrival-driven receive: the operation's batch is not flushed");
+  for (const Op& op : ops_)
+    CHAOS_CHECK(op.batch != bi || op.order_independent,
+                "arrival-driven receive: the batch holds an order-dependent "
+                "operation (scatter combine or migrate append), whose "
+                "messages are consumed only in canonical order");
+  return batches_[bi];
 }
 
-std::vector<int> Engine::ready_peers(CommHandle h) {
-  CHAOS_CHECK(h.id < ops_.size(), "invalid comm handle");
-  while (ops_[h.id].remaining > 0 &&
-         (receive_any() || receive_one(/*blocking=*/false))) {
-  }
-  const Op& op = ops_[h.id];
-  std::vector<int> peers;
-  for (std::size_t p = 0; p < op.part_peer.size(); ++p) {
-    if (std::find(peers.begin(), peers.end(), op.part_peer[p]) !=
-        peers.end())
-      continue;
-    bool all = true;
-    for (std::size_t q = 0; q < op.part_peer.size(); ++q)
-      if (op.part_peer[q] == op.part_peer[p] && !op.part_done[q]) {
-        all = false;
-        break;
-      }
-    if (all) peers.push_back(op.part_peer[p]);
-  }
-  std::sort(peers.begin(), peers.end());
-  return peers;
+std::vector<Engine::Arrival> Engine::arrival_order(CommHandle h) {
+  const Batch& b = arrival_batch(h);
+  std::vector<Arrival> order;
+  for (const PeerIncoming& pi : b.incoming)
+    if (!pi.received)
+      order.push_back(Arrival{pi.peer, comm_.arrival_time(pi.peer, b.tag)});
+  std::sort(order.begin(), order.end(),
+            [](const Arrival& x, const Arrival& y) {
+              return x.at != y.at ? x.at < y.at : x.peer < y.peer;
+            });
+  return order;
+}
+
+void Engine::receive_peer(CommHandle h, int peer) {
+  Batch& b = arrival_batch(h);
+  auto it = std::lower_bound(
+      b.incoming.begin(), b.incoming.end(), peer,
+      [](const PeerIncoming& pi, int p) { return pi.peer < p; });
+  CHAOS_CHECK(it != b.incoming.end() && it->peer == peer && !it->received,
+              "receive_peer: no undelivered message from that peer in the "
+              "operation's batch");
+  const std::vector<std::byte> payload = comm_.recv<std::byte>(peer, b.tag);
+  deliver(b, *it, payload);
 }
 
 std::size_t Engine::footprint_bytes() const {
   std::size_t n = ops_.capacity() * sizeof(Op) +
                   batches_.capacity() * sizeof(Batch);
-  for (const Op& op : ops_) {
-    n += op.part_peer.capacity() * sizeof(int);
-    n += op.part_done.capacity() / 8;
-  }
   for (const Batch& b : batches_) {
     n += b.incoming.capacity() * sizeof(PeerIncoming);
     for (const PeerIncoming& pi : b.incoming)

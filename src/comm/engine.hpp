@@ -44,13 +44,12 @@
 //
 // Determinism: incoming batches are consumed in post order and, within a
 // batch, in ascending peer order, so results are independent of OS
-// scheduling. The
-// arrival-driven calls (test_peer / ready_peers / receive_any /
-// wait_arrival) relax that order ONLY for operations whose unpack provably
-// commutes (gather/transport: disjoint destination slots), so results stay
-// bitwise identical there too; order-dependent messages (scatter combines,
-// migrate appends) are always consumed in canonical order, whichever call
-// drives progress.
+// scheduling. The two arrival-driven calls (arrival_order / receive_peer)
+// relax that order ONLY for batches whose operations all unpack into
+// disjoint destination slots (gather/transport), so results stay bitwise
+// identical there too, and they order those receives by modeled arrival,
+// never by host timing; order-dependent messages (scatter combines,
+// migrate appends) are always consumed in canonical order.
 // test() only consumes messages that have arrived in *modeled* time (the
 // mailbox probe is gated on this rank's virtual clock), so a probe can
 // never pull virtual time forward; a polling loop must charge its own
@@ -168,41 +167,40 @@ class Engine {
   /// and never blocks — an operation in a still-open batch reports false.
   bool test(CommHandle h);
 
-  // ---- per-peer completion (arrival-driven execution) -----------------
+  // ---- arrival-driven receives ---------------------------------------
   //
   // A gather/transport operation's incoming segments land in disjoint
   // destination slots, so delivering them in ANY order is bitwise
-  // identical — such operations are marked order-independent at post, and
-  // the calls below may consume their messages the moment they arrive in
-  // modeled time instead of in canonical FIFO/ascending-peer order.
-  // Scatter combines and migrate appends stay order-dependent: their
-  // messages are only ever consumed by the canonical in-order path, so
-  // arrival-driven progress never perturbs a floating-point combine order
-  // or an append order.
+  // identical — such operations are marked order-independent at post. For
+  // a flushed batch holding only such operations the caller may choose
+  // the delivery order itself, on the modeled clock: arrival_order() says
+  // when each message lands, receive_peer() takes one. Scatter combines
+  // and migrate appends stay order-dependent: their messages are only
+  // ever consumed by the canonical in-order path, so arrival-driven
+  // progress never perturbs a floating-point combine order or an append
+  // order.
 
-  /// Non-blocking: have all of `h`'s segments from `peer` been delivered?
-  /// Drains any consumable messages first (order-independent ones in
-  /// arrival order, others in canonical order). True when `h` expects
-  /// nothing from `peer`.
-  bool test_peer(CommHandle h, int peer);
+  /// One undelivered peer message of a batch and its modeled arrival.
+  struct Arrival {
+    int peer = -1;
+    double at = 0.0;
+  };
 
-  /// Non-blocking: the ascending list of peers `h` expects segments from
-  /// whose segments have all been delivered (drains like test_peer).
-  std::vector<int> ready_peers(CommHandle h);
+  /// The undelivered peers of `h`'s batch with their modeled arrivals,
+  /// sorted by (arrival, peer). Blocks physically until each of those
+  /// messages is queued at this rank, but consumes nothing and never moves
+  /// the clock. Throws chaos::Error unless the batch is flushed and every
+  /// operation in it is order-independent.
+  std::vector<Arrival> arrival_order(CommHandle h);
 
-  /// Consume ONE message that (a) has arrived in modeled time and (b)
-  /// carries only order-independent segments; false when none qualifies.
-  bool receive_any();
+  /// Receive and unpack `peer`'s message of `h`'s batch now, out of the
+  /// canonical order, with the same clock and comm_s accounting as a
+  /// blocking receive (idle until its modeled arrival, then the receive
+  /// overhead). Same batch requirements as arrival_order().
+  void receive_peer(CommHandle h, int peer);
 
-  /// Block until at least one message has been consumed: prefers the
-  /// earliest-arriving safe message physically queued (advancing this
-  /// rank's virtual clock to its modeled arrival), yields while sender
-  /// threads lag in real time, and falls back to one canonical blocking
-  /// receive when nothing order-independent is outstanding.
-  void wait_arrival();
-
-  /// Bookkeeping heap footprint (ops, batches, per-part completion state),
-  /// for Runtime::registry_bytes accounting.
+  /// Bookkeeping heap footprint (ops, batches, expected segments), for
+  /// Runtime::registry_bytes accounting.
   std::size_t footprint_bytes() const;
 
   /// Release drained bookkeeping (requires an idle engine; no-op
@@ -282,9 +280,6 @@ class Engine {
     /// schedules with several blocks for the same peer resolve correctly.
     std::function<void(std::uint32_t part, std::span<const std::byte>)> unpack;
     std::shared_ptr<void> keepalive;  ///< e.g. the moved-in LightweightSchedule
-    // Per-part completion, indexed by part ordinal (test_peer/ready_peers).
-    std::vector<int> part_peer;
-    std::vector<bool> part_done;
   };
 
   struct Segment {
@@ -358,14 +353,14 @@ class Engine {
                  std::size_t bytes);
 
   /// Receive one pending coalesced message (FIFO batch order, ascending
-  /// peer within a batch, skipping entries receive_any already delivered)
+  /// peer within a batch, skipping entries receive_peer already delivered)
   /// and unpack its segments. Blocking variant waits; non-blocking returns
   /// false if the next message has not arrived (or nothing is in flight).
   bool receive_one(bool blocking);
 
-  /// Every segment of this pending message belongs to an order-independent
-  /// op, so it may be delivered out of canonical order.
-  bool safe_out_of_order(const PeerIncoming& pi) const;
+  /// `h`'s batch, checked flushed and free of order-dependent operations
+  /// (the arrival-driven calls' precondition).
+  Batch& arrival_batch(CommHandle h);
 
   void deliver(Batch& b, PeerIncoming& pi, std::span<const std::byte> payload);
 

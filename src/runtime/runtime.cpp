@@ -210,9 +210,8 @@ std::size_t Runtime::compact() {
       e.compiled.reset();
     }
   }
-  // Engine bookkeeping (per-part completion state of drained batches) and
-  // the step graphs' cached chunk plans / color tables; both rebuild
-  // lazily on next use.
+  // Engine bookkeeping of drained batches and the step graphs' cached
+  // chunk plans; both rebuild lazily on next use.
   released += engine_.compact();
   for (StepGraph* g : graphs_) released += g->release_chunk_plans();
   return released;

@@ -533,7 +533,7 @@ class Runtime {
   friend class StepGraph;
 
   /// StepGraph self-registration (ctor/dtor), so registry_bytes/compact can
-  /// account and release the graphs' cached chunk plans and color tables.
+  /// account and release the graphs' cached chunk plans.
   void register_graph(StepGraph* g) { graphs_.push_back(g); }
   void unregister_graph(StepGraph* g) {
     for (std::size_t i = 0; i < graphs_.size(); ++i)

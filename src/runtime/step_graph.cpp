@@ -378,14 +378,6 @@ void StepGraph::wait_conflicting_writes(
 
 // ---- chunked (partition-granular) execution ---------------------------
 
-bool StepGraph::use_arrival(const Step& s) const {
-  if (!arrival_driven_ || !s.chunk_fn_) return false;
-  // Conflicted chunks fired in arrival order reorder their floating-point
-  // combines; without a declared tolerance the static path is the only
-  // defensible arm, so fall back silently rather than change semantics.
-  return s.chunk_disjoint_ || tolerance_.has_value();
-}
-
 void StepGraph::build_chunk_plan(Step& s) {
   if (s.chunk_plan_valid_) return;
   s.chunk_peers_.clear();
@@ -409,29 +401,11 @@ void StepGraph::build_chunk_plan(Step& s) {
     peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
     s.chunk_peers_.insert(s.chunk_peers_.end(), peers.begin(), peers.end());
   }
-  // Conflict graph at chunk granularity from the declared access sets:
-  // chunk_writes_disjoint() means no two chunks share an output element
-  // (empty graph); otherwise every pair may collide in the step's written
-  // arrays (complete graph — whole-array access declarations cannot prove
-  // anything finer). Greedy coloring in canonical order.
-  const std::size_t n = s.chunk_peers_.size();
-  const auto conflicts = [&](std::size_t, std::size_t) {
-    return !s.chunk_disjoint_;
-  };
-  s.chunk_colors_.assign(n, 0);
-  int ncolors = 0;
-  std::vector<char> used;
-  for (std::size_t i = 0; i < n; ++i) {
-    used.assign(static_cast<std::size_t>(ncolors) + 1, 0);
-    for (std::size_t j = 0; j < i; ++j)
-      if (conflicts(i, j)) used[static_cast<std::size_t>(s.chunk_colors_[j])] = 1;
-    int c = 0;
-    while (used[static_cast<std::size_t>(c)]) ++c;
-    s.chunk_colors_[i] = c;
-    ncolors = std::max(ncolors, c + 1);
-  }
-  s.chunk_ncolors_ = ncolors;
-  stats_.color_classes += static_cast<std::uint64_t>(ncolors);
+  // Conflict classes from the declared access sets: chunk_writes_disjoint()
+  // means no two chunks share an output element, so every chunk is in one
+  // class; otherwise whole-array declarations cannot rule out any pair, so
+  // every chunk is its own class and the chunks run in canonical order.
+  stats_.color_classes += s.chunk_disjoint_ ? 1 : s.chunk_peers_.size();
   s.chunk_plan_valid_ = true;
 }
 
@@ -484,68 +458,60 @@ void StepGraph::run_wave(Step& s, std::span<const std::size_t> wave) {
 
 void StepGraph::run_chunks_arrival(Step& s) {
   build_chunk_plan(s);
+  comm::Engine& engine = rt_.engine();
   const std::size_t n = s.chunk_peers_.size();
-  // A chunk is eligible once every gather operation has delivered its
-  // peer's segments (the local chunk never waits on the wire).
-  const auto eligible = [&](std::size_t i) {
-    const int peer = s.chunk_peers_[i];
-    if (peer < 0) return true;
-    for (comm::CommHandle h : s.gather_handles_)
-      if (!rt_.engine().test_peer(h, peer)) return false;
-    return true;
+  // Conservative firing on the virtual clock: block until every message of
+  // the gather batch is queued, so each one's modeled arrival is known,
+  // then receive them in (arrival, peer) order and fire the chunks whose
+  // peer has landed by the rank's clock. Nothing here depends on host
+  // timing, so the fire order, the waves and the modeled time are
+  // deterministic.
+  std::vector<comm::Engine::Arrival> arrivals;
+  if (!s.gather_handles_.empty())
+    arrivals = engine.arrival_order(s.gather_handles_.front());
+  std::size_t received = 0;
+  const auto receive_next = [&] {
+    engine.receive_peer(s.gather_handles_.front(), arrivals[received++].peer);
   };
+  // need[i]: how many arrivals must be received before chunk i's peer has
+  // landed (0: the local chunk, or a peer delivered before this step).
+  std::vector<std::size_t> need(n, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < arrivals.size(); ++k)
+      if (arrivals[k].peer == s.chunk_peers_[i]) need[i] = k + 1;
+  std::size_t next = 0;  // next chunk in canonical order (conflicted steps)
   std::vector<char> done(n, 0);
-  std::size_t remaining = n;
   std::vector<std::size_t> wave;
-  while (remaining > 0) {
-    std::size_t first = n;
-    for (std::size_t i = 0; i < n; ++i)
-      if (!done[i] && eligible(i)) {
-        first = i;
-        break;
-      }
-    if (first == n) {
-      // Nothing armed: sleep until any useful message lands, not until a
-      // specific batch position completes.
-      rt_.engine().wait_arrival();
+  for (std::size_t fired = 0; fired < n;) {
+    while (received < arrivals.size() &&
+           arrivals[received].at <= rt_.comm().now())
+      receive_next();
+    wave.clear();
+    if (s.chunk_disjoint_) {
+      for (std::size_t i = 0; i < n; ++i)
+        if (!done[i] && need[i] <= received) wave.push_back(i);
+    } else if (need[next] <= received) {
+      wave.push_back(next++);
+    }
+    if (wave.empty()) {
+      // Nothing can fire: idle until the next modeled arrival.
+      receive_next();
       ++stats_.arrival_wakeups;
       continue;
     }
-    // The wave: every currently-eligible chunk in the first one's color
-    // class; the coloring proves they cannot write the same element, so
-    // they may run concurrently on the pool.
-    wave.clear();
-    const int color = s.chunk_colors_[first];
-    for (std::size_t i = 0; i < n; ++i)
-      if (!done[i] && s.chunk_colors_[i] == color &&
-          (i == first || eligible(i)))
-        wave.push_back(i);
-    bool gathers_outstanding = false;
-    for (comm::CommHandle h : s.gather_handles_)
-      if (!rt_.engine().test(h)) {
-        gathers_outstanding = true;
-        break;
-      }
-    if (gathers_outstanding)
-      stats_.chunks_fired_early +=
-          static_cast<std::uint64_t>(wave.size());
+    if (received < arrivals.size())
+      stats_.chunks_fired_early += static_cast<std::uint64_t>(wave.size());
     run_wave(s, wave);
-    for (std::size_t i : wave) {
-      done[i] = 1;
-      --remaining;
-    }
+    for (std::size_t i : wave) done[i] = 1;
+    fired += wave.size();
   }
-  // All chunks ran; settle the handles (everything has been delivered, so
-  // this is bookkeeping, not a stall) and disarm.
+  // Every message has been delivered; settle the handles and disarm.
   wait_gathers(s);
 }
 
 std::size_t StepGraph::footprint_bytes() const {
   std::size_t n = 0;
-  for (const Step& s : steps_) {
-    n += s.chunk_peers_.capacity() * sizeof(int);
-    n += s.chunk_colors_.capacity() * sizeof(int);
-  }
+  for (const Step& s : steps_) n += s.chunk_peers_.capacity() * sizeof(int);
   if (pool_) n += sizeof(runtime::TaskPool);
   n += verify::footprint_bytes(strict_diags_);
   return n;
@@ -557,8 +523,6 @@ std::size_t StepGraph::release_chunk_plans() {
     // Move-assign from empty temporaries: `= {}` would pick the
     // initializer-list overload, which clears but keeps the capacity.
     s.chunk_peers_ = std::vector<int>();
-    s.chunk_colors_ = std::vector<int>();
-    s.chunk_ncolors_ = 0;
     s.chunk_plan_valid_ = false;
   }
   pool_.reset();
@@ -605,7 +569,7 @@ void StepGraph::advance(bool arm_next_iteration) {
     // Arrival-driven chunked steps skip the whole-batch wait: their
     // chunks fire as partitions land (run_chunks_arrival settles the
     // handles itself).
-    const bool arrival = use_arrival(s);
+    const bool arrival = arrival_driven_ && s.chunk_fn_;
     if (!arrival) wait_gathers(s);
     // WAR/WAW: outstanding write batches on anything the compute or this
     // step's write packing touches must deliver first.

@@ -51,12 +51,10 @@
 // low-level escape hatch for patterns the declaration set cannot express.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -72,21 +70,6 @@
 namespace chaos {
 
 class StepGraph;
-
-/// Accepted numeric deviation for the tolerance-checked arrival arm:
-/// |a - b| <= abs + rel * max(|a|, |b|). Required before a conflicted
-/// chunked step (shared accumulators, e.g. a scatter_add force array) may
-/// run arrival-driven — arrival order legitimately reorders its
-/// floating-point combines, so bitwise equality with the eager arm is the
-/// wrong contract and this bound is the right one.
-struct EquivalenceTolerance {
-  double abs = 0.0;
-  double rel = 0.0;
-  bool within(double a, double b) const {
-    const double diff = std::abs(a - b);
-    return diff <= abs + rel * std::max(std::abs(a), std::abs(b));
-  }
-};
 
 /// Identity of one compute chunk within a chunked step. Chunks are keyed
 /// by the peer whose gathered partition they consume (`peer == -1` is the
@@ -164,11 +147,12 @@ class Step {
   /// Split this step's compute into partition chunks keyed by the gather
   /// schedules' recv blocks: one local chunk (peer == -1, owned data plus
   /// self-block ghosts) plus one chunk per remote peer the step's gathers
-  /// receive from. Under arrival-driven execution a chunk fires the moment
-  /// its peer's segments land; under the eager/static arms chunks run
-  /// serially in canonical order (local first, then ascending peer) — the
-  /// bitwise oracle. An optional compute() callback becomes the serial
-  /// prelude that runs before any chunk.
+  /// receive from. Under arrival-driven execution a chunk fires once its
+  /// peer's segments have landed by the rank's modeled clock; under the
+  /// eager/static arms chunks run serially in canonical order (local
+  /// first, then ascending peer) — the bitwise oracle. An optional
+  /// compute() callback becomes the serial prelude that runs before any
+  /// chunk.
   Step& compute_chunks(std::function<void(ChunkContext&)> fn) {
     chunk_fn_ = std::move(fn);
     chunk_count_ = 0;  // derive from the gather schedules' recv blocks
@@ -187,11 +171,12 @@ class Step {
   }
 
   /// Declare that no two chunks write the same element (disjoint output
-  /// slots). This is what licenses running a whole color class concurrently
-  /// on the worker pool AND keeps arrival order bitwise-irrelevant — the
+  /// slots). This is what licenses running every landed chunk as one
+  /// concurrent wave on the worker pool in any order — the
   /// order-independent arm. Without it chunks are conservatively assumed
-  /// conflicted: they serialize, and arrival-driven execution additionally
-  /// requires an EquivalenceTolerance (reordered floating-point combines).
+  /// conflicted: arrival-driven execution still fires them early, but one
+  /// at a time in canonical order, so they stay bitwise identical to the
+  /// serial arm.
   Step& chunk_writes_disjoint() {
     chunk_disjoint_ = true;
     return *this;
@@ -285,9 +270,7 @@ class Step {
   std::function<void(ChunkContext&)> chunk_fn_;
   std::size_t chunk_count_ = 0;  ///< 0: derive from gather recv blocks
   bool chunk_disjoint_ = false;
-  std::vector<int> chunk_peers_;   ///< canonical order: -1 then ascending
-  std::vector<int> chunk_colors_;  ///< greedy conflict-graph coloring
-  int chunk_ncolors_ = 0;
+  std::vector<int> chunk_peers_;  ///< canonical order: -1 then ascending
   bool chunk_plan_valid_ = false;
 
   // Execution state, driven by StepGraph.
@@ -337,22 +320,16 @@ class StepGraph {
   bool pipelining() const { return pipelining_; }
 
   /// Arrival-driven switch. On: chunked steps stop waiting for the whole
-  /// gather batch and fire each chunk the moment its peer's segments land
-  /// (comm::Engine::test_peer / wait_arrival); same-color chunks run
-  /// concurrently on the worker pool. Only steps whose chunks are provably
-  /// order-independent (chunk_writes_disjoint) run this way unchecked —
-  /// their results stay bitwise identical to the eager arm. Conflicted
-  /// chunked steps additionally need set_tolerance (the tolerance-checked
-  /// arm); without one they silently fall back to the static path.
+  /// gather batch and fire on the modeled clock instead. The rank learns
+  /// every message's modeled arrival (comm::Engine::arrival_order),
+  /// receives them in (arrival, peer) order, and fires each chunk whose
+  /// peer has landed by its clock: for chunk_writes_disjoint() steps, all
+  /// such chunks as one concurrent wave on the worker pool; for conflicted
+  /// steps, one at a time in canonical order. Either way the results are
+  /// bitwise identical to the eager arm and the firing order is a function
+  /// of modeled time alone.
   void set_arrival_driven(bool on) { arrival_driven_ = on; }
   bool arrival_driven() const { return arrival_driven_; }
-
-  /// Declare the accepted deviation for conflicted chunked steps under
-  /// arrival-driven execution (see EquivalenceTolerance).
-  void set_tolerance(EquivalenceTolerance tol) { tolerance_ = tol; }
-  const std::optional<EquivalenceTolerance>& tolerance() const {
-    return tolerance_;
-  }
 
   /// Size of the intra-rank worker pool concurrent chunk waves run on
   /// (default 2; 1 disables threading — waves run inline). The pool is
@@ -418,11 +395,11 @@ class StepGraph {
     /// partially outstanding — the message-driven wins a whole-batch wait
     /// would have stalled.
     std::uint64_t chunks_fired_early = 0;
-    /// wait_arrival calls: times a rank slept for "any useful message"
-    /// instead of a specific batch position.
+    /// Times no chunk could fire and the rank's clock advanced to the next
+    /// modeled arrival of its step's gather batch.
     std::uint64_t arrival_wakeups = 0;
-    /// Sum of color-class counts over built chunk plans (1 per plan means
-    /// every chunked step was fully conflict-free).
+    /// Sum of conflict classes over built chunk plans: 1 per disjoint plan
+    /// (one concurrent wave), one per chunk for a conflicted plan.
     std::uint64_t color_classes = 0;
     /// Wall-clock nanoseconds pool workers spent running chunk callbacks.
     std::uint64_t pool_busy_ns = 0;
@@ -444,7 +421,7 @@ class StepGraph {
   }
 
   /// Bytes of auxiliary state this graph holds beyond the declarations
-  /// themselves: cached chunk plans (peer/color tables) and the worker
+  /// themselves: cached chunk plans (peer tables) and the worker
   /// pool bookkeeping. Folded into Runtime::registry_bytes().
   std::size_t footprint_bytes() const;
 
@@ -474,8 +451,7 @@ class StepGraph {
   void wait_writes(Step& s);
   void wait_conflicting_writes(std::span<const void* const> arrays);
 
-  /// Chunked execution (tentpole: message-driven step execution).
-  bool use_arrival(const Step& s) const;
+  /// Chunked (message-driven) execution.
   void build_chunk_plan(Step& s);
   void run_chunks_serial(Step& s);
   void run_chunks_arrival(Step& s);
@@ -488,7 +464,6 @@ class StepGraph {
   /// Strict verification latches per arming epoch; retarget re-verifies.
   bool strict_checked_ = false;
   std::vector<verify::Diagnostic> strict_diags_;
-  std::optional<EquivalenceTolerance> tolerance_;
   int worker_threads_ = 2;
   std::unique_ptr<runtime::TaskPool> pool_;
   std::deque<Step> steps_;

@@ -1,8 +1,8 @@
 // A small fixed-size worker pool for intra-rank compute parallelism.
 //
-// The step graph uses one of these per rank to run conflict-free compute
-// chunks (one color class at a time) concurrently while the rank thread
-// keeps driving communication. Deliberately minimal: submit() enqueues a
+// The step graph uses one of these per rank to run a wave of conflict-free
+// compute chunks concurrently; the rank thread waits the wave out before
+// it receives again. Deliberately minimal: submit() enqueues a
 // task, wait_idle() blocks until every submitted task has finished and
 // rethrows the first exception any task raised. Tasks must not touch the
 // sim::Comm handle — virtual-time accounting stays on the rank thread

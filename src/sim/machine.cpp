@@ -75,16 +75,10 @@ bool Comm::try_recv_bytes(int src, int tag, std::vector<std::byte>& out) {
   return true;
 }
 
-std::optional<double> Comm::peek_arrival(int src, int tag) {
-  CHAOS_CHECK(src >= 0 && src < nranks_, "peek source out of range");
-  return m_.mailboxes_[static_cast<std::size_t>(rank_)]->peek_arrival(src,
-                                                                      tag);
-}
-
-void Comm::wait_until(double t) {
-  if (t <= st_.clock) return;
-  st_.comm_s += t - st_.clock;
-  st_.clock = t;
+double Comm::arrival_time(int src, int tag) {
+  CHAOS_CHECK(src >= 0 && src < nranks_, "arrival source out of range");
+  return m_.mailboxes_[static_cast<std::size_t>(rank_)]->arrival_time(
+      src, tag, m_.aborted_);
 }
 
 void Comm::publish_bytes(std::span<const std::byte> bytes) {

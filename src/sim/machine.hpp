@@ -132,16 +132,12 @@ class Comm {
     return true;
   }
 
-  /// Earliest modeled arrival among messages from (src, tag) that are
-  /// physically queued at this rank, or nullopt when none is queued yet.
-  /// Free of charge and never moves the clock: the comm engine's
-  /// arrival-driven wait peeks to decide how far virtual time must advance
-  /// before the next interesting message becomes consumable.
-  std::optional<double> peek_arrival(int src, int tag);
-
-  /// Advance this rank's virtual clock to at least `t` (no-op when already
-  /// past); the advance is idle wait, charged to comm_s.
-  void wait_until(double t);
+  /// Modeled arrival time of the next message from (src, tag). Blocks
+  /// physically until that message is queued at this rank, but is free of
+  /// charge and never moves the clock: the comm engine's arrival-driven
+  /// receives order a batch's messages by these times before consuming
+  /// any of them.
+  double arrival_time(int src, int tag);
 
   /// Comm-engine accounting hook: one physical coalesced message just left
   /// this rank carrying `segments` logical per-schedule segments of `bytes`

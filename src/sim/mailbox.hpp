@@ -62,18 +62,19 @@ class Mailbox {
     jitter_spread_ = spread;
   }
 
-  /// Earliest modeled arrival among queued messages matching (src, tag), or
-  /// nullopt when none is physically queued yet. Never consumes, never
-  /// blocks — the comm engine's arrival-driven wait uses it to decide how
-  /// far to advance the receiver's virtual clock.
-  std::optional<double> peek_arrival(int src, int tag) {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::optional<double> best;
-    for (const Message& m : q_) {
-      if (m.src == src && m.tag == tag)
-        if (!best || m.arrival < *best) best = m.arrival;
+  /// Modeled arrival of the message pop(src, tag) would return next.
+  /// Blocks physically until one is queued (throws Aborted if the machine
+  /// fails), but never consumes it and never moves any clock — the comm
+  /// engine orders a batch's messages by these times, so arrival-driven
+  /// execution follows the modeled network rather than host timing.
+  double arrival_time(int src, int tag, const std::atomic<bool>& aborted) {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      if (aborted.load(std::memory_order_relaxed)) throw Aborted{};
+      for (const Message& m : q_)
+        if (m.src == src && m.tag == tag) return m.arrival;
+      cv_.wait(lk);
     }
-    return best;
   }
 
   /// Blocks until a message with exactly this (src, tag) arrives, removes it

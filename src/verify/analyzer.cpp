@@ -1,7 +1,6 @@
 #include "verify/analyzer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -42,7 +41,6 @@ struct StepSnap {
 struct GraphSnap {
   std::vector<StepSnap> steps;
   bool arrival_driven = false;
-  std::optional<EquivalenceTolerance> tolerance;
   /// Best-known name per container address, pooled across every step
   /// (a raw vector named in one binding is recognized everywhere).
   std::map<const void*, std::string> names;
@@ -68,7 +66,6 @@ GraphSnap snapshot(StepGraph& g) {
   g.resolve_for_analysis();
   GraphSnap snap;
   snap.arrival_driven = g.arrival_driven();
-  snap.tolerance = g.tolerance();
   for (std::size_t i = 0; i < g.size(); ++i) {
     const Step& s = g.at(i);
     StepSnap ss;
@@ -89,14 +86,6 @@ GraphSnap snapshot(StepGraph& g) {
     snap.steps.push_back(std::move(ss));
   }
   return snap;
-}
-
-/// Compact float formatting for message bodies ("1e-12", not the
-/// "0.000000" std::to_string collapses small tolerances to).
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
 }
 
 Diagnostic make(std::string rule, Severity sev, const GraphSnap& g,
@@ -355,9 +344,10 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
               "referencing one element share — the conflict graph is NOT "
               "empty, and a concurrent wave would race on the "
               "accumulator",
-          "drop chunk_writes_disjoint() and declare an "
-          "EquivalenceTolerance (the tolerance-checked arrival arm), or "
-          "restructure the reduction so each chunk owns disjoint slots"));
+          "drop chunk_writes_disjoint() (conflicted chunks fire one at a "
+          "time in canonical order, bitwise identical to the serial "
+          "arm), or restructure the reduction so each chunk owns "
+          "disjoint slots"));
       continue;
     }
 
@@ -441,63 +431,6 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
   }
 }
 
-// ---- rule: determinism-audit ------------------------------------------
-//
-// Conflicted chunked steps (no disjointness claim) under arrival-driven
-// intent: without a declared EquivalenceTolerance the executor silently
-// falls back to the static path (use_arrival) — legal, but the program
-// text says "arrival-driven" and the run is not. With a tolerance, the
-// non-associative accumulation order varies with the delivery permutation
-// — certified only to the declared bound. And a tolerance nothing
-// consumes usually means the claim landed later and the tolerance is now
-// dead weight.
-void rule_determinism_audit(const GraphSnap& g,
-                            std::vector<Diagnostic>& out) {
-  if (!g.arrival_driven) return;
-  bool any_conflicted_chunked = false;
-  for (const StepSnap& s : g.steps) {
-    if (!s.chunked || s.claims_disjoint) continue;
-    any_conflicted_chunked = true;
-    if (!g.tolerance.has_value()) {
-      out.push_back(make(
-          "determinism-audit", Severity::kWarning, g, &s, nullptr,
-          "chunked but conflicted (no chunk_writes_disjoint claim) and "
-          "the graph declares no EquivalenceTolerance — arrival-driven "
-          "execution SILENTLY falls back to the static path for this "
-          "step, so the message-driven arm the program asks for never "
-          "runs",
-          "declare set_tolerance(EquivalenceTolerance{abs, rel}) to run "
-          "the tolerance-checked arrival arm, or chunk_writes_disjoint() "
-          "if the chunks provably write disjoint slots"));
-    } else {
-      const Access* acc = nullptr;
-      for (const Access& w : s.writes)
-        if (w.decl.kind == lang::AccessKind::kScatterAdd) acc = &w;
-      if (acc) {
-        out.push_back(make(
-            "determinism-audit", Severity::kNote, g, &s, acc->decl.array,
-            "arrival order reorders the floating-point combines into "
-            "sum(" +
-                aname(g, acc->decl.array) +
-                "); results are certified equivalent only to the "
-                "declared tolerance (|a-b| <= " + num(g.tolerance->abs) +
-                " + " + num(g.tolerance->rel) +
-                " * max(|a|,|b|)) — the delivery-permutation fuzz is the "
-                "oracle for this bound",
-            ""));
-      }
-    }
-  }
-  if (g.tolerance.has_value() && !any_conflicted_chunked) {
-    out.push_back(make(
-        "determinism-audit", Severity::kNote, g, nullptr, nullptr,
-        "the graph declares an EquivalenceTolerance but no chunked step "
-        "is conflicted — every chunked step claims disjoint writes, so "
-        "the bitwise contract holds and the tolerance is never consumed",
-        "drop the set_tolerance call (or the claim that obsoleted it)"));
-  }
-}
-
 // ---- rule: stale-binding ----------------------------------------------
 //
 // The lifetime analysis behind check_bindings, run without arming:
@@ -562,7 +495,6 @@ std::vector<Diagnostic> Analyzer::analyze(StepGraph& graph) {
   rule_dead_scatter(snap, out);
   rule_redundant_gather(rt, snap, out);
   rule_race_certification(rt, snap, out);
-  rule_determinism_audit(snap, out);
   rule_stale_binding(rt, snap, out);
   return out;
 }

@@ -32,11 +32,6 @@
 //                                 dynamically), REFUTED (error) when the
 //                                 claim contradicts a declared shared
 //                                 reduction, ASSUMED otherwise.
-//   determinism-audit    WARNING  conflicted chunked steps armed arrival-
-//                        /NOTE    driven without an EquivalenceTolerance
-//                                 (silent static fallback), tolerance-
-//                                 certified non-associative accumulation
-//                                 orders, declared-but-unused tolerances.
 //   stale-binding        ERROR    bindings already stale (revision probe
 //                        /NOTE    mismatch, invalidated schedules); raw-
 //                                 container bindings with no staleness

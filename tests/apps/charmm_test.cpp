@@ -476,6 +476,38 @@ TEST(CharmmStepGraph, ReportsPerStepTraffic) {
   EXPECT_EQ(r.step_traffic[2].write_msgs, 0u);
 }
 
+TEST(CharmmStepGraph, ArrivalArmIsBitwiseReproducibleAcrossPermutations) {
+  // The arrival arm's non-bonded chunks share the force accumulator, so
+  // they fire one at a time in canonical order on the modeled clock:
+  // neither host timing (two plain runs) nor the modeled arrival order
+  // (delivery-permutation seeds) may change a bit of the trajectory.
+  ParallelCharmmConfig cfg;
+  cfg.system = SystemParams::small(240);
+  cfg.run.steps = 5;
+  cfg.run.nb_rebuild_every = 3;
+  cfg.collect_state = true;
+  cfg.shape = CharmmShape::kStepGraphArrival;
+  const auto run = [&](std::uint64_t seed) {
+    sim::Machine m(4);
+    m.set_delivery_permutation(seed, seed == 0 ? 0.0 : 2e-3);
+    return run_parallel_charmm(m, cfg);
+  };
+  const ParallelCharmmResult ref = run(0);
+  for (std::uint64_t seed : {0u, 11u, 22u, 33u}) {
+    const ParallelCharmmResult r = run(seed);
+    ASSERT_EQ(r.pos.size(), ref.pos.size());
+    ASSERT_EQ(r.force.size(), ref.force.size());
+    for (std::size_t i = 0; i < ref.pos.size(); ++i) {
+      for (int a = 0; a < 3; ++a) {
+        ASSERT_EQ(r.pos[i][a], ref.pos[i][a])
+            << "seed " << seed << " atom " << i;
+        ASSERT_EQ(r.force[i][a], ref.force[i][a])
+            << "seed " << seed << " atom " << i;
+      }
+    }
+  }
+}
+
 TEST(CharmmStepGraph, PipeliningDoesNotSlowTheRunDown) {
   ParallelCharmmConfig cfg;
   cfg.system = SystemParams::small(300);

@@ -1,7 +1,7 @@
 // Runtime-level comm engine tests: gather_async/scatter_add_async posting
 // through ScheduleHandles with per-peer coalescing, async light-weight
-// migration overlapped with local work, per-peer arrival tracking
-// (test_peer / ready_peers / wait_arrival), and registry memory hygiene
+// migration overlapped with local work, arrival-driven receives
+// (arrival_order / receive_peer), and registry memory hygiene
 // (Runtime::compact) after epoch retirement.
 #include <gtest/gtest.h>
 
@@ -248,9 +248,9 @@ TEST(RuntimeCommEngine, DeltaRemapMigratesOnlyMovedBytes) {
   });
 }
 
-// ---- per-peer arrival tracking ---------------------------------------------
+// ---- arrival-driven receives ----------------------------------------------
 
-TEST(CommEnginePerPeer, TestPeerAndReadyPeersTrackGatherCompletion) {
+TEST(CommEnginePerPeer, ArrivalOrderDrivesGatherToCompletion) {
   Machine m(3);
   m.run([](Comm& comm) {
     Runtime rt(comm);
@@ -270,27 +270,35 @@ TEST(CommEnginePerPeer, TestPeerAndReadyPeersTrackGatherCompletion) {
                           -1.0);
     for (std::size_t i = 0; i < 4; ++i)
       x[i] = comm.rank() * 4 + static_cast<double>(i);
+    // Higher ranks do less work before the flush, so their messages land
+    // first: the arrival order is the reverse of the canonical peer order.
+    comm.charge_work(1000.0 * (comm.size() - comm.rank()));
     const comm::CommHandle ch =
         rt.gather_async<double>(h, std::span<double>{x});
     rt.comm_flush();
 
-    // A peer the op expects nothing from is trivially complete.
-    EXPECT_TRUE(rt.engine().test_peer(ch, comm.rank()));
+    // Both peers, sorted by (arrival, peer); the query never moves the
+    // clock.
+    const double before = comm.now();
+    const std::vector<comm::Engine::Arrival> order =
+        rt.engine().arrival_order(ch);
+    EXPECT_EQ(comm.now(), before);
+    ASSERT_EQ(order.size(), 2u);
+    EXPECT_NE(order[0].peer, comm.rank());
+    EXPECT_NE(order[1].peer, comm.rank());
+    EXPECT_GT(order[0].peer, order[1].peer);
+    EXPECT_LT(order[0].at, order[1].at);
 
-    // Drive the op to completion purely through the arrival-driven calls:
-    // ready_peers grows monotonically and ends at both peers, ascending.
-    std::vector<int> ready = rt.engine().ready_peers(ch);
-    while (ready.size() < 2) {
-      rt.engine().wait_arrival();
-      std::vector<int> now = rt.engine().ready_peers(ch);
-      for (int p : ready)  // monotone: a ready peer never un-readies
-        EXPECT_NE(std::find(now.begin(), now.end(), p), now.end());
-      ready = std::move(now);
+    // Receiving in that order completes the op; each receive lands the
+    // clock past its message's modeled arrival.
+    for (const comm::Engine::Arrival& a : order) {
+      EXPECT_FALSE(rt.engine().done(ch));
+      rt.engine().receive_peer(ch, a.peer);
+      EXPECT_GT(comm.now(), a.at);
     }
-    EXPECT_TRUE(std::is_sorted(ready.begin(), ready.end()));
-    for (int p = 0; p < 3; ++p)
-      if (p != comm.rank()) EXPECT_TRUE(rt.engine().test_peer(ch, p));
-    EXPECT_TRUE(rt.engine().test(ch));
+    EXPECT_TRUE(rt.engine().done(ch));
+    EXPECT_TRUE(rt.engine().arrival_order(ch).empty());
+    EXPECT_THROW(rt.engine().receive_peer(ch, order[0].peer), Error);
     rt.comm_wait_all();
 
     // Every ghost slot carries its global id's value.
@@ -302,47 +310,80 @@ TEST(CommEnginePerPeer, TestPeerAndReadyPeersTrackGatherCompletion) {
   });
 }
 
-TEST(CommEnginePerPeer, ArrivalDrainKeepsConflictedScatterAddCanonical) {
-  // A non-associative probe: rank 0 owns one accumulator slot primed with
-  // -1e16; rank 1 contributes +1e16, rank 2 contributes +1.0. Canonical
-  // (ascending peer) combining yields exactly 1.0; arrival-order combining
-  // could yield 0.0. While the scatter is in flight rank 0 polls
-  // test_peer/wait_arrival on an unrelated gather — that drain must
-  // consume the conflicted scatter segments only in canonical order.
-  Machine m(3);
-  m.run([](Comm& comm) {
-    Runtime rt(comm);
+/// The non-associative probe shared by the tests below: rank 0 owns one
+/// accumulator slot primed with -1e16; rank 1 contributes +1e16, rank 2
+/// contributes +1.0. Canonical (ascending peer) combining yields exactly
+/// 1.0; arrival-order combining could yield 0.0. Rank 0 also gathers
+/// globals 1 and 2.
+struct ScatterProbe {
+  ScheduleHandle h_add, h_gat;
+  std::vector<double> acc, y;
+
+  ScatterProbe(Runtime& rt, Comm& comm) {
     const std::vector<int> map{0, 1, 2};
     const DistHandle d = rt.irregular(map);
-
     lang::IndirectionArray ind_add;  // ranks 1 and 2 push into global 0
     if (comm.rank() != 0) ind_add.assign({0});
-    const ScheduleHandle h_add = rt.inspect(d, ind_add);
+    h_add = rt.inspect(d, ind_add);
     lang::IndirectionArray ind_gat;  // rank 0 gathers globals 1 and 2
     if (comm.rank() == 0) ind_gat.assign({1, 2});
-    const ScheduleHandle h_gat = rt.inspect(d, ind_gat);
+    h_gat = rt.inspect(d, ind_gat);
 
     const auto extent = static_cast<std::size_t>(rt.local_extent(d));
-    std::vector<double> acc(extent, 0.0), y(extent, 0.0);
+    acc.assign(extent, 0.0);
+    y.assign(extent, 0.0);
     if (comm.rank() == 0) acc[0] = -1e16;
     if (comm.rank() == 1) acc[1] = 1e16;  // ghost slot for global 0
     if (comm.rank() == 2) acc[1] = 1.0;
     y[0] = 10.0 * (comm.rank() + 1);
+  }
+};
 
-    rt.scatter_add_async<double>(h_add, std::span<double>{acc});
+TEST(CommEnginePerPeer, ArrivalDrainKeepsConflictedScatterAddCanonical) {
+  // The scatter batch is in flight while rank 0 receives an unrelated
+  // gather batch in arrival order: those receives must not touch the
+  // scatter's segments, which still combine in canonical order.
+  Machine m(3);
+  m.run([](Comm& comm) {
+    Runtime rt(comm);
+    ScatterProbe p(rt, comm);
+    rt.scatter_add_async<double>(p.h_add, std::span<double>{p.acc});
+    rt.comm_flush();
     const comm::CommHandle gh =
-        rt.gather_async<double>(h_gat, std::span<double>{y});
+        rt.gather_async<double>(p.h_gat, std::span<double>{p.y});
     rt.comm_flush();
     if (comm.rank() == 0) {
-      while (!rt.engine().test(gh)) rt.engine().wait_arrival();
-      EXPECT_TRUE(rt.engine().test_peer(gh, 1));
-      EXPECT_TRUE(rt.engine().test_peer(gh, 2));
+      for (const comm::Engine::Arrival& a : rt.engine().arrival_order(gh))
+        rt.engine().receive_peer(gh, a.peer);
+      EXPECT_TRUE(rt.engine().done(gh));
     }
     rt.comm_wait_all();
 
     if (comm.rank() == 0) {
-      EXPECT_EQ(acc[0], 1.0);  // (-1e16 + 1e16) + 1.0, canonical order
-      EXPECT_EQ(y[1] + y[2], 50.0);  // gathered rank 1 and 2 values
+      EXPECT_EQ(p.acc[0], 1.0);  // (-1e16 + 1e16) + 1.0, canonical order
+      EXPECT_EQ(p.y[1] + p.y[2], 50.0);  // gathered rank 1 and 2 values
+    }
+  });
+}
+
+TEST(CommEnginePerPeer, ArrivalOrderRefusesBatchWithOrderDependentOp) {
+  // A scatter-add posted into the gather's batch makes the whole batch
+  // order-dependent: asking for its arrival order is an error, and the
+  // canonical path still completes it.
+  Machine m(3);
+  m.run([](Comm& comm) {
+    Runtime rt(comm);
+    ScatterProbe p(rt, comm);
+    rt.scatter_add_async<double>(p.h_add, std::span<double>{p.acc});
+    const comm::CommHandle gh =
+        rt.gather_async<double>(p.h_gat, std::span<double>{p.y});
+    rt.comm_flush();
+    EXPECT_THROW(rt.engine().arrival_order(gh), Error);
+    rt.comm_wait_all();
+
+    if (comm.rank() == 0) {
+      EXPECT_EQ(p.acc[0], 1.0);
+      EXPECT_EQ(p.y[1] + p.y[2], 50.0);
     }
   });
 }

@@ -308,76 +308,6 @@ TEST(VerifyAnalyzer, RaceCertificationSilentWithoutArrivalIntent) {
   EXPECT_EQ(count_rule(ds, "race-certification", Severity::kError), 0u);
 }
 
-// ---- rule: determinism-audit -----------------------------------------------
-
-TEST(VerifyAnalyzer, DeterminismAuditWarnsOnSilentStaticFallback) {
-  const Diags ds = analyze([](Runtime& rt, StepGraph& g, Comm& c) {
-    const DistHandle d = rt.block(kN);
-    lang::IndirectionArray ind(make_refs(c.rank(), 0));
-    const ScheduleHandle h = rt.inspect(rt.bind(d, ind));
-    static thread_local std::vector<double> x, y;
-    x.assign(static_cast<std::size_t>(rt.local_extent(d)), 0.0);
-    y.assign(x.size(), 0.0);
-    g.set_arrival_driven(true);
-    // Conflicted (no claim), no tolerance: the executor will silently run
-    // this step on the static path despite the arrival-driven intent.
-    g.step("halo")
-        .bind(in(x).via(h))
-        .compute_chunks([](ChunkContext&) {})
-        .bind(sum(y).via(h));
-    g.step("consume").bind(use(y), update(x)).compute([] {});
-  });
-  const Diagnostic* w =
-      find_rule(ds, "determinism-audit", Severity::kWarning);
-  ASSERT_NE(w, nullptr);
-  EXPECT_NE(w->message.find("SILENTLY"), std::string::npos);
-}
-
-TEST(VerifyAnalyzer, DeterminismAuditNotesToleranceCertifiedReduction) {
-  const Diags ds = analyze([](Runtime& rt, StepGraph& g, Comm& c) {
-    const DistHandle d = rt.block(kN);
-    lang::IndirectionArray ind(make_refs(c.rank(), 0));
-    const ScheduleHandle h = rt.inspect(rt.bind(d, ind));
-    static thread_local std::vector<double> x, y;
-    x.assign(static_cast<std::size_t>(rt.local_extent(d)), 0.0);
-    y.assign(x.size(), 0.0);
-    g.set_arrival_driven(true);
-    g.set_tolerance(EquivalenceTolerance{1e-12, 1e-9});
-    g.step("halo")
-        .bind(in(x).via(h))
-        .compute_chunks([](ChunkContext&) {})
-        .bind(sum(y).via(h));
-    g.step("consume").bind(use(y), update(x)).compute([] {});
-  });
-  EXPECT_EQ(count_rule(ds, "determinism-audit", Severity::kWarning), 0u);
-  const Diagnostic* note =
-      find_rule(ds, "determinism-audit", Severity::kNote);
-  ASSERT_NE(note, nullptr);
-  EXPECT_NE(note->message.find("1e-12"), std::string::npos);
-}
-
-TEST(VerifyAnalyzer, DeterminismAuditNotesUnconsumedTolerance) {
-  const Diags ds = analyze([](Runtime& rt, StepGraph& g, Comm&) {
-    const DistHandle d = rt.block(kN);
-    static thread_local std::vector<double> x, y;
-    x.assign(static_cast<std::size_t>(rt.local_extent(d)), 0.0);
-    y.assign(x.size(), 0.0);
-    g.set_arrival_driven(true);
-    g.set_tolerance(EquivalenceTolerance{1e-12, 1e-9});
-    // Every chunked step claims disjoint writes: the bitwise contract
-    // holds and the declared tolerance is dead weight.
-    g.step("cells")
-        .bind(use(x))
-        .compute_chunks(4, [](ChunkContext&) {})
-        .bind(update(y))
-        .chunk_writes_disjoint();
-  });
-  const Diagnostic* note =
-      find_rule(ds, "determinism-audit", Severity::kNote);
-  ASSERT_NE(note, nullptr);
-  EXPECT_NE(note->message.find("never consumed"), std::string::npos);
-}
-
 // ---- rule: stale-binding ---------------------------------------------------
 
 TEST(VerifyAnalyzer, StaleBindingErrorsOnRetargetedArray) {
