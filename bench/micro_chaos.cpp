@@ -9,6 +9,7 @@
 // table harnesses.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 
@@ -76,38 +77,62 @@ BENCHMARK(BM_HashWarmRehash)->Arg(10000)->Arg(100000);
 
 void BM_HashRehashRandom(benchmark::State& state) {
   // The adaptive re-inspection: 250k random references over 524288
-  // elements, 10% of them replaced, re-hashed. Unlike BM_HashWarmRehash's
-  // iota references, these miss the cache on every probe.
+  // elements are inspected, range(0) percent of the slots are redrawn, and
+  // the whole re-inspection is timed on one path: range(1) == 0 is the full
+  // path (clear the loop's stamp, copy the new globals, re-hash every
+  // reference), 1 the slot path (IndexHashTable::rehash over the changed
+  // slots). Each iteration starts from a freshly inspected table, so both
+  // paths see the same table. Unlike BM_HashWarmRehash's iota references,
+  // these miss the cache on every probe. The crossover between the two
+  // paths sets lang::IndirectionArray::kMaxDeltaShare.
   const GlobalIndex n = 524288;
   const std::size_t nrefs = 250000;
+  const auto changed = nrefs * static_cast<std::size_t>(state.range(0)) / 100;
+  const bool slot_path = state.range(1) != 0;
   sim::Machine machine(1);
   machine.run([&](sim::Comm& comm) {
     std::vector<int> map(static_cast<size_t>(n), 0);
     auto table = core::TranslationTable::from_full_map(comm, map);
-    core::IndexHashTable hash(n);
     Rng rng(31);
-    std::vector<GlobalIndex> refs(nrefs);
-    for (auto& g : refs)
+    std::vector<GlobalIndex> initial(nrefs);
+    for (auto& g : initial)
       g = static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(n)));
-    std::vector<GlobalIndex> again = refs;
-    hash.hash(comm, table, again);
+    std::vector<std::uint32_t> order(nrefs);
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    std::vector<std::uint32_t> slots(changed);
+    std::vector<GlobalIndex> old_values(changed);
     for (auto _ : state) {
       state.PauseTiming();
-      again = refs;
-      for (std::size_t k = 0; k < nrefs / 10; ++k)
-        again[rng.below(nrefs)] =
+      core::IndexHashTable hash(n);
+      std::vector<GlobalIndex> local = initial;
+      const core::Stamp stamp = hash.hash(comm, table, local);
+      for (std::size_t k = 0; k < changed; ++k)
+        std::swap(order[k], order[k + rng.below(nrefs - k)]);
+      std::copy_n(order.begin(), changed, slots.begin());
+      std::sort(slots.begin(), slots.end());
+      std::vector<GlobalIndex> globals = initial;
+      for (std::size_t k = 0; k < changed; ++k) {
+        old_values[k] = globals[slots[k]];
+        globals[slots[k]] =
             static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(n)));
+      }
       state.ResumeTiming();
-      const core::Stamp s = hash.hash(comm, table, again);
-      benchmark::DoNotOptimize(again.data());
-      state.PauseTiming();
-      hash.clear_stamp(s);
-      state.ResumeTiming();
+      if (!slot_path ||
+          !hash.rehash(comm, table, stamp, local, slots, old_values, globals)) {
+        hash.clear_stamp(stamp);
+        local.assign(globals.begin(), globals.end());
+        benchmark::DoNotOptimize(hash.hash(comm, table, local));
+      }
+      benchmark::DoNotOptimize(local.data());
+      benchmark::ClobberMemory();
     }
   });
   state.SetItemsProcessed(state.iterations() * static_cast<long>(nrefs));
 }
-BENCHMARK(BM_HashRehashRandom)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HashRehashRandom)
+    ->ArgsProduct({{1, 10, 25, 50}, {0, 1}})
+    ->ArgNames({"pct", "slot"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SeedFrom(benchmark::State& state) {
   // Cross-epoch reuse after a repartition that moves each rank's top 5% of

@@ -43,15 +43,60 @@ Stamp IndexHashTable::allocate_stamp() {
 Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
                            std::span<GlobalIndex> indices) {
   const Stamp stamp = allocate_stamp();
+  enter_translated(comm, table, indices, stamp, indices.size());
+  return stamp;
+}
+
+bool IndexHashTable::rehash(sim::Comm& comm, const TranslationTable& table,
+                            Stamp stamp, std::span<GlobalIndex> refs,
+                            std::span<const std::uint32_t> slots,
+                            std::span<const GlobalIndex> old_values,
+                            std::span<const GlobalIndex> values) {
+  CHAOS_CHECK((free_stamps_ & stamp) == 0 && refs.size() == values.size() &&
+                  slots.size() == old_values.size(),
+              "rehash needs a stamp in use and a matching delta");
+  // clear_stamp + hash() would take the lowest free bit.
+  if ((free_stamps_ & (stamp - 1)) != 0) return false;
+
+  // Count references per local index; an entry whose last reference was a
+  // changed slot loses the stamp.
+  std::vector<std::uint32_t> uses(static_cast<std::size_t>(local_extent()), 0);
+  for (const GlobalIndex l : refs) ++uses[static_cast<std::size_t>(l)];
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (--uses[static_cast<std::size_t>(refs[slots[i]])] != 0) continue;
+    const GlobalIndex g = old_values[i];
+    const std::int32_t id = index_[probe(g, mix(g))];
+    CHAOS_ASSERT(id >= 0 && entries_[static_cast<std::size_t>(id)]
+                                    .local_index == refs[slots[i]],
+                 "delta's old value does not match the localized reference");
+    entries_[static_cast<std::size_t>(id)].stamps &= ~stamp;
+  }
+
+  std::vector<GlobalIndex> fresh(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) fresh[i] = values[slots[i]];
+  enter_translated(comm, table, fresh, stamp, refs.size());
+  // A full pass checks the load once more after the last changed slot.
+  if (refs.size() > (slots.empty() ? 0 : slots.back() + std::size_t{1}) &&
+      entries_.size() * 10 >= index_.size() * 7)
+    grow();
+  for (std::size_t i = 0; i < slots.size(); ++i) refs[slots[i]] = fresh[i];
+  return true;
+}
+
+void IndexHashTable::enter_translated(sim::Comm& comm,
+                                      const TranslationTable& table,
+                                      std::span<GlobalIndex> refs, Stamp stamp,
+                                      std::size_t total) {
   const std::size_t first_new = entries_.size();
 
   // One probe per reference; new entries wait for their Home.
   std::vector<GlobalIndex> unknown;
-  const std::uint64_t hits =
-      enter(indices, stamp, [&](std::size_t, GlobalIndex g) {
-        unknown.push_back(g);
-        return Entry{g, Home{}, -1, stamp};
-      });
+  enter(refs, stamp, [&](std::size_t, GlobalIndex g) {
+    unknown.push_back(g);
+    return Entry{g, Home{}, -1, stamp};
+  });
+  const std::uint64_t hits = total - unknown.size();
+  stats_.hits += total - refs.size();
   comm.charge_work(static_cast<double>(hits) * costs::kHashHit +
                    static_cast<double>(unknown.size()) * costs::kHashInsert);
 
@@ -69,9 +114,8 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
   }
 
   // Fix-up: references to entries inserted by this call.
-  for (GlobalIndex& g : indices)
+  for (GlobalIndex& g : refs)
     if (g < 0) g = entries_[static_cast<std::size_t>(-(g + 1))].local_index;
-  return stamp;
 }
 
 void IndexHashTable::clear_stamp(Stamp stamp) {

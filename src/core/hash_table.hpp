@@ -23,6 +23,13 @@
 // rewritten to -(id + 1), since its local index waits on the batched
 // translation, and one sequential fix-up pass resolves those afterwards.
 //
+// `rehash` is the re-inspection of an array whose modification record names
+// the slots that changed (lang::IndirectionArray::delta). It probes only
+// those slots and leaves exactly the state clear_stamp + hash would: an
+// entry loses the array's stamp only when no slot references it any more,
+// new entries can come only from changed slots (entered in ascending slot
+// order, as a full pass meets them), and the work charged is a full pass's.
+//
 // Ghost slots are stable: clearing a stamp never moves surviving entries,
 // and re-hashing an index whose stamps were cleared revives it with its old
 // slot. `compact()` explicitly reclaims dead slots (which invalidates any
@@ -72,6 +79,18 @@ class IndexHashTable {
   /// indices may communicate when the table is distributed).
   Stamp hash(sim::Comm& comm, const TranslationTable& table,
              std::span<GlobalIndex> indices);
+
+  /// Re-inspection over a slot-level delta: `refs` is an array's localized
+  /// references under `stamp`, and slot slots[i] (ascending) changed from
+  /// global old_values[i] to values[slots[i]]. Rewrites those slots, leaving
+  /// exactly what clear_stamp(stamp) + hash(values) would; returns false,
+  /// touching nothing, when that hash() would allocate another stamp.
+  /// Collective like hash() (the same one translation-table lookup).
+  bool rehash(sim::Comm& comm, const TranslationTable& table, Stamp stamp,
+              std::span<GlobalIndex> refs,
+              std::span<const std::uint32_t> slots,
+              std::span<const GlobalIndex> old_values,
+              std::span<const GlobalIndex> values);
 
   // ---- cross-epoch seeding -------------------------------------------
   //
@@ -175,6 +194,12 @@ class IndexHashTable {
     }
   }
   void grow();
+  /// Enter `refs` under `stamp` as `total` references of which all others
+  /// are already present: charge that pass, translate the inserted globals
+  /// in one (collective) lookup and rewrite `refs` to local indices.
+  void enter_translated(sim::Comm& comm, const TranslationTable& table,
+                        std::span<GlobalIndex> refs, Stamp stamp,
+                        std::size_t total);
   static std::uint64_t mix(GlobalIndex g) {
     std::uint64_t z = static_cast<std::uint64_t>(g) + 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -187,9 +212,9 @@ class IndexHashTable {
   /// appends `insert(k, g)` for position k. Each reference is rewritten to
   /// its entry's local index, or to -(id + 1) while that is still unknown
   /// (-1). The table grows at exactly the references where a per-reference
-  /// load check would grow it. Returns the number of hits.
+  /// load check would grow it.
   template <typename Insert>
-  std::uint64_t enter(std::span<GlobalIndex> refs, Stamp stamp,
+  void enter(std::span<GlobalIndex> refs, Stamp stamp,
                       Insert&& insert) {
     constexpr std::size_t kBatch = 16;
     std::uint64_t h[kBatch];
@@ -225,7 +250,6 @@ class IndexHashTable {
     }
     stats_.hits += hits;
     stats_.inserts += refs.size() - hits;
-    return hits;
   }
 
   GlobalIndex owned_;

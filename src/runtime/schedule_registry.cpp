@@ -36,17 +36,26 @@ const lang::LoopPlan& ScheduleRegistry::plan(sim::Comm& comm,
   ++stats_.builds;
   ++entry.revision;
 
-  // Clear the loop's previous stamp (if any) so the recycled bit marks the
-  // regenerated indirection array, exactly as the paper's CHARMM flow does.
   // A re-inspection leaves dead slots / appended entries behind, so the
   // table's scan order no longer equals a compact replay of the plans.
-  if (entry.plan.stamp != 0) {
-    hash_->clear_stamp(entry.plan.stamp);
-    scan_order_pristine_ = false;
-  }
+  const bool replan = entry.plan.stamp != 0;
+  if (replan) scan_order_pristine_ = false;
 
-  entry.plan.local_refs.assign(ind.values().begin(), ind.values().end());
-  entry.plan.stamp = hash_->hash(comm, dist.table(), entry.plan.local_refs);
+  // When the array's slot-level record is relative to the planned version,
+  // re-hash only the changed slots (same resulting state as the full path).
+  const lang::SlotDelta* delta = ind.delta();
+  if (replan && delta != nullptr && entry.version + 1 == ind.version() &&
+      hash_->rehash(comm, dist.table(), entry.plan.stamp,
+                    entry.plan.local_refs, delta->slots, delta->old_values,
+                    ind.values())) {
+    ++stats_.incremental_rehashes;
+  } else {
+    // Clear the loop's previous stamp (if any) so the recycled bit marks
+    // the regenerated indirection array, as the paper's CHARMM flow does.
+    if (replan) hash_->clear_stamp(entry.plan.stamp);
+    entry.plan.local_refs.assign(ind.values().begin(), ind.values().end());
+    entry.plan.stamp = hash_->hash(comm, dist.table(), entry.plan.local_refs);
+  }
   entry.plan.schedule = core::build_schedule(
       comm, *hash_, core::StampExpr::only(entry.plan.stamp));
   entry.plan.local_extent = hash_->local_extent();

@@ -33,7 +33,9 @@ class ScheduleRegistry {
   /// Get the plan for the loop driven by `ind` over arrays aligned with
   /// `dist`. Collective. Rebuilds when the indirection array or the
   /// distribution changed anywhere on the machine; otherwise returns the
-  /// cached plan (and only pays the version check).
+  /// cached plan (and only pays the version check). A rebuild re-hashes
+  /// only the changed slots when `ind`'s slot-level record is relative to
+  /// the planned version (including a plan seed_from carried).
   const lang::LoopPlan& plan(sim::Comm& comm, const lang::Distribution& dist,
                              const lang::IndirectionArray& ind);
 
@@ -103,6 +105,9 @@ class ScheduleRegistry {
   struct Stats {
     std::uint64_t builds = 0;
     std::uint64_t reuses = 0;
+    /// Re-inspections that re-hashed only the slots the array's record
+    /// named (IndexHashTable::rehash) instead of the whole array.
+    std::uint64_t incremental_rehashes = 0;
     // Cross-epoch reuse counters (seed_from).
     std::uint64_t carried_plans = 0;      ///< plans replayed into a new epoch
     std::uint64_t patched_schedules = 0;  ///< schedules kept, recv remapped

@@ -1,9 +1,12 @@
 // Inspector hash-table tests: dedup, in-place index translation, stamps,
 // clearing/reuse, slot stability, compaction, and the reuse statistics that
-// make adaptive-problem preprocessing cheap. The randomized oracle test
-// holds hash() to the original two-pass loop (support/reference_hash.hpp).
+// make adaptive-problem preprocessing cheap. The randomized oracle tests
+// hold hash(), and rehash() over slot deltas, to the original two-pass loop
+// (support/reference_hash.hpp) with clear_stamp before each re-inspection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "core/hash_table.hpp"
@@ -393,6 +396,208 @@ TEST(IndexHashTable, RandomizedOracleEquivalence) {
       if (::testing::Test::HasFailure()) return;
     }
   }
+}
+
+// ---- randomized oracle: rehash() over a slot delta == clear_stamp + hash ----
+
+/// One slot-level delta of `globals`: ascending slots, their old values and
+/// the new contents.
+struct SlotChange {
+  std::vector<std::uint32_t> slots;
+  std::vector<GlobalIndex> old_values;
+  std::vector<GlobalIndex> next;
+};
+
+/// A delta of `k` distinct slots. New values mix fresh globals, globals of
+/// earlier replaced references (`graveyard`: reviving entries a delta left
+/// dead), duplicates among the changed slots, and globals the array already
+/// holds elsewhere (hits only). With `hits_only`, every new value is one the
+/// array already holds, so the rank inserts nothing.
+SlotChange random_change(Rng& rng, const std::vector<GlobalIndex>& globals,
+                         std::size_t k, GlobalIndex n,
+                         std::vector<GlobalIndex>& graveyard, bool hits_only) {
+  SlotChange d;
+  d.next = globals;
+  std::vector<std::uint32_t> pick(globals.size());
+  for (std::size_t i = 0; i < pick.size(); ++i)
+    pick[i] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < k; ++i)
+    std::swap(pick[i], pick[i + static_cast<std::size_t>(
+                                    rng.below(pick.size() - i))]);
+  d.slots.assign(pick.begin(), pick.begin() + static_cast<std::ptrdiff_t>(k));
+  std::sort(d.slots.begin(), d.slots.end());
+  std::vector<GlobalIndex> fresh;
+  for (const std::uint32_t slot : d.slots) {
+    const GlobalIndex old = globals[slot];
+    GlobalIndex g;
+    const std::uint64_t kind = hits_only ? 3 : rng.below(4);
+    if (kind == 0 && !graveyard.empty()) {
+      g = graveyard[static_cast<std::size_t>(rng.below(graveyard.size()))];
+    } else if (kind == 1 && !fresh.empty()) {
+      g = fresh[static_cast<std::size_t>(rng.below(fresh.size()))];
+    } else if (kind == 3) {
+      g = globals[static_cast<std::size_t>(rng.below(globals.size()))];
+    } else {
+      g = static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(n)));
+    }
+    fresh.push_back(g);
+    d.old_values.push_back(old);
+    d.next[slot] = g;
+    graveyard.push_back(old);
+  }
+  return d;
+}
+
+/// Replay a re-inspection script: three arrays hashed cold after a junk
+/// array, then `calls` re-inspections of a random array through a slot
+/// delta of 0, 1, ~10% or exactly 25% of its slots. The junk array's stamp
+/// is cleared mid-script, so later re-inspections of the other arrays see
+/// a lower free stamp and must fall back. `SlotPath` re-inspects through
+/// rehash() (falling back to clear_stamp + hash() when it declines);
+/// otherwise through clear_stamp + hash().
+template <typename Table, bool SlotPath>
+HashRun replay_deltas(Comm& c, const TranslationTable& t, std::uint64_t seed,
+                      int calls, int& slot_calls) {
+  Rng rng(seed * 104729 + static_cast<std::uint64_t>(c.rank()));
+  const GlobalIndex n = t.global_size();
+  Table h(t.owned_count(c.rank()));
+  HashRun out;
+  std::vector<GlobalIndex> junk = random_refs(rng, n);
+  const Stamp junk_stamp = h.hash(c, t, junk);
+  const int clear_junk_at = static_cast<int>(rng.below(
+      static_cast<std::uint64_t>(calls)));
+  struct Loop {
+    std::vector<GlobalIndex> globals, local;
+    Stamp stamp = 0;
+  };
+  std::vector<Loop> loops(3);
+  for (Loop& l : loops) {
+    l.globals = random_refs(rng, n);
+    l.local = l.globals;
+    l.stamp = h.hash(c, t, l.local);
+  }
+  std::vector<GlobalIndex> graveyard;
+  for (int call = 0; call < calls; ++call) {
+    if (call == clear_junk_at) h.clear_stamp(junk_stamp);
+    Loop& l = loops[static_cast<std::size_t>(rng.below(loops.size()))];
+    const std::size_t len = l.globals.size();
+    const std::size_t sizes[] = {0, std::min<std::size_t>(1, len), len / 10,
+                                 len / 4};
+    const std::size_t k = sizes[rng.below(4)];
+    const bool hits_only = c.rank() == 0 && call % 3 == 0;
+    SlotChange d = random_change(rng, l.globals, k, n, graveyard, hits_only);
+    bool rehashed = false;
+    if constexpr (SlotPath)
+      rehashed = h.rehash(c, t, l.stamp, l.local, d.slots, d.old_values,
+                          d.next);
+    if (rehashed) {
+      ++slot_calls;
+    } else {
+      h.clear_stamp(l.stamp);
+      l.local = d.next;
+      l.stamp = h.hash(c, t, l.local);
+    }
+    l.globals = std::move(d.next);
+    out.rewritten.push_back(l.local);
+    out.stats.push_back(h.stats());
+    out.extent.push_back(h.local_extent());
+    out.footprint.push_back(h.footprint_bytes());
+    out.clock.push_back(c.now());
+  }
+  out.entries.assign(h.entries().begin(), h.entries().end());
+  return out;
+}
+
+TEST(IndexHashTable, RandomizedRehashOracleEquivalence) {
+  const std::uint64_t seeds = testing_support::seed_count(20);
+  int slot_calls = 0;
+  for (std::uint64_t s = 1; s <= seeds; ++s) {
+    SCOPED_TRACE("seed=" + std::to_string(s));
+    for (const bool paged : {false, true}) {
+      SCOPED_TRACE(paged ? "paged, 4 ranks" : "replicated, 2 ranks");
+      const int P = paged ? 4 : 2;
+      Rng rng(s);
+      const GlobalIndex n = rng.range(40, 4000);
+      const std::vector<int> map = random_owner_map(rng, n, P, false);
+      std::vector<HashRun> got(static_cast<std::size_t>(P));
+      std::vector<HashRun> want(static_cast<std::size_t>(P));
+      std::vector<int> slot_calls_of(static_cast<std::size_t>(P), 0);
+      for (const bool oracle : {false, true}) {
+        Machine m(P);
+        m.run([&](Comm& c) {
+          const TranslationTable t =
+              paged ? TranslationTable::build_distributed(
+                          c, page_of(map, c.rank(), P))
+                    : TranslationTable::from_full_map(c, map);
+          int& calls = slot_calls_of[static_cast<std::size_t>(c.rank())];
+          HashRun run =
+              oracle ? replay_deltas<testing_support::ReferenceHashTable,
+                                     false>(c, t, s, 12, calls)
+                     : replay_deltas<IndexHashTable, true>(c, t, s, 12, calls);
+          (oracle ? want : got)[static_cast<std::size_t>(c.rank())] =
+              std::move(run);
+        });
+      }
+      for (int r = 0; r < P; ++r) {
+        SCOPED_TRACE("rank " + std::to_string(r));
+        expect_same_run(got[static_cast<std::size_t>(r)],
+                        want[static_cast<std::size_t>(r)]);
+        slot_calls += slot_calls_of[static_cast<std::size_t>(r)];
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(slot_calls, 0);  // the slot path actually ran
+}
+
+TEST(IndexHashTable, RehashDeclinesWhenALowerStampIsFree) {
+  Machine m(2);
+  m.run([](Comm& c) {
+    auto t = figure6_table(c);
+    if (c.rank() != 0) return;
+    IndexHashTable h(5);
+    std::vector<GlobalIndex> a{6};
+    std::vector<GlobalIndex> b{7, 8};
+    const Stamp sa = h.hash(c, t, a);
+    const Stamp sb = h.hash(c, t, b);
+    h.clear_stamp(sa);  // hash() after clear_stamp(sb) would take sa's bit
+    const std::vector<std::uint32_t> slots{1};
+    const std::vector<GlobalIndex> old_values{8};
+    const std::vector<GlobalIndex> next{7, 9};
+    const std::vector<GlobalIndex> before = b;
+    EXPECT_FALSE(h.rehash(c, t, sb, b, slots, old_values, next));
+    EXPECT_EQ(b, before);
+    EXPECT_EQ(h.find(8)->stamps, sb);
+    EXPECT_EQ(h.find(9), nullptr);
+  });
+}
+
+TEST(IndexHashTable, RehashGrowsWhereAFullPassWould) {
+  // 44 entries sit one insert below the first growth (64 slots, load 0.7).
+  // Changing slot 0 to a new global crosses it; a full pass grows at the
+  // next reference, so rehash must grow too although no changed slot
+  // follows.
+  Machine m(1);
+  m.run([](Comm& c) {
+    const auto t = TranslationTable::from_full_map(c, std::vector<int>(200));
+    IndexHashTable h(200);
+    testing_support::ReferenceHashTable ref(200);
+    std::vector<GlobalIndex> globals(45, 0);
+    std::iota(globals.begin(), globals.begin() + 44, GlobalIndex{0});
+    std::vector<GlobalIndex> a = globals, b = globals;
+    const Stamp sa = h.hash(c, t, a);
+    const Stamp sb = ref.hash(c, t, b);
+    std::vector<GlobalIndex> next = globals;
+    next[0] = 100;
+    const std::vector<std::uint32_t> slots{0};
+    const std::vector<GlobalIndex> old_values{0};
+    ASSERT_TRUE(h.rehash(c, t, sa, a, slots, old_values, next));
+    ref.clear_stamp(sb);
+    b = next;
+    ref.hash(c, t, b);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(h.footprint_bytes(), ref.footprint_bytes());
+  });
 }
 
 TEST(IndexHashTable, RandomizedOracleTombstoneThrows) {

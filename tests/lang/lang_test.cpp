@@ -157,6 +157,33 @@ TEST(ScheduleRegistry, DistributionChangeInvalidates) {
   });
 }
 
+TEST(IndirectionArray, AssignKeepsSlotDeltaUpToAQuarter) {
+  IndirectionArray ind(std::vector<GlobalIndex>{0, 1, 2, 3, 4, 5, 6, 7});
+  EXPECT_EQ(ind.delta(), nullptr);
+  ind.assign({0, 9, 2, 3, 4, 5, 8, 7});  // exactly a quarter changed
+  ASSERT_NE(ind.delta(), nullptr);
+  EXPECT_EQ(ind.delta()->slots, (std::vector<std::uint32_t>{1, 6}));
+  EXPECT_EQ(ind.delta()->old_values, (std::vector<GlobalIndex>{1, 6}));
+
+  // A move carries the record; the moved-from array drops it.
+  IndirectionArray moved(std::move(ind));
+  ASSERT_NE(moved.delta(), nullptr);
+  EXPECT_EQ(moved.delta()->slots.size(), 2u);
+  EXPECT_EQ(ind.delta(), nullptr);  // NOLINT(bugprone-use-after-move)
+  IndirectionArray assigned;
+  assigned = std::move(moved);
+  ASSERT_NE(assigned.delta(), nullptr);
+  EXPECT_EQ(moved.delta(), nullptr);  // NOLINT(bugprone-use-after-move)
+
+  assigned.assign({1, 10, 2, 3, 4, 5, 8, 6});  // 3 of 8 changed
+  EXPECT_EQ(assigned.delta(), nullptr);
+  assigned.assign({1, 10, 2, 3, 4, 5, 8, 6});  // same contents: empty delta
+  ASSERT_NE(assigned.delta(), nullptr);
+  EXPECT_TRUE(assigned.delta()->slots.empty());
+  assigned.assign({1, 9});  // length changed
+  EXPECT_EQ(assigned.delta(), nullptr);
+}
+
 TEST(ForallReduceSum, MatchesSequentialReduction) {
   // x(ind(j)) += y(ind(j)) * 2 over a random indirection array, compared
   // against a sequential evaluation of the same loop.

@@ -454,6 +454,211 @@ TEST(CrossEpochReuse, RandomizedEquivalenceWithPagedTables) {
   }
 }
 
+// ---- slot-level re-inspection ------------------------------------------------
+
+/// A sweep-like loop re-inspected through slot deltas (IndexHashTable::
+/// rehash) must leave exactly what the full re-hash leaves. Two Runtimes run
+/// the same script over the same comm: `rt` inspects an array whose record
+/// stays slot-granular; `full` inspects a copy assigned twice per change, so
+/// its record is never relative to the planned version and every
+/// re-inspection takes the full path. Small deltas are re-inspected before a
+/// repartition, across it (a changed array whose stale plan was seeded into
+/// the successor epoch) and after remap_ghost_locality; then two assigns
+/// between inspects and a >25% change must take the full path in `rt` too.
+/// After each inspection localized refs, schedules, extents, hash stats and
+/// gather / scatter_add results must be bitwise equal across the two, and
+/// the gathered values and owner sums equal to a cold Runtime inspecting
+/// the same final array on the same map.
+void run_slot_delta_scenario(std::uint64_t seed, bool paged) {
+  Rng shape_rng(seed);
+  const int P = 2 + static_cast<int>(shape_rng.below(3));
+  const GlobalIndex n = 200 + static_cast<GlobalIndex>(shape_rng.below(800));
+
+  Machine m(P);
+  m.run([&](Comm& comm) {
+    Runtime rt(comm);
+    Runtime full(comm);
+    Rng map_rng(seed * 1000003 + 29);
+    std::vector<int> map(static_cast<std::size_t>(n));
+    for (int& p : map) p = static_cast<int>(map_rng.below(P));
+    const auto distribute = [&](Runtime& r) {
+      return paged ? r.irregular_paged(map) : r.irregular(map);
+    };
+    DistHandle ds = distribute(rt);
+    DistHandle df = distribute(full);
+
+    Rng ref_rng(seed * 7919 + 3 +
+                static_cast<std::uint64_t>(comm.rank()) * 65537);
+    const auto random_global = [&] {
+      return static_cast<GlobalIndex>(
+          ref_rng.below(static_cast<std::uint64_t>(n)));
+    };
+    std::vector<GlobalIndex> values(100 + ref_rng.below(300));
+    for (GlobalIndex& g : values) g = random_global();
+    // Redraw `fraction` of the slots (with repeats: at most that many
+    // change).
+    const auto redraw = [&](double fraction) {
+      const auto k = static_cast<std::size_t>(
+          static_cast<double>(values.size()) * fraction);
+      for (std::size_t i = 0; i < k; ++i)
+        values[static_cast<std::size_t>(ref_rng.below(values.size()))] =
+            random_global();
+    };
+
+    lang::IndirectionArray ind, ind_full;
+    const auto publish = [&] {
+      ind.assign(values);
+      ind_full.assign({});
+      ind_full.assign(values);
+    };
+    publish();
+
+    std::uint64_t expected_slot = 0;
+    const auto inspect = [&](bool slot_path) {
+      (void)rt.inspect(ds, ind);
+      (void)full.inspect(df, ind_full);
+      if (slot_path) ++expected_slot;
+      EXPECT_EQ(rt.registry_stats(ds).incremental_rehashes, expected_slot);
+      EXPECT_EQ(full.registry_stats(df).incremental_rehashes, 0u);
+    };
+
+    const auto verify = [&](const std::string& what) {
+      SCOPED_TRACE(what);
+      const LoopHandle ls = rt.bind(ds, ind);
+      const LoopHandle lf = full.bind(df, ind_full);
+      const ScheduleHandle ss = rt.inspect(ls);
+      const ScheduleHandle sf = full.inspect(lf);
+      const auto rs = rt.local_refs(ls);
+      const auto rf = full.local_refs(lf);
+      EXPECT_TRUE(ts::spans_equal(rs, rf, "localized refs"));
+      EXPECT_TRUE(ts::schedules_equal(rt.schedule(ss), full.schedule(sf)));
+      EXPECT_EQ(rt.extent(ss), full.extent(sf));
+      EXPECT_EQ(rt.hash_stats(ds).inserts, full.hash_stats(df).inserts);
+      EXPECT_EQ(rt.hash_stats(ds).hits, full.hash_stats(df).hits);
+      EXPECT_EQ(rt.hash_stats(ds).translations,
+                full.hash_stats(df).translations);
+
+      // A cold Runtime inspecting the same final array on the same map.
+      Runtime cold(comm);
+      const DistHandle dc = distribute(cold);
+      const lang::IndirectionArray cind(values);
+      const LoopHandle lc = cold.bind(dc, cind);
+      const ScheduleHandle sc = cold.inspect(lc);
+      const auto rc = cold.local_refs(lc);
+
+      const std::vector<GlobalIndex> mine = rt.owned_globals(ds);
+      const auto owned = static_cast<std::size_t>(rt.owned_count(ds));
+      const auto fill = [&](std::vector<double>& x) {
+        for (std::size_t i = 0; i < owned; ++i)
+          x[i] = static_cast<double>(mine[i] * 3 + 1);
+      };
+      std::vector<double> xs(static_cast<std::size_t>(rt.extent(ss)), -1.0);
+      std::vector<double> xf(static_cast<std::size_t>(full.extent(sf)), -1.0);
+      std::vector<double> xc(static_cast<std::size_t>(cold.extent(sc)), -1.0);
+      fill(xs);
+      fill(xf);
+      fill(xc);
+      rt.gather<double>(ss, std::span<double>{xs});
+      full.gather<double>(sf, std::span<double>{xf});
+      cold.gather<double>(sc, std::span<double>{xc});
+      EXPECT_TRUE(ts::spans_equal(xs, xf, "gathered extent"));
+      ASSERT_EQ(rs.size(), values.size());
+      ASSERT_EQ(rc.size(), values.size());
+      for (std::size_t k = 0; k < values.size(); ++k) {
+        const double want = static_cast<double>(values[k] * 3 + 1);
+        if (xs[static_cast<std::size_t>(rs[k])] != want ||
+            xc[static_cast<std::size_t>(rc[k])] != want) {
+          ADD_FAILURE() << "gathered value of ref " << k;
+          break;
+        }
+      }
+
+      std::vector<double> as(xs.size(), 0.0), af(xf.size(), 0.0),
+          ac(xc.size(), 0.0);
+      for (std::size_t k = 0; k < values.size(); ++k) {
+        as[static_cast<std::size_t>(rs[k])] += static_cast<double>(k + 1);
+        af[static_cast<std::size_t>(rf[k])] += static_cast<double>(k + 1);
+        ac[static_cast<std::size_t>(rc[k])] += static_cast<double>(k + 1);
+      }
+      rt.scatter_add<double>(ss, std::span<double>{as});
+      full.scatter_add<double>(sf, std::span<double>{af});
+      cold.scatter_add<double>(sc, std::span<double>{ac});
+      EXPECT_TRUE(ts::spans_equal(as, af, "scatter_add extent"));
+      EXPECT_TRUE(ts::spans_equal(
+          std::span<const double>{as.data(), owned},
+          std::span<const double>{ac.data(), owned}, "scatter_add owners"));
+    };
+
+    inspect(false);
+    verify("initial inspection");
+    for (const double fraction : {0.05, 0.1}) {
+      redraw(fraction);
+      publish();
+      inspect(true);
+      verify("small delta before the repartition");
+    }
+
+    // A changed array crosses the repartition un-inspected: its stale plan
+    // is seeded, and the delta is relative to the seeded version.
+    redraw(0.05);
+    publish();
+    std::vector<int> next = map;
+    for (GlobalIndex g = n - n / 5; g < n; ++g)
+      next[static_cast<std::size_t>(g)] =
+          (next[static_cast<std::size_t>(g)] + 1) % P;
+    const DistHandle ds2 = rt.repartition(ds, std::span<const int>(next));
+    const DistHandle df2 = full.repartition(df, std::span<const int>(next));
+    rt.retire(ds);
+    full.retire(df);
+    ds = ds2;
+    df = df2;
+    map = std::move(next);
+    expected_slot = 0;  // per-epoch counters
+    inspect(true);
+    verify("delta across the repartition");
+    redraw(0.05);
+    publish();
+    inspect(true);
+    verify("small delta in the seeded epoch");
+
+    (void)rt.remap_ghost_locality(ds);
+    (void)full.remap_ghost_locality(df);
+    verify("after the locality remap");
+    redraw(0.05);
+    publish();
+    inspect(true);
+    verify("small delta after the locality remap");
+
+    // Two assigns between inspects: the record is not relative to the plan.
+    redraw(0.05);
+    ind.assign(values);
+    redraw(0.05);
+    publish();
+    inspect(false);
+    verify("two assigns between inspects");
+
+    // More than a quarter of the slots change: no slot-level record.
+    for (std::size_t k = 0; k <= values.size() / 2; ++k)
+      values[k] = (values[k] + 1) % n;
+    publish();
+    EXPECT_EQ(ind.delta(), nullptr);
+    inspect(false);
+    verify("a change of more than a quarter");
+  });
+}
+
+TEST(CrossEpochReuse, RandomizedSlotDeltaReinspection) {
+  const std::uint64_t seeds = ts::seed_count(12, "CHAOS_REUSE_PAGED_SEEDS");
+  const std::uint64_t base = env_seed_u64("CHAOS_REUSE_SEED_BASE", 1);
+  for (std::uint64_t s = base; s < base + seeds; ++s) {
+    for (const bool paged : {false, true}) {
+      SCOPED_TRACE((paged ? "paged seed=" : "seed=") + std::to_string(s));
+      run_slot_delta_scenario(s, paged);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 // ---- compact() interaction --------------------------------------------------
 
 // Compacting retired ancestor epochs must not disturb a live seeded epoch:

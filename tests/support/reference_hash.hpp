@@ -2,9 +2,10 @@
 // kept verbatim over a standalone copy of the table's layout (entries in
 // insertion order, an open-addressed index of entry ids, lowest-free-bit
 // stamps). Pass 1 probes every reference and enters new ones; pass 2
-// probes every reference again to rewrite it. core::IndexHashTable::hash
-// must leave exactly the entries, rewritten indices, stats and extent this
-// loop leaves (tests/core/hash_table_test.cpp).
+// probes every reference again to rewrite it. core::IndexHashTable::hash,
+// and IndexHashTable::rehash over a slot delta against clear_stamp + hash
+// here, must leave exactly the entries, rewritten indices, stats and extent
+// this loop leaves (tests/core/hash_table_test.cpp).
 #pragma once
 
 #include <cstdint>
