@@ -137,10 +137,14 @@ BENCHMARK(BM_HashRehashRandom)
 void BM_SeedFrom(benchmark::State& state) {
   // Cross-epoch reuse after a repartition that moves each rank's top 5% of
   // elements to the next rank: owner delta, translation-table patch and
-  // registry seeding of one inspected loop (125k random references per
-  // rank over 262144 elements). Timed per repartition, slowest rank.
+  // registry seeding of one inspected loop over 262144 elements. Timed per
+  // repartition, slowest rank. Arg 0: 125k random references per rank,
+  // inspected once. Arg 1: 250k, then 10% of the slots redrawn and
+  // re-inspected through the slot-level record before the repartition —
+  // the re-inspected (non-pristine) epoch sweep_adaptive seeds from.
   const GlobalIndex n = 262144;
-  const std::size_t nrefs = 125000;
+  const bool reinspect = state.range(0) != 0;
+  const std::size_t nrefs = reinspect ? 250000 : 125000;
   const int P = 4;
   sim::Machine machine(P);
   for (auto _ : state) {
@@ -149,11 +153,20 @@ void BM_SeedFrom(benchmark::State& state) {
       Runtime rt(comm);
       const DistHandle d = rt.block(n);
       Rng rng(41 + static_cast<std::uint64_t>(comm.rank()));
+      const auto draw = [&] {
+        return static_cast<GlobalIndex>(
+            rng.below(static_cast<std::uint64_t>(n)));
+      };
       std::vector<GlobalIndex> refs(nrefs);
-      for (auto& g : refs)
-        g = static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(n)));
-      const lang::IndirectionArray ind(std::move(refs));
+      for (auto& g : refs) g = draw();
+      lang::IndirectionArray ind(refs);
       (void)rt.inspect(d, ind);
+      if (reinspect) {
+        for (std::size_t k = 0; k < nrefs / 10; ++k)
+          refs[static_cast<std::size_t>(rng.below(nrefs))] = draw();
+        ind.assign(std::move(refs));
+        (void)rt.inspect(d, ind);
+      }
       std::vector<int> map = rt.dist(d).map();
       const GlobalIndex per = n / P;
       for (GlobalIndex g = 0; g < n; ++g)
@@ -171,7 +184,11 @@ void BM_SeedFrom(benchmark::State& state) {
     state.SetIterationTime(seconds);
   }
 }
-BENCHMARK(BM_SeedFrom)->UseManualTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedFrom)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LowerResidue(benchmark::State& state) {
   // Lowering a residue-only schedule: 150k random indices, no run long

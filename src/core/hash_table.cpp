@@ -59,18 +59,24 @@ bool IndexHashTable::rehash(sim::Comm& comm, const TranslationTable& table,
   if ((free_stamps_ & (stamp - 1)) != 0) return false;
 
   // Count references per local index; an entry whose last reference was a
-  // changed slot loses the stamp.
+  // changed slot loses the stamp, through one prefetched probe.
   std::vector<std::uint32_t> uses(static_cast<std::size_t>(local_extent()), 0);
   for (const GlobalIndex l : refs) ++uses[static_cast<std::size_t>(l)];
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (--uses[static_cast<std::size_t>(refs[slots[i]])] != 0) continue;
-    const GlobalIndex g = old_values[i];
-    const std::int32_t id = index_[probe(g, mix(g))];
-    CHAOS_ASSERT(id >= 0 && entries_[static_cast<std::size_t>(id)]
-                                    .local_index == refs[slots[i]],
-                 "delta's old value does not match the localized reference");
-    entries_[static_cast<std::size_t>(id)].stamps &= ~stamp;
-  }
+  std::vector<std::size_t> gone;  // delta positions of those slots
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    if (--uses[static_cast<std::size_t>(refs[slots[i]])] == 0)
+      gone.push_back(i);
+  prefetched(
+      gone.size(), [&](std::size_t j) { return old_values[gone[j]]; },
+      [&](std::size_t j, std::uint64_t h) {
+        const std::size_t i = gone[j];
+        const std::int32_t id = index_[probe(old_values[i], h)];
+        CHAOS_ASSERT(id >= 0 && entries_[static_cast<std::size_t>(id)]
+                                        .local_index == refs[slots[i]],
+                     "delta's old value does not match the localized "
+                     "reference");
+        entries_[static_cast<std::size_t>(id)].stamps &= ~stamp;
+      });
 
   std::vector<GlobalIndex> fresh(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) fresh[i] = values[slots[i]];
@@ -137,9 +143,12 @@ void IndexHashTable::compact() {
     survivors.push_back(e);
   }
   entries_ = std::move(survivors);
-  // Rebuild the open-addressed index.
+  build_index(entries_.size());
+}
+
+void IndexHashTable::build_index(std::size_t load) {
   std::size_t cap = 64;
-  while (entries_.size() * 10 >= cap * 7) cap *= 2;
+  while (load * 10 >= cap * 7) cap *= 2;
   index_.assign(cap, -1);
   const std::size_t mask = index_.size() - 1;
   for (std::size_t id = 0; id < entries_.size(); ++id) {
@@ -147,6 +156,18 @@ void IndexHashTable::compact() {
     while (index_[at] >= 0) at = (at + 1) & mask;
     index_[at] = static_cast<std::int32_t>(id);
   }
+}
+
+void IndexHashTable::index_seeded(std::uint64_t refs,
+                                  std::uint64_t reused_homes,
+                                  std::size_t load) {
+  CHAOS_CHECK(stats_.inserts == 0 && refs >= entries_.size() &&
+                  load <= entries_.size(),
+              "index_seeded finishes the seeding of a fresh table");
+  stats_.inserts = entries_.size();
+  stats_.hits = refs - entries_.size();
+  stats_.reused_homes = reused_homes;
+  build_index(load);
 }
 
 void IndexHashTable::permute_ghosts(

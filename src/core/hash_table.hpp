@@ -29,6 +29,7 @@
 // entry loses the array's stamp only when no slot references it any more,
 // new entries can come only from changed slots (entered in ascending slot
 // order, as a full pass meets them), and the work charged is a full pass's.
+// The probes that clear a stamp are batched and prefetched like hash()'s.
 //
 // Ghost slots are stable: clearing a stamp never moves surviving entries,
 // and re-hashing an index whose stamps were cleared revives it with its old
@@ -37,6 +38,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -67,7 +69,7 @@ class IndexHashTable {
     std::uint64_t translations = 0;  ///< translation-table lookups performed
     /// Entries whose Home was carried forward from the previous
     /// distribution epoch without a translation-table lookup (cross-epoch
-    /// reuse, seed() with a prior-epoch Home).
+    /// reuse, append_seeded() with a prior-epoch Home).
     std::uint64_t reused_homes = 0;
   };
 
@@ -95,40 +97,50 @@ class IndexHashTable {
   // ---- cross-epoch seeding -------------------------------------------
   //
   // After a repartition, the next epoch's hash table is *seeded* from the
-  // previous epoch's instead of being refilled by re-hashing every
-  // indirection array: the registry replays each cached loop's reference
-  // stream, carrying each entry's Home forward when the owner delta proves
-  // it stable. Seeding reproduces exactly the entry/slot/stamp state a
-  // cold inspector pass over the same references would build — ghost slots
-  // are assigned in the same first-encounter order — which is what the
-  // randomized equivalence suite asserts.
+  // previous epoch's: ScheduleRegistry::seed_from replays each cached
+  // loop's references keyed by the prior epoch's dense local indices, with
+  // no probing. A reference to an element already seeded ORs in the loop's
+  // stamp (restamp_seeded); a first reference appends its entry
+  // (append_seeded), with the Home carried forward when the owner delta
+  // proves it stable, so ghost slots follow a cold pass's first-encounter
+  // order. Entry storage and the index are each sized once, at the
+  // capacity that cold pass reaches — the seeded state is exactly the cold
+  // pass's, which the seeded-table oracle test asserts.
 
   /// Take the lowest free stamp bit (the same allocation policy hash()
-  /// uses) without hashing anything. The caller seeds entries under it via
-  /// seed().
+  /// uses) without hashing anything.
   Stamp allocate_stamp();
 
-  /// Seed one reference stream under `stamp`: `refs` holds globals and is
-  /// rewritten in place to local indices, exactly as hash() would assign
-  /// them on a rank whose id is `self_rank`. A global already present gets
-  /// `stamp` OR'd in; a new one is inserted with `home_of(k)` for its
-  /// position k in `refs`, a {Home, carried} pair — no translation-table
-  /// lookup, `carried` says whether the Home was reused from the prior
-  /// epoch (for stats). Returns the number of inserted entries.
-  template <typename HomeOf>
-  std::size_t seed(int self_rank, std::span<GlobalIndex> refs, Stamp stamp,
-                   HomeOf&& home_of) {
-    const std::size_t before = entries_.size();
-    enter(refs, stamp, [&](std::size_t k, GlobalIndex g) {
-      const auto [home, carried] = home_of(k);
-      CHAOS_ASSERT(home.proc >= 0, "seeding a new entry requires a Home");
-      if (carried) ++stats_.reused_homes;
-      const GlobalIndex local =
-          home.proc == self_rank ? home.offset : owned_ + next_ghost_slot_++;
-      return Entry{g, home, local, stamp};
-    });
-    return entries_.size() - before;
+  /// Seeding: make room for `more` entries about to be appended, at the
+  /// capacity appending them one at a time would reach.
+  void reserve_seeded(std::size_t more) {
+    if (more > 0) entries_.reserve(std::bit_ceil(entries_.size() + more));
   }
+
+  /// Seeding: append the entry for `g`, met for the first time, under
+  /// `stamp` with a known `home`; its local index is assigned as hash()
+  /// would on rank `self_rank` and returned. The entry is not findable
+  /// until index_seeded().
+  GlobalIndex append_seeded(GlobalIndex g, Home home, Stamp stamp,
+                            int self_rank) {
+    CHAOS_ASSERT(home.proc >= 0, "seeding a new entry requires a Home");
+    const GlobalIndex local =
+        home.proc == self_rank ? home.offset : owned_ + next_ghost_slot_++;
+    entries_.push_back(Entry{g, home, local, stamp});
+    return local;
+  }
+
+  /// Seeding: a further reference, under `stamp`, to seeded entry `id`.
+  void restamp_seeded(std::int32_t id, Stamp stamp) {
+    entries_[static_cast<std::size_t>(id)].stamps |= stamp;
+  }
+
+  /// Finish seeding a fresh table: count `refs` replayed references (one
+  /// insert per entry, the rest hits) and `reused_homes` carried Homes, and
+  /// build the index at the capacity entering one reference at a time
+  /// reaches with `load` entries present at its last load check.
+  void index_seeded(std::uint64_t refs, std::uint64_t reused_homes,
+                    std::size_t load);
 
   /// All entries in insertion order, including dead ones (stamps == 0).
   std::span<const Entry> entries() const { return entries_; }
@@ -194,6 +206,9 @@ class IndexHashTable {
     }
   }
   void grow();
+  /// Rebuild index_ over all entries at the smallest capacity (at least
+  /// 64, doubling) whose load check `load` entries would pass.
+  void build_index(std::size_t load);
   /// Enter `refs` under `stamp` as `total` references of which all others
   /// are already present: charge that pass, translate the inserted globals
   /// in one (collective) lookup and rewrite `refs` to local indices.
@@ -207,47 +222,56 @@ class IndexHashTable {
     return z ^ (z >> 31);
   }
 
-  /// Enter every reference of `refs` under `stamp` with one probe each,
-  /// prefetching a batch's slots and entry rows before probing it. A miss
-  /// appends `insert(k, g)` for position k. Each reference is rewritten to
-  /// its entry's local index, or to -(id + 1) while that is still unknown
-  /// (-1). The table grows at exactly the references where a per-reference
-  /// load check would grow it.
-  template <typename Insert>
-  void enter(std::span<GlobalIndex> refs, Stamp stamp,
-                      Insert&& insert) {
+  /// Call `visit(k, mix(global_of(k)))` for k in [0, n), in batches whose
+  /// open-addressing slots and entry rows are prefetched before the batch
+  /// is visited, so the two dependent cache misses of each probe overlap
+  /// across the batch.
+  template <typename GlobalOf, typename Visit>
+  void prefetched(std::size_t n, GlobalOf&& global_of, Visit&& visit) {
     constexpr std::size_t kBatch = 16;
     std::uint64_t h[kBatch];
-    std::uint64_t hits = 0;
-    for (std::size_t b = 0; b < refs.size(); b += kBatch) {
-      const std::size_t n = std::min(kBatch, refs.size() - b);
+    for (std::size_t b = 0; b < n; b += kBatch) {
+      const std::size_t m = std::min(kBatch, n - b);
       const std::size_t mask = index_.size() - 1;
-      for (std::size_t k = 0; k < n; ++k) {
-        h[k] = mix(refs[b + k]);
+      for (std::size_t k = 0; k < m; ++k) {
+        h[k] = mix(global_of(b + k));
         __builtin_prefetch(&index_[static_cast<std::size_t>(h[k]) & mask]);
       }
-      for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t k = 0; k < m; ++k) {
         const std::int32_t id = index_[static_cast<std::size_t>(h[k]) & mask];
         if (id >= 0) __builtin_prefetch(&entries_[static_cast<std::size_t>(id)]);
       }
-      for (std::size_t k = 0; k < n; ++k) {
-        GlobalIndex& g = refs[b + k];
-        if (entries_.size() * 10 >= index_.size() * 7) grow();
-        const std::size_t at = probe(g, h[k]);
-        std::int32_t id = index_[at];
-        if (id >= 0) {
-          entries_[static_cast<std::size_t>(id)].stamps |= stamp;
-          ++hits;
-        } else {
-          id = static_cast<std::int32_t>(entries_.size());
-          entries_.push_back(insert(b + k, g));
-          index_[at] = id;
-        }
-        const GlobalIndex local =
-            entries_[static_cast<std::size_t>(id)].local_index;
-        g = local >= 0 ? local : -GlobalIndex{id} - 1;
-      }
+      for (std::size_t k = 0; k < m; ++k) visit(b + k, h[k]);
     }
+  }
+
+  /// Enter every reference of `refs` under `stamp` with one prefetched
+  /// probe each. A miss appends `insert(k, g)` for position k. Each
+  /// reference is rewritten to its entry's local index, or to -(id + 1)
+  /// while that is still unknown (-1). The table grows at exactly the
+  /// references where a per-reference load check would grow it.
+  template <typename Insert>
+  void enter(std::span<GlobalIndex> refs, Stamp stamp, Insert&& insert) {
+    std::uint64_t hits = 0;
+    prefetched(
+        refs.size(), [&](std::size_t k) { return refs[k]; },
+        [&](std::size_t k, std::uint64_t h) {
+          GlobalIndex& g = refs[k];
+          if (entries_.size() * 10 >= index_.size() * 7) grow();
+          const std::size_t at = probe(g, h);
+          std::int32_t id = index_[at];
+          if (id >= 0) {
+            entries_[static_cast<std::size_t>(id)].stamps |= stamp;
+            ++hits;
+          } else {
+            id = static_cast<std::int32_t>(entries_.size());
+            entries_.push_back(insert(k, g));
+            index_[at] = id;
+          }
+          const GlobalIndex local =
+              entries_[static_cast<std::size_t>(id)].local_index;
+          g = local >= 0 ? local : -GlobalIndex{id} - 1;
+        });
     stats_.hits += hits;
     stats_.inserts += refs.size() - hits;
   }

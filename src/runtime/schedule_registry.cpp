@@ -215,24 +215,37 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
   const int me = comm.rank();
   const std::vector<int>& owner = dist.map();
 
-  // Resolve prior localized refs through a flat table by old local index
-  // (unique across live and dead entries until compact()). A row's `slot`
-  // is the element's Home offset in the new epoch — carried from the old
-  // Home while stable, translated once a loop queues it — and its new local
-  // index once seeded, which rewrites the recv side of carried schedules.
-  // Either way its Home's processor is the new map's entry.
-  struct PriorRef {
+  // One row per prior local index (unique until compact()), resolved once
+  // per live entry, prefetched ahead: the global, the owner in the new map
+  // (-1 once deleted) and the old Home offset, still valid while the
+  // element is home-stable. Once seeded, a row holds its entry id and
+  // `slot` becomes the new local index, which carried schedules' recv
+  // sides are remapped to.
+  struct Row {
     GlobalIndex global = -1;
     GlobalIndex slot = -1;
+    int proc = -1;
+    std::int32_t id = -1;
   };
-  enum : std::uint8_t { kUnstable = 1, kQueued = 2, kSeeded = 4 };
+  enum : std::uint8_t { kUnstable = 1, kMet = 2 };
   const auto extent = static_cast<std::size_t>(prior.hash_->local_extent());
-  std::vector<PriorRef> prior_ref(extent);
-  std::vector<std::uint8_t> state(extent, 0);
-  for (const core::IndexHashTable::Entry& e : prior.hash_->entries()) {
+  std::vector<Row> rows(extent);
+  std::vector<std::uint8_t> state(extent);
+  const std::span<const core::IndexHashTable::Entry> prior_entries =
+      prior.hash_->entries();
+  for (std::size_t i = 0; i < prior_entries.size(); ++i) {
+    if (i + 16 < prior_entries.size()) {
+      const core::IndexHashTable::Entry& ahead = prior_entries[i + 16];
+      __builtin_prefetch(&rows[static_cast<std::size_t>(ahead.local_index)]);
+      if (static_cast<std::size_t>(ahead.global) < owner.size())
+        __builtin_prefetch(&owner[static_cast<std::size_t>(ahead.global)]);
+    }
+    const core::IndexHashTable::Entry& e = prior_entries[i];
+    if (e.stamps == 0) continue;  // dead: no loop references it
     const auto lr = static_cast<std::size_t>(e.local_index);
-    prior_ref[lr] = {e.global, e.home.offset};
-    if (!delta.home_stable(e.global)) state[lr] = kUnstable;
+    const auto g = static_cast<std::size_t>(e.global);
+    rows[lr] = {e.global, e.home.offset, g < owner.size() ? owner[g] : -1};
+    state[lr] = delta.home_stable(e.global) ? 0 : kUnstable;
   }
 
   // Replay loops in first-plan order: ghost slots are then assigned in
@@ -244,6 +257,8 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     order_ids.emplace_back(cached.order, id);
   std::sort(order_ids.begin(), order_ids.end());
 
+  std::uint64_t replayed = 0, reused_homes = 0;
+  std::size_t load = 0;  // entries present before the last replayed ref
   for (const auto& [ord, id] : order_ids) {
     const CachedLoop& pl = prior.loops_.at(id);
     const std::vector<GlobalIndex>& old_refs = pl.plan.local_refs;
@@ -258,7 +273,7 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
       bool touches_deleted = false;
       for (std::size_t k = 0; k < old_refs.size() && !touches_deleted; ++k)
         touches_deleted = delta.deleted(
-            prior_ref[static_cast<std::size_t>(old_refs[k])].global);
+            rows[static_cast<std::size_t>(old_refs[k])].global);
       if (comm.allreduce_max(touches_deleted ? 1 : 0) == 1) {
         ++stats_.dropped_plans;
         continue;
@@ -267,61 +282,65 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
 
     const core::Stamp stamp = hash_->allocate_stamp();
 
-    // Pass A: write the loop's globals (seeded in place below) and queue
-    // the unstable refs that are not yet seeded; only they need a lookup
-    // through the new table (collective when distributed — every rank
-    // participates per loop, possibly with an empty batch).
-    CachedLoop nl;
-    nl.plan.local_refs.resize(old_refs.size());
+    // Pass A: count the rows this loop meets first and list the unstable
+    // ones in that order; only they need a lookup through the new table
+    // (collective when distributed — every rank participates per loop,
+    // possibly with an empty batch).
     bool loop_stable = true;
-    std::vector<std::size_t> queued;  // rows, by old local index
-    for (std::size_t k = 0; k < old_refs.size(); ++k) {
-      const auto lr = static_cast<std::size_t>(old_refs[k]);
-      if (k + 16 < old_refs.size())
-        __builtin_prefetch(
-            &prior_ref[static_cast<std::size_t>(old_refs[k + 16])]);
-      nl.plan.local_refs[k] = prior_ref[lr].global;
-      if ((state[lr] & kUnstable) == 0) continue;
-      loop_stable = false;
-      if ((state[lr] & (kQueued | kSeeded)) == 0) {
-        state[lr] |= kQueued;
-        queued.push_back(lr);
-      }
+    std::size_t met = 0;
+    std::vector<GlobalIndex> unknown;
+    for (const GlobalIndex ref : old_refs) {
+      const auto lr = static_cast<std::size_t>(ref);
+      const std::uint8_t st = state[lr];
+      if ((st & kUnstable) != 0) loop_stable = false;
+      if ((st & kMet) != 0) continue;
+      state[lr] = st | kMet;
+      ++met;
+      if ((st & kUnstable) != 0) unknown.push_back(rows[lr].global);
     }
-    std::sort(queued.begin(), queued.end(), [&](std::size_t a, std::size_t b) {
-      return prior_ref[a].global < prior_ref[b].global;
-    });
-    std::vector<GlobalIndex> unknown(queued.size());
-    for (std::size_t i = 0; i < queued.size(); ++i)
-      unknown[i] = prior_ref[queued[i]].global;
     const std::vector<core::Home> fresh = dist.table().lookup(comm, unknown);
     stats_.seed_translations += unknown.size();
-    for (std::size_t i = 0; i < queued.size(); ++i)
-      prior_ref[queued[i]].slot = fresh[i].offset;
 
-    // Pass B: replay the reference stream. A stable or queued ref inserts
-    // with its row's Home; one seeded by an earlier loop hits.
+    // Pass B: dense first-encounter replay. A row seeded by an earlier
+    // loop gains the stamp; a first reference appends the row's entry with
+    // the carried Home offset or, when unstable, the next looked-up one
+    // (pass A listed them in this same order).
+    CachedLoop nl;
     nl.version = pl.version;
     nl.revision = pl.revision;
     nl.order = next_order_++;
     nl.plan.stamp = stamp;
-    const std::size_t inserted = hash_->seed(
-        me, nl.plan.local_refs, stamp, [&](std::size_t k) {
-          const auto lr = static_cast<std::size_t>(old_refs[k]);
-          const PriorRef& r = prior_ref[lr];
-          const core::Home home{owner[static_cast<std::size_t>(r.global)],
-                                r.slot};
-          return std::pair{home, (state[lr] & kUnstable) == 0};
-        });
+    nl.plan.local_refs.resize(old_refs.size());
+    const auto first = static_cast<std::int32_t>(hash_->entries().size());
+    hash_->reserve_seeded(met);
+    std::size_t next_fresh = 0;
+    bool appended = false;
     for (std::size_t k = 0; k < old_refs.size(); ++k) {
+      if (k + 16 < old_refs.size())
+        __builtin_prefetch(&rows[static_cast<std::size_t>(old_refs[k + 16])]);
       const auto lr = static_cast<std::size_t>(old_refs[k]);
-      prior_ref[lr].slot = nl.plan.local_refs[k];
-      state[lr] |= kSeeded;
+      Row& r = rows[lr];
+      appended = r.id < 0;
+      if (appended) {
+        const GlobalIndex offset = (state[lr] & kUnstable) != 0
+                                       ? fresh[next_fresh++].offset
+                                       : r.slot;
+        r.id = static_cast<std::int32_t>(hash_->entries().size());
+        r.slot = hash_->append_seeded(r.global, core::Home{r.proc, offset},
+                                      stamp, me);
+      } else if (r.id < first) {
+        hash_->restamp_seeded(r.id, stamp);
+      }
+      nl.plan.local_refs[k] = r.slot;
     }
+    if (!old_refs.empty())
+      load = hash_->entries().size() - (appended ? 1 : 0);
+    replayed += old_refs.size();
+    reused_homes += met - unknown.size();
     nl.plan.local_extent = hash_->local_extent();
     comm.charge_work(
-        static_cast<double>(inserted) * core::costs::kSeedInsert +
-        static_cast<double>(old_refs.size() - inserted) * core::costs::kSeedHit);
+        static_cast<double>(met) * core::costs::kSeedInsert +
+        static_cast<double>(old_refs.size() - met) * core::costs::kSeedHit);
 
     // Schedule: carried verbatim (recv side remapped) when every element
     // the loop touches is home-stable machine-wide — the allreduce also
@@ -338,9 +357,9 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
       nl.plan.schedule =
           patch_schedule(comm, pl.plan.schedule, [&](GlobalIndex lr) {
             const auto row = static_cast<std::size_t>(lr);
-            CHAOS_ASSERT(lr >= 0 && row < extent && (state[row] & kSeeded),
+            CHAOS_ASSERT(lr >= 0 && row < extent && rows[row].id >= 0,
                          "carried schedule references an unseeded ghost slot");
-            return prior_ref[row].slot;
+            return rows[row].slot;
           });
       ++stats_.patched_schedules;
       if (pl.compiled) {
@@ -361,6 +380,7 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     ++stats_.carried_plans;
     loops_.emplace(id, std::move(nl));
   }
+  hash_->index_seeded(replayed, reused_homes, load);
 }
 
 }  // namespace chaos::runtime

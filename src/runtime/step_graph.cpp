@@ -233,16 +233,11 @@ void StepGraph::check_bindings() const {
   // formatting the static analyzer uses (verify::subject), never a bare
   // index or an anonymous "a schedule".
   const auto check_revision = [](const std::string& step,
-                                 const Step::CommAccess* comm,
-                                 const Step::LocalAccess* local) {
-    const auto& probe = comm ? comm->revision : local->revision;
-    if (!probe) return;
-    const std::uint64_t expected =
-        comm ? comm->expected_revision : local->expected_revision;
-    const std::string& name = comm ? comm->name : local->name;
-    const void* addr = comm ? comm->decl.array : local->decl.array;
-    CHAOS_CHECK(probe() == expected,
-                "step graph: " + verify::subject(step, name, addr) +
+                                 const auto& access) {
+    if (!access.revision) return;
+    CHAOS_CHECK(access.revision() == access.expected_revision,
+                "step graph: " +
+                    verify::subject(step, access.name, access.decl.array) +
                     " was retargeted onto another epoch after the "
                     "binding — retarget() the graph onto the new epoch's "
                     "schedules (arrays first, then the graph)");
@@ -250,7 +245,7 @@ void StepGraph::check_bindings() const {
   for (const Step& s : steps_) {
     for (const auto* list : {&s.gathers_, &s.writes_}) {
       for (const Step::CommAccess& a : *list) {
-        check_revision(s.name_, &a, nullptr);
+        check_revision(s.name_, a);
         if (a.decl.kind == lang::AccessKind::kMigrate) continue;
         CHAOS_CHECK(
             rt_.valid(a.via),
@@ -263,7 +258,7 @@ void StepGraph::check_bindings() const {
       }
     }
     for (const Step::LocalAccess& l : s.locals_)
-      check_revision(s.name_, nullptr, &l);
+      check_revision(s.name_, l);
   }
 }
 

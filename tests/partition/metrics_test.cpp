@@ -101,8 +101,11 @@ TEST(Diffusion, PreservesTombstones) {
   ASSERT_EQ(r.map.size(), map.size());
   EXPECT_EQ(r.map[1], -1);
   EXPECT_EQ(r.map[4], -1);
-  for (std::size_t g = 0; g < map.size(); ++g)
-    if (map[g] >= 0) EXPECT_GE(r.map[g], 0) << "g=" << g;
+  for (std::size_t g = 0; g < map.size(); ++g) {
+    if (map[g] >= 0) {
+      EXPECT_GE(r.map[g], 0) << "g=" << g;
+    }
+  }
 }
 
 TEST(Diffusion, ImprovesBalanceUniformModel) {
