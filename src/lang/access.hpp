@@ -52,6 +52,11 @@ constexpr bool is_comm(AccessKind k) {
   return k == AccessKind::kGather || k == AccessKind::kScatter ||
          k == AccessKind::kScatterAdd || k == AccessKind::kMigrate;
 }
+/// The communication kinds that ride a schedule handle (.via): all but
+/// migrate, whose motion is addressed by its destination list.
+constexpr bool rides_schedule(AccessKind k) {
+  return is_comm(k) && k != AccessKind::kMigrate;
+}
 constexpr bool is_owner_write(AccessKind k) {
   return k == AccessKind::kScatter || k == AccessKind::kScatterAdd ||
          k == AccessKind::kMigrate || k == AccessKind::kLocalWrite;

@@ -8,13 +8,6 @@ namespace chaos {
 
 namespace {
 
-bool touches_any(const lang::AccessDecl& d,
-                 std::span<const void* const> arrays) {
-  for (const void* a : arrays)
-    if (d.touches(a)) return true;
-  return false;
-}
-
 void add_traffic(comm::Engine::Traffic& acc,
                  const comm::Engine::Traffic& t) {
   acc.messages += t.messages;
@@ -44,7 +37,7 @@ void Step::bind_view(views::Binding b) {
                       (b.name.empty() ? "..." : b.name) +
                       ") needs .via(schedule) when bound to a step (only "
                       "forall may omit it)");
-      CommAccess a;
+      Access a;
       a.decl = b.decl;
       a.via = b.via;
       a.prepare = std::move(b.prepare);
@@ -60,7 +53,7 @@ void Step::bind_view(views::Binding b) {
       break;
     }
     case lang::AccessKind::kMigrate: {
-      CommAccess a;
+      Access a;
       a.decl = b.decl;
       a.post = std::move(b.post);
       a.name = std::move(b.name);
@@ -69,7 +62,7 @@ void Step::bind_view(views::Binding b) {
     }
     case lang::AccessKind::kLocalRead:
     case lang::AccessKind::kLocalWrite: {
-      LocalAccess l;
+      Access l;
       l.decl = b.decl;
       l.name = std::move(b.name);
       l.revision = std::move(b.revision);
@@ -89,9 +82,9 @@ void Step::resolve() {
   // accumulation at once, and the zeroing would win. Refuse rather than
   // silently wipe the gather; use the raw-vector convention (the compute
   // owns ghost zeroing) or split the accesses across steps.
-  for (const CommAccess& w : writes_) {
+  for (const Access& w : writes_) {
     if (!w.zeroes_ghosts) continue;
-    for (const CommAccess& g : gathers_) {
+    for (const Access& g : gathers_) {
       if (g.decl.array == w.decl.array) {
         throw Error(
             "step '" + name_ + "': array '" +
@@ -127,184 +120,211 @@ Step& StepGraph::at(std::size_t i) {
   return steps_[i];
 }
 
-namespace {
-
-Step::AccessInfo access_info(const lang::AccessDecl& decl,
-                             ScheduleHandle via, const std::string& name,
-                             bool zeroes,
-                             const std::function<std::uint64_t()>& probe,
-                             std::uint64_t expected) {
-  Step::AccessInfo info;
-  info.decl = decl;
-  info.via = via;
-  info.name = name;
-  info.zeroes_ghosts = zeroes;
-  info.guarded = static_cast<bool>(probe);
-  info.stale = probe && probe() != expected;
-  return info;
-}
-
-}  // namespace
-
-std::vector<Step::AccessInfo> Step::declared_gathers() const {
-  CHAOS_CHECK(resolved_,
-              "step '" + name_ +
-                  "': access introspection before the step was resolved — "
-                  "call StepGraph::resolve_for_analysis() first");
-  std::vector<AccessInfo> out;
-  for (const CommAccess& a : gathers_)
-    out.push_back(access_info(a.decl, a.via, a.name, a.zeroes_ghosts,
-                              a.revision, a.expected_revision));
-  return out;
-}
-
-std::vector<Step::AccessInfo> Step::declared_writes() const {
-  CHAOS_CHECK(resolved_,
-              "step '" + name_ +
-                  "': access introspection before the step was resolved — "
-                  "call StepGraph::resolve_for_analysis() first");
-  std::vector<AccessInfo> out;
-  for (const CommAccess& a : writes_)
-    out.push_back(access_info(a.decl, a.via, a.name, a.zeroes_ghosts,
-                              a.revision, a.expected_revision));
-  return out;
-}
-
-std::vector<Step::AccessInfo> Step::declared_locals() const {
-  CHAOS_CHECK(resolved_,
-              "step '" + name_ +
-                  "': access introspection before the step was resolved — "
-                  "call StepGraph::resolve_for_analysis() first");
-  std::vector<AccessInfo> out;
-  for (const LocalAccess& l : locals_)
-    out.push_back(access_info(l.decl, ScheduleHandle{}, l.name, false,
-                              l.revision, l.expected_revision));
-  return out;
-}
-
-std::vector<const void*> StepGraph::gather_touch(const Step& s) const {
-  std::vector<const void*> arrays;
-  for (const Step::CommAccess& g : s.gathers_) arrays.push_back(g.decl.array);
-  return arrays;
-}
-
-std::vector<const void*> StepGraph::compute_touch(const Step& s) const {
-  // Everything the step's compute (or its write packing) can observe: the
-  // gathered arrays it reads, the declared local effects, and the arrays
-  // its own write accesses will pack from.
-  std::vector<const void*> arrays;
-  for (const Step::CommAccess& g : s.gathers_) arrays.push_back(g.decl.array);
-  for (const Step::LocalAccess& l : s.locals_) arrays.push_back(l.decl.array);
-  for (const Step::CommAccess& w : s.writes_) {
-    arrays.push_back(w.decl.array);
-    if (w.decl.array2) arrays.push_back(w.decl.array2);
-  }
-  return arrays;
-}
-
-bool StepGraph::step_blocks_hoist(const Step& s,
-                                  std::span<const void* const> arrays) const {
-  // A gather may not be hoisted across a step that touches its array in
-  // any way EXCEPT through that step's own gather of the same array (two
-  // gathers deliver identical owned values, the engine-coalescing case).
-  // Writers are the obvious hazard; plain readers (use/update, or the
-  // ghost region a scatter packs) matter too — the hoisted gather's early
-  // FIFO delivery would hand them ghost values one write fresher than the
-  // eager schedule does.
-  for (const Step::LocalAccess& l : s.locals_)
-    if (touches_any(l.decl, arrays)) return true;
-  for (const Step::CommAccess& w : s.writes_)
-    if (touches_any(w.decl, arrays)) return true;
-  return false;
-}
-
-bool StepGraph::pending_write_touching(
-    std::span<const void* const> arrays) const {
-  for (std::size_t idx : posted_write_order_) {
-    const Step& w = steps_[idx];
-    for (const Step::CommAccess& acc : w.writes_)
-      if (touches_any(acc.decl, arrays)) return true;
-  }
-  return false;
+Step::Staleness Step::staleness(const Runtime& rt, const Access& a) {
+  return {.retargeted = a.revision && a.revision() != a.expected_revision,
+          .invalid_schedule =
+              lang::rides_schedule(a.decl.kind) && !rt.valid(a.via)};
 }
 
 void StepGraph::check_bindings() const {
   // Every refusal names its subjects — step AND array — through the same
   // formatting the static analyzer uses (verify::subject), never a bare
   // index or an anonymous "a schedule".
-  const auto check_revision = [](const std::string& step,
-                                 const auto& access) {
-    if (!access.revision) return;
-    CHAOS_CHECK(access.revision() == access.expected_revision,
-                "step graph: " +
-                    verify::subject(step, access.name, access.decl.array) +
-                    " was retargeted onto another epoch after the "
-                    "binding — retarget() the graph onto the new epoch's "
-                    "schedules (arrays first, then the graph)");
-  };
   for (const Step& s : steps_) {
-    for (const auto* list : {&s.gathers_, &s.writes_}) {
-      for (const Step::CommAccess& a : *list) {
-        check_revision(s.name_, a);
-        if (a.decl.kind == lang::AccessKind::kMigrate) continue;
-        CHAOS_CHECK(
-            rt_.valid(a.via),
-            "step graph: " +
-                verify::subject(s.name_, a.name, a.decl.array) +
-                ": schedule s" + std::to_string(a.via.id) +
-                " is no longer valid (retired epoch or stale "
-                "derivation) — call retarget() after a repartition/"
-                "re-derivation");
+    for (const auto* list : {&s.gathers_, &s.writes_, &s.locals_}) {
+      for (const Step::Access& a : *list) {
+        const Step::Staleness st = Step::staleness(rt_, a);
+        CHAOS_CHECK(!st.retargeted,
+                    "step graph: " +
+                        verify::subject(s.name_, a.name, a.decl.array) +
+                        " was retargeted onto another epoch after the "
+                        "binding — retarget() the graph onto the new epoch's "
+                        "schedules (arrays first, then the graph)");
+        CHAOS_CHECK(!st.invalid_schedule,
+                    "step graph: " +
+                        verify::subject(s.name_, a.name, a.decl.array) +
+                        ": schedule s" + std::to_string(a.via.id) +
+                        " is no longer valid (retired epoch or stale "
+                        "derivation) — call retarget() after a repartition/"
+                        "re-derivation");
       }
     }
-    for (const Step::LocalAccess& l : s.locals_)
-      check_revision(s.name_, l);
   }
 }
 
-void StepGraph::try_arm(std::size_t exec_pos) {
+// ---- lowering: hazard table -> op program -----------------------------
+
+void StepGraph::build_hazards() {
   const std::size_t n = steps_.size();
-  // Scan each step's next execution in order, wrapping into the next
-  // iteration; stop at the first step whose gathers cannot post yet, so
-  // the batch sequence stays canonical (identical on every rank — every
-  // decision below depends only on the declared graph and the position).
-  for (std::size_t t = exec_pos; t < exec_pos + n; ++t) {
-    const std::size_t idx = t % n;
-    Step& s = steps_[idx];
-    if (s.gathers_.empty()) continue;
-    if (s.gathers_posted_) continue;  // already armed for its next run
-    // A step whose compute runs between here and s's execution must not
-    // touch any array s gathers, other than gathering it itself (the
-    // hoisted gather packs owned values at post and delivers ghosts early;
-    // both directions are observable to intervening writers AND readers).
-    const std::vector<const void*> arrays = gather_touch(s);
-    bool ok = true;
-    for (std::size_t u = exec_pos; u < t && ok; ++u)
-      if (step_blocks_hoist(steps_[u % n], arrays)) ok = false;
-    // An outstanding write batch on a gathered array is a RAW hazard;
-    // defer the arm rather than stall (the forced post at s's own turn
-    // waits it out if it is still pending then).
-    if (ok && pending_write_touching(arrays)) ok = false;
-    if (!ok) break;
-    post_gathers(s, /*early=*/t > exec_pos);
+  // Whether access `a` touches an array step `t` gathers — or, with
+  // `observed`, anything t's compute or its write packing can observe:
+  // the gathered arrays it reads, its declared local effects, and the
+  // arrays its own write accesses pack from.
+  const auto touches = [](const Step::Access& a, const Step& t,
+                          bool observed) {
+    for (const Step::Access& g : t.gathers_)
+      if (a.decl.touches(g.decl.array)) return true;
+    if (!observed) return false;
+    for (const Step::Access& l : t.locals_)
+      if (a.decl.touches(l.decl.array)) return true;
+    for (const Step::Access& w : t.writes_)
+      if (a.decl.touches(w.decl.array) ||
+          (w.decl.array2 && a.decl.touches(w.decl.array2)))
+        return true;
+    return false;
+  };
+  hazards_.assign(n * n, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t t = 0; t < n; ++t) {
+      std::uint8_t& h = hazards_[u * n + t];
+      // A gather may not be hoisted across a step that touches its array
+      // in any way EXCEPT through that step's own gather of the same array
+      // (two gathers deliver identical owned values, the engine-coalescing
+      // case). Writers are the obvious hazard; plain readers (use/update,
+      // or the ghost region a scatter packs) matter too — the hoisted
+      // gather's early FIFO delivery would hand them ghost values one
+      // write fresher than the eager schedule does.
+      for (const Step::Access& l : steps_[u].locals_)
+        if (touches(l, steps_[t], false)) h |= kBlocksHoist;
+      for (const Step::Access& w : steps_[u].writes_) {
+        if (touches(w, steps_[t], false)) h |= kBlocksHoist | kRaw;
+        if (touches(w, steps_[t], true)) h |= kWar;
+      }
+    }
   }
 }
 
-void StepGraph::post_gathers(Step& s, bool early) {
-  const bool in_flight = !posted_write_order_.empty();
-  for (Step::CommAccess& g : s.gathers_)
+StepGraph::Program StepGraph::lower(bool arm_next) const {
+  const std::size_t n = steps_.size();
+  Program p{.pipelining = pipelining_,
+            .arrival = arrival_driven_,
+            .arm_next = arm_next,
+            .entry = live_};
+  // The in-flight state, evolved op by op exactly as the interpreter will.
+  std::vector<char> armed(n, 0);
+  for (std::uint32_t s : live_.armed) armed[s] = 1;
+  std::vector<std::uint32_t>& fifo = p.exit.writes;
+  fifo = live_.writes;
+  const auto hazard = [&](std::size_t u, std::size_t t, Hazard h) {
+    return (hazards_[u * n + t] & h) != 0;
+  };
+  const auto emit = [&](Op::Kind kind, std::size_t s) -> Op& {
+    return p.ops.emplace_back(
+        Op{.kind = kind, .step = static_cast<std::uint32_t>(s)});
+  };
+  const auto post_gathers = [&](std::size_t s, bool early) {
+    Op& op = emit(Op::Kind::kPostGathers, s);
+    op.early = early;
+    op.overlapped = !fifo.empty();
+    armed[s] = 1;
+  };
+  const auto wait_gathers = [&](std::size_t s) {
+    emit(Op::Kind::kWaitGathers, s);
+    armed[s] = 0;
+  };
+  // Outstanding write batches step s's `h` side depends on complete first,
+  // in FIFO post order, so owner-side combines land in the same order the
+  // eager executor produces.
+  const auto wait_conflicting_writes = [&](std::size_t s, Hazard h) {
+    for (std::size_t i = 0; i < fifo.size();) {
+      if (!hazard(fifo[i], s, h)) {
+        ++i;
+        continue;
+      }
+      emit(Op::Kind::kWaitWrites, fifo[i]).stall = true;
+      fifo.erase(fifo.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  };
+  // Post gathers for every armable step at execution position `pos` (the
+  // next compute to run; n = end of iteration). Scan each step's next
+  // execution in order, wrapping into the next iteration, and stop at the
+  // first step whose gathers cannot post yet, so the batch sequence stays
+  // canonical.
+  const auto arm = [&](std::size_t pos) {
+    for (std::size_t t = pos; t < pos + n; ++t) {
+      const std::size_t s = t % n;
+      if (steps_[s].gathers_.empty() || armed[s]) continue;
+      // A step whose compute runs between here and s's execution must not
+      // touch any array s gathers, other than gathering it itself (the
+      // hoisted gather packs owned values at post and delivers ghosts
+      // early; both directions are observable to intervening writers AND
+      // readers).
+      bool ok = true;
+      for (std::size_t u = pos; u < t && ok; ++u)
+        ok = !hazard(u % n, s, kBlocksHoist);
+      // An outstanding write batch on a gathered array is a RAW hazard;
+      // defer the arm rather than stall (the forced post at s's own turn
+      // waits it out if it is still pending then).
+      for (std::size_t i = 0; i < fifo.size() && ok; ++i)
+        ok = !hazard(fifo[i], s, kRaw);
+      if (!ok) break;
+      post_gathers(s, /*early=*/t > pos);
+    }
+  };
+
+  for (std::size_t k = 0; k < n; ++k) {
+    if (pipelining_) arm(k);
+    const Step& s = steps_[k];
+    const bool gathers = !s.gathers_.empty();
+    if (gathers && !armed[k]) {
+      // The eager position: clear RAW hazards, then post.
+      wait_conflicting_writes(k, kRaw);
+      post_gathers(k, /*early=*/false);
+    }
+    // Arrival-driven chunked steps skip the whole-batch wait: their chunks
+    // fire as partitions land, and the batch settles after them.
+    const bool arrival = arrival_driven_ && s.chunk_fn_;
+    if (gathers && !arrival) wait_gathers(k);
+    // WAR/WAW: outstanding write batches on anything the compute or this
+    // step's write packing touches must deliver first.
+    wait_conflicting_writes(k, kWar);
+    emit(Op::Kind::kRun, k).arrival = arrival;
+    if (gathers && arrival) wait_gathers(k);
+    // A later step's gather batch already outstanding at this scatter post
+    // is the pipelining the eager executor cannot produce: step k's
+    // scatters and step k+1's gathers concurrently in flight.
+    Op& post = emit(Op::Kind::kPostWrites, k);
+    if (s.writes_.empty()) continue;
+    post.overlapped = std::find(armed.begin(), armed.end(), 1) != armed.end();
+    fifo.push_back(static_cast<std::uint32_t>(k));
+    if (!pipelining_) {
+      emit(Op::Kind::kWaitWrites, k);
+      fifo.pop_back();
+    }
+  }
+  if (pipelining_ && arm_next) arm(n);
+  for (std::size_t s = 0; s < n; ++s)
+    if (armed[s]) p.exit.armed.push_back(static_cast<std::uint32_t>(s));
+  return p;
+}
+
+const StepGraph::Program& StepGraph::program(bool arm_next) {
+  // Steps may still be appended between advances; the table is a function
+  // of the declarations, so a new step means a new table and new programs.
+  if (hazards_.size() != steps_.size() * steps_.size()) {
+    build_hazards();
+    programs_.clear();
+  }
+  for (const Program& p : programs_)
+    if (p.pipelining == pipelining_ && p.arrival == arrival_driven_ &&
+        p.arm_next == arm_next && p.entry == live_)
+      return p;
+  programs_.push_back(lower(arm_next));
+  ++stats_.programs_lowered;
+  return programs_.back();
+}
+
+// ---- interpreter ops -------------------------------------------------
+
+void StepGraph::post_gathers(Step& s) {
+  for (Step::Access& g : s.gathers_)
     if (g.prepare) g.prepare(rt_, g.via);
   s.gather_handles_.clear();
-  for (Step::CommAccess& g : s.gathers_)
+  for (Step::Access& g : s.gathers_)
     s.gather_handles_.push_back(g.post(rt_, g.via));
   rt_.comm_flush();
-  s.gathers_posted_ = true;
-  ++stats_.gather_batches;
-  if (early) ++stats_.pipelined_gathers;
-  if (in_flight) ++stats_.overlapped_posts;
-  if (!s.gather_handles_.empty())
-    add_traffic(s.gather_traffic_,
-                rt_.engine().batch_traffic(s.gather_handles_.front()));
+  add_traffic(s.gather_traffic_,
+              rt_.engine().batch_traffic(s.gather_handles_.front()));
 }
 
 void StepGraph::post_writes(Step& s) {
@@ -312,63 +332,38 @@ void StepGraph::post_writes(Step& s) {
     if (s.finalize_) s.finalize_();
     return;
   }
-  // A later step's gather batch already outstanding at this scatter post
-  // is the pipelining the eager executor cannot produce: step k's scatters
-  // and step k+1's gathers concurrently in flight.
-  for (const Step& other : steps_)
-    if (&other != &s && other.gathers_posted_) {
-      ++stats_.overlapped_posts;
-      break;
-    }
   s.write_handles_.clear();
-  for (Step::CommAccess& w : s.writes_)
+  for (Step::Access& w : s.writes_)
     s.write_handles_.push_back(w.post(rt_, w.via));
   rt_.comm_flush();
-  s.writes_posted_ = true;
-  posted_write_order_.push_back(s.idx_);
-  ++stats_.write_batches;
   add_traffic(s.write_traffic_,
               rt_.engine().batch_traffic(s.write_handles_.front()));
 }
 
 void StepGraph::wait_gathers(Step& s) {
-  if (!s.gathers_posted_) return;
   for (comm::CommHandle h : s.gather_handles_) rt_.comm_wait(h);
   s.gather_handles_.clear();
-  s.gathers_posted_ = false;
 }
 
 void StepGraph::wait_writes(Step& s) {
-  if (!s.writes_posted_) return;
   for (comm::CommHandle h : s.write_handles_) rt_.comm_wait(h);
   s.write_handles_.clear();
-  s.writes_posted_ = false;
-  auto it = std::find(posted_write_order_.begin(), posted_write_order_.end(),
-                      s.idx_);
-  CHAOS_ASSERT(it != posted_write_order_.end());
-  posted_write_order_.erase(it);
   if (s.finalize_) s.finalize_();
 }
 
-void StepGraph::wait_conflicting_writes(
-    std::span<const void* const> arrays) {
-  // FIFO post order, so owner-side combines land in the same order the
-  // eager executor produces.
-  for (std::size_t i = 0; i < posted_write_order_.size();) {
-    Step& w = steps_[posted_write_order_[i]];
-    bool conflicts = false;
-    for (const Step::CommAccess& acc : w.writes_)
-      if (touches_any(acc.decl, arrays)) {
-        conflicts = true;
-        break;
-      }
-    if (conflicts) {
-      ++stats_.hazard_stalls;
-      wait_writes(w);  // erases entry i; do not advance
-    } else {
-      ++i;
-    }
+void StepGraph::run(Step& s, bool arrival) {
+  for (Step::Access& w : s.writes_)
+    if (w.prepare) w.prepare(rt_, w.via);
+  if (s.compute_) s.compute_();
+  if (!s.chunk_fn_) return;
+  build_chunk_plan(s);
+  if (arrival) {
+    run_chunks_arrival(s);
+    return;
   }
+  // The serial arm: every chunk as a one-chunk wave, in canonical order.
+  for (std::size_t i = 0; i < s.chunk_peers_.size(); ++i)
+    run_wave(s, std::span<const std::size_t>(&i, 1));
 }
 
 // ---- chunked (partition-granular) execution ---------------------------
@@ -389,7 +384,7 @@ void StepGraph::build_chunk_plan(Step& s) {
     const int me = rt_.comm().rank();
     s.chunk_peers_.push_back(-1);
     std::vector<int> peers;
-    for (const Step::CommAccess& g : s.gathers_)
+    for (const Step::Access& g : s.gathers_)
       for (const core::ScheduleBlock& b : rt_.schedule(g.via).recv_blocks())
         if (b.proc != me) peers.push_back(b.proc);
     std::sort(peers.begin(), peers.end());
@@ -402,17 +397,6 @@ void StepGraph::build_chunk_plan(Step& s) {
   // every chunk is its own class and the chunks run in canonical order.
   stats_.color_classes += s.chunk_disjoint_ ? 1 : s.chunk_peers_.size();
   s.chunk_plan_valid_ = true;
-}
-
-void StepGraph::run_chunks_serial(Step& s) {
-  build_chunk_plan(s);
-  const std::size_t n = s.chunk_peers_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    ChunkContext ctx;
-    ctx.chunk_ = Chunk{s.chunk_peers_[i], i, n};
-    s.chunk_fn_(ctx);
-    rt_.comm().charge_work(ctx.work_);
-  }
 }
 
 void StepGraph::run_wave(Step& s, std::span<const std::size_t> wave) {
@@ -452,7 +436,6 @@ void StepGraph::run_wave(Step& s, std::span<const std::size_t> wave) {
 }
 
 void StepGraph::run_chunks_arrival(Step& s) {
-  build_chunk_plan(s);
   comm::Engine& engine = rt_.engine();
   const std::size_t n = s.chunk_peers_.size();
   // Conservative firing on the virtual clock: block until every message of
@@ -500,13 +483,20 @@ void StepGraph::run_chunks_arrival(Step& s) {
     for (std::size_t i : wave) done[i] = 1;
     fired += wave.size();
   }
-  // Every message has been delivered; settle the handles and disarm.
-  wait_gathers(s);
+  // Every message has been delivered; the program's next op settles the
+  // handles.
 }
 
 std::size_t StepGraph::footprint_bytes() const {
   std::size_t n = 0;
   for (const Step& s : steps_) n += s.chunk_peers_.capacity() * sizeof(int);
+  n += hazards_.capacity() + programs_.capacity() * sizeof(Program);
+  for (const Program& p : programs_) {
+    n += p.ops.capacity() * sizeof(Op);
+    for (const InFlight* f : {&p.entry, &p.exit})
+      n += (f->armed.capacity() + f->writes.capacity()) *
+           sizeof(std::uint32_t);
+  }
   if (pool_) n += sizeof(runtime::TaskPool);
   n += verify::footprint_bytes(strict_diags_);
   return n;
@@ -520,6 +510,8 @@ std::size_t StepGraph::release_chunk_plans() {
     s.chunk_peers_ = std::vector<int>();
     s.chunk_plan_valid_ = false;
   }
+  hazards_ = std::vector<std::uint8_t>();
+  programs_ = std::vector<Program>();
   pool_.reset();
   // Same capacity discipline for the cached strict-verification findings;
   // a strict graph simply re-verifies at its next arm.
@@ -552,68 +544,66 @@ void StepGraph::advance(bool arm_next_iteration) {
   if (strict_) enforce_strict();
   check_bindings();
   ++stats_.iterations;
-  for (std::size_t k = 0; k < steps_.size(); ++k) {
-    if (pipelining_) try_arm(k);
-    Step& s = steps_[k];
-    if (!s.gathers_.empty() && !s.gathers_posted_) {
-      // The eager position: clear RAW hazards, then post.
-      const std::vector<const void*> arrays = gather_touch(s);
-      wait_conflicting_writes(arrays);
-      post_gathers(s, /*early=*/false);
+  // Normalize the memo key: the trailing hoist exists only when pipelining.
+  const Program& p = program(arm_next_iteration && pipelining_);
+  for (const Op& op : p.ops) {
+    Step& s = steps_[op.step];
+    switch (op.kind) {
+      case Op::Kind::kPostGathers:
+        post_gathers(s);
+        ++stats_.gather_batches;
+        stats_.pipelined_gathers += op.early;
+        stats_.overlapped_posts += op.overlapped;
+        break;
+      case Op::Kind::kWaitGathers:
+        wait_gathers(s);
+        break;
+      case Op::Kind::kWaitWrites:
+        wait_writes(s);
+        stats_.hazard_stalls += op.stall;
+        break;
+      case Op::Kind::kRun:
+        run(s, op.arrival);
+        break;
+      case Op::Kind::kPostWrites:
+        post_writes(s);
+        if (!s.writes_.empty()) ++stats_.write_batches;
+        stats_.overlapped_posts += op.overlapped;
+        break;
     }
-    // Arrival-driven chunked steps skip the whole-batch wait: their
-    // chunks fire as partitions land (run_chunks_arrival settles the
-    // handles itself).
-    const bool arrival = arrival_driven_ && s.chunk_fn_;
-    if (!arrival) wait_gathers(s);
-    // WAR/WAW: outstanding write batches on anything the compute or this
-    // step's write packing touches must deliver first.
-    const std::vector<const void*> touch = compute_touch(s);
-    wait_conflicting_writes(touch);
-    for (Step::CommAccess& w : s.writes_)
-      if (w.prepare) w.prepare(rt_, w.via);
-    if (s.compute_) s.compute_();
-    if (s.chunk_fn_) {
-      if (arrival)
-        run_chunks_arrival(s);
-      else
-        run_chunks_serial(s);
-    }
-    post_writes(s);
-    if (!pipelining_) wait_writes(s);
   }
-  if (pipelining_ && arm_next_iteration) try_arm(steps_.size());
+  live_ = p.exit;
 }
 
 void StepGraph::quiesce() {
-  // Complete every outstanding batch (write waits run the pending
-  // finalizers) and disarm hoisted gathers: their delivered ghosts carry
-  // current values, and the owning steps simply re-post at their next
-  // execution.
-  for (Step& s : steps_) wait_gathers(s);
-  while (!posted_write_order_.empty())
-    wait_writes(steps_[posted_write_order_.front()]);
+  // Complete every outstanding batch the last program left (write waits
+  // run the pending finalizers, in FIFO post order) and disarm hoisted
+  // gathers: their delivered ghosts carry current values, and the owning
+  // steps simply re-post at their next execution.
+  for (std::uint32_t s : live_.armed) wait_gathers(steps_[s]);
+  for (std::uint32_t s : live_.writes) wait_writes(steps_[s]);
+  live_.armed.clear();
+  live_.writes.clear();
   ++stats_.quiesces;
 }
 
 void StepGraph::retarget(ScheduleHandle from, ScheduleHandle to) {
+  // The hazard table and the lowered programs depend on the declared
+  // arrays only, never on schedule handles: they survive.
   quiesce();
   for (Step& s : steps_) {
     s.resolve();
     // The successor epoch's schedules receive from a different peer set;
     // rebuild the chunk plan lazily on the next advance.
     s.chunk_plan_valid_ = false;
-    for (auto* list : {&s.gathers_, &s.writes_}) {
-      for (Step::CommAccess& a : *list) {
+    for (auto* list : {&s.gathers_, &s.writes_, &s.locals_}) {
+      for (Step::Access& a : *list) {
         // Re-arming onto the successor epoch accepts the arrays' current
         // binding revisions (Array<T>::retarget before graph retarget).
         if (a.revision) a.expected_revision = a.revision();
-        if (a.decl.kind == lang::AccessKind::kMigrate) continue;
-        if (a.via == from) a.via = to;
+        if (lang::rides_schedule(a.decl.kind) && a.via == from) a.via = to;
       }
     }
-    for (Step::LocalAccess& l : s.locals_)
-      if (l.revision) l.expected_revision = l.revision();
   }
   // The successor epoch's schedules change what the static rules can see
   // (recv partitions, validity); a strict graph re-verifies at its next

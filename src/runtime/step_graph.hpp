@@ -31,8 +31,24 @@
 //        values) and is the engine-coalescing case, not a hazard.
 //
 // Execution model: compute callbacks run strictly in declaration order,
-// advance() after advance() — only communication moves. All pipelining
-// decisions are functions of the declared graph and the program position,
+// advance() after advance() — only communication moves. The pipelining
+// decisions are made once and kept as data. At the first advance() the
+// graph builds its hazard table, the static relation between every pair
+// of steps derived from the declared arrays (bindings are closed by then,
+// and retarget swaps only schedule handles, so the table survives
+// retargets). From the table it lowers one iteration into an op program:
+// post gathers (hoisted ahead of their step or not), wait gathers, wait
+// writes (a hazard stall or not), run the compute or chunks, post writes —
+// each op carrying the Stats increments it implies. A program is memoized
+// by its input: the pipelining and arrival modes, the in-flight state it
+// starts from (which steps' gathers are armed, which write batches are
+// outstanding, in FIFO order) and arm_next_iteration; it records the
+// in-flight state it leaves. advance() interprets the matching program,
+// lowering it on first use, and quiesce() drains the state the last one
+// left. The table and programs are released by release_chunk_plans()
+// (Runtime::compact) and rebuilt at the next advance().
+//
+// A program is a function of the declared graph and the program position,
 // never of message arrival, so every rank posts the same batch sequence
 // (the engine's SPMD contract holds by construction) and a pipelined run
 // is bitwise identical to the eager one (set_pipelining(false): plain
@@ -70,6 +86,9 @@
 namespace chaos {
 
 class StepGraph;
+namespace verify {
+class Analyzer;
+}  // namespace verify
 
 /// Identity of one compute chunk within a chunked step. Chunks are keyed
 /// by the peer whose gathered partition they consume (`peer == -1` is the
@@ -198,32 +217,14 @@ class Step {
   comm::Engine::Traffic gather_traffic() const { return gather_traffic_; }
   comm::Engine::Traffic write_traffic() const { return write_traffic_; }
 
-  // ---- static-analysis introspection (verify::Analyzer) ---------------
-
-  /// One declared access as the static analyzer sees it: the declaration
-  /// plus the view-carried metadata the rules key on. Snapshot semantics —
-  /// `stale` is evaluated at call time. Valid only after the step is
-  /// resolved (StepGraph::resolve_for_analysis or first advance).
-  struct AccessInfo {
-    lang::AccessDecl decl;
-    ScheduleHandle via{};
-    std::string_view name;    ///< registered array name ("" for raw vectors)
-    bool zeroes_ghosts = false;
-    bool guarded = false;     ///< carries an Array retarget-revision probe
-    bool stale = false;       ///< probe disagrees with the bound snapshot
-  };
-  std::vector<AccessInfo> declared_gathers() const;  ///< pre-compute comm
-  std::vector<AccessInfo> declared_writes() const;   ///< post-compute comm
-  std::vector<AccessInfo> declared_locals() const;   ///< use/update
-  bool chunked() const { return static_cast<bool>(chunk_fn_); }
-  /// 0 = chunks keyed by the gather schedules' recv blocks.
-  std::size_t fixed_chunk_count() const { return chunk_count_; }
-  bool claims_chunk_writes_disjoint() const { return chunk_disjoint_; }
-
  private:
   friend class StepGraph;
+  friend class verify::Analyzer;  ///< reads the declared records below
 
-  struct CommAccess {
+  /// One declared access, as bound. Gathers and writes carry the
+  /// communication hooks; local effects (use/update) only the declaration
+  /// and the staleness probe.
+  struct Access {
     lang::AccessDecl decl;
     ScheduleHandle via{};
     /// Pre-execution hook: gathers run it just before their post, writes
@@ -242,12 +243,15 @@ class Step {
     bool zeroes_ghosts = false;
   };
 
-  struct LocalAccess {
-    lang::AccessDecl decl;
-    std::string name;
-    std::function<std::uint64_t()> revision;
-    std::uint64_t expected_revision = 0;
+  /// Why a binding is stale: its Array was retargeted onto another epoch
+  /// after the binding (revision drift), and/or the schedule it rides is
+  /// no longer valid. The one predicate behind both StepGraph's refusal to
+  /// advance and the analyzer's stale-binding rule.
+  struct Staleness {
+    bool retargeted = false;
+    bool invalid_schedule = false;
   };
+  static Staleness staleness(const Runtime& rt, const Access& a);
 
   /// Route one type-erased view binding into the access lists.
   void bind_view(views::Binding b);
@@ -258,9 +262,9 @@ class Step {
 
   std::string name_;
   std::size_t idx_;
-  std::vector<CommAccess> gathers_;  ///< pre-compute communication
-  std::vector<CommAccess> writes_;   ///< post-compute communication
-  std::vector<LocalAccess> locals_;
+  std::vector<Access> gathers_;  ///< pre-compute communication
+  std::vector<Access> writes_;   ///< post-compute communication
+  std::vector<Access> locals_;   ///< use/update
   bool resolved_ = false;
   std::function<void()> compute_;
   std::function<void()> finalize_;
@@ -273,11 +277,9 @@ class Step {
   std::vector<int> chunk_peers_;  ///< canonical order: -1 then ascending
   bool chunk_plan_valid_ = false;
 
-  // Execution state, driven by StepGraph.
+  // Execution state, driven by StepGraph's lowered programs.
   std::vector<comm::CommHandle> gather_handles_;
   std::vector<comm::CommHandle> write_handles_;
-  bool gathers_posted_ = false;
-  bool writes_posted_ = false;
   comm::Engine::Traffic gather_traffic_{};
   comm::Engine::Traffic write_traffic_{};
 };
@@ -403,6 +405,9 @@ class StepGraph {
     std::uint64_t color_classes = 0;
     /// Wall-clock nanoseconds pool workers spent running chunk callbacks.
     std::uint64_t pool_busy_ns = 0;
+    /// Op programs lowered: one per distinct (modes, entry state,
+    /// arm_next_iteration) input, not one per advance().
+    std::uint64_t programs_lowered = 0;
 
     /// Zero every counter. Long-running services window the counters
     /// rather than reading monotonic totals (see take_stats()).
@@ -421,40 +426,94 @@ class StepGraph {
   }
 
   /// Bytes of auxiliary state this graph holds beyond the declarations
-  /// themselves: cached chunk plans (peer tables) and the worker
-  /// pool bookkeeping. Folded into Runtime::registry_bytes().
+  /// themselves: cached chunk plans (peer tables), the hazard table and
+  /// lowered op programs, and the worker pool bookkeeping. Folded into
+  /// Runtime::registry_bytes().
   std::size_t footprint_bytes() const;
 
-  /// Drop every cached chunk plan (rebuilt lazily on next advance) and the
-  /// worker pool; returns the bytes released. Runtime::compact() calls
-  /// this — only invoked when the graph is quiesced.
+  /// Drop every cached chunk plan, the hazard table and the lowered
+  /// programs (all rebuilt lazily on next advance) and the worker pool;
+  /// returns the bytes released. Runtime::compact() calls this — only
+  /// invoked when the graph is quiesced.
   std::size_t release_chunk_plans();
 
  private:
-  std::vector<const void*> gather_touch(const Step& s) const;
-  std::vector<const void*> compute_touch(const Step& s) const;
-  bool step_blocks_hoist(const Step& s,
-                         std::span<const void* const> arrays) const;
-  bool pending_write_touching(std::span<const void* const> arrays) const;
+  friend class verify::Analyzer;  ///< reads steps_ and arrival_driven_
+
+  /// One instruction of a lowered iteration, with the Stats increments it
+  /// implies.
+  struct Op {
+    enum class Kind : std::uint8_t {
+      kPostGathers,  ///< prepare and post the step's gather batch
+      kWaitGathers,  ///< complete the step's gather batch
+      kWaitWrites,   ///< complete the step's write batch, run its then()
+      kRun,          ///< write prepares, the compute, then the chunks
+      kPostWrites,   ///< post the step's write batch (or run its then())
+    };
+    Kind kind = Kind::kRun;
+    bool early = false;       ///< kPostGathers: hoisted ahead of its step
+    bool overlapped = false;  ///< post with an opposite-direction batch out
+    bool stall = false;       ///< kWaitWrites: forced by a hazard
+    bool arrival = false;     ///< kRun: chunks fire on the modeled clock
+    std::uint32_t step = 0;
+  };
+
+  /// What is in flight between two iterations: the steps whose gathers
+  /// are armed (ascending) and the steps whose write batch is outstanding,
+  /// in post (FIFO) order.
+  struct InFlight {
+    std::vector<std::uint32_t> armed;
+    std::vector<std::uint32_t> writes;
+    bool operator==(const InFlight&) const = default;
+  };
+
+  /// One lowered iteration: its memo key, its ops, and the in-flight state
+  /// it leaves.
+  struct Program {
+    bool pipelining = true;
+    bool arrival = false;
+    bool arm_next = true;
+    InFlight entry{};
+    std::vector<Op> ops{};
+    InFlight exit{};
+  };
+
+  /// Hazard bits of hazards_[u * size() + s]: what step u's declared
+  /// accesses do to step s.
+  enum Hazard : std::uint8_t {
+    /// u's compute or writes touch an array s gathers, other than through
+    /// u's own gather of it: s's gather may not be hoisted across u.
+    kBlocksHoist = 1,
+    /// u's write batch touches an array s gathers (RAW).
+    kRaw = 2,
+    /// u's write batch touches an array s's compute or write packing
+    /// observes (WAR/WAW).
+    kWar = 4,
+  };
 
   void check_bindings() const;
   /// Strict-mode gate: run the analyzer once per arming epoch; throw on
   /// error findings (without latching, so every advance re-refuses).
   void enforce_strict();
-  /// Post gathers for every armable step at execution position `exec_pos`
-  /// (index of the next compute to run; size() = end of iteration), in
-  /// strict step order, stopping at the first hazard.
-  void try_arm(std::size_t exec_pos);
-  void post_gathers(Step& s, bool early);
+  /// The program for the current modes and in-flight state, lowered (and
+  /// the hazard table built) on first use.
+  const Program& program(bool arm_next);
+  void build_hazards();
+  Program lower(bool arm_next) const;
+
+  // The interpreter's ops.
+  void post_gathers(Step& s);
   void post_writes(Step& s);
   void wait_gathers(Step& s);
   void wait_writes(Step& s);
-  void wait_conflicting_writes(std::span<const void* const> arrays);
+  void run(Step& s, bool arrival);
 
   /// Chunked (message-driven) execution.
   void build_chunk_plan(Step& s);
-  void run_chunks_serial(Step& s);
   void run_chunks_arrival(Step& s);
+  /// Run chunks `wave` of `s`: concurrently on the worker pool when the
+  /// wave holds more than one and threads are enabled, else one at a time
+  /// in the order given — the one serial chunk loop.
   void run_wave(Step& s, std::span<const std::size_t> wave);
 
   Runtime& rt_;
@@ -467,8 +526,9 @@ class StepGraph {
   int worker_threads_ = 2;
   std::unique_ptr<runtime::TaskPool> pool_;
   std::deque<Step> steps_;
-  /// Steps with a posted, un-waited write batch, in post (FIFO) order.
-  std::vector<std::size_t> posted_write_order_;
+  std::vector<std::uint8_t> hazards_;  ///< size() x size() Hazard bits
+  std::vector<Program> programs_;      ///< memoized lowered iterations
+  InFlight live_;                      ///< what the last program left
   Stats stats_;
 };
 

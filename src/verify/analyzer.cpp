@@ -11,100 +11,64 @@
 
 namespace chaos::verify {
 
-namespace {
+// Every rule reads the steps' own declared records (Step::Access, the
+// chunk declaration) — Step and StepGraph befriend the Analyzer, and Pass
+// is its rule pipeline over one graph — so the analyzer judges exactly the
+// declarations the graph executes. Rules are set/interval logic over those
+// records, plus registry lookups through the Runtime for schedule shapes
+// and validity.
+class Analyzer::Pass {
+ public:
+  explicit Pass(StepGraph& g)
+      : rt_(g.runtime()),
+        steps_(g.steps_),
+        arrival_driven_(g.arrival_driven_) {
+    // Best-known name per container address, pooled across every step (a
+    // raw vector named in one binding is recognized everywhere).
+    for (const Step& s : steps_)
+      for (const auto* list : {&s.gathers_, &s.writes_, &s.locals_})
+        for (const Access& a : *list)
+          if (!a.name.empty()) names_.emplace(a.decl.array, a.name);
+  }
 
-// The analyzer works over a plain-data snapshot of the declared graph:
-// one pass of Step introspection up front, then every rule is pure
-// set/interval logic over the snapshot (plus registry lookups through the
-// Runtime for schedule shapes and validity).
+  void read_before_gather();
+  void dead_scatter();
+  void redundant_gather();
+  void race_certification();
+  void stale_binding();
 
-struct Access {
-  lang::AccessDecl decl;
-  ScheduleHandle via{};
-  std::string name;  ///< registered array name ("" for raw containers)
-  bool zeroes = false;
-  bool guarded = false;
-  bool stale = false;
-};
+  std::vector<Diagnostic> out;
 
-struct StepSnap {
-  std::string name;
-  std::size_t idx = 0;
-  std::vector<Access> gathers;  ///< pre-compute communication
-  std::vector<Access> writes;   ///< post-compute communication
-  std::vector<Access> locals;   ///< use/update
-  bool chunked = false;
-  std::size_t fixed_chunks = 0;  ///< 0 = keyed by gather recv blocks
-  bool claims_disjoint = false;
-};
-
-struct GraphSnap {
-  std::vector<StepSnap> steps;
-  bool arrival_driven = false;
-  /// Best-known name per container address, pooled across every step
-  /// (a raw vector named in one binding is recognized everywhere).
-  std::map<const void*, std::string> names;
+ private:
+  using Access = Step::Access;
 
   std::string name_of(const void* array) const {
-    auto it = names.find(array);
-    return it == names.end() ? std::string{} : it->second;
+    auto it = names_.find(array);
+    return it == names_.end() ? std::string{} : it->second;
   }
+
+  /// "'pos'" / "<unnamed @0x...>" for message bodies.
+  std::string aname(const void* array) const {
+    return array_subject(name_of(array), array);
+  }
+
+  void add(std::string rule, Severity sev, const Step* step,
+           const void* array, std::string message, std::string hint) {
+    Diagnostic d;
+    d.rule = std::move(rule);
+    d.severity = sev;
+    if (step) d.step = step->name_;
+    if (array) d.array = name_of(array);
+    d.message = std::move(message);
+    d.hint = std::move(hint);
+    out.push_back(std::move(d));
+  }
+
+  Runtime& rt_;
+  const std::deque<Step>& steps_;
+  bool arrival_driven_;
+  std::map<const void*, std::string> names_;
 };
-
-Access snap_access(const Step::AccessInfo& info) {
-  Access a;
-  a.decl = info.decl;
-  a.via = info.via;
-  a.name = std::string(info.name);
-  a.zeroes = info.zeroes_ghosts;
-  a.guarded = info.guarded;
-  a.stale = info.stale;
-  return a;
-}
-
-GraphSnap snapshot(StepGraph& g) {
-  g.resolve_for_analysis();
-  GraphSnap snap;
-  snap.arrival_driven = g.arrival_driven();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const Step& s = g.at(i);
-    StepSnap ss;
-    ss.name = s.name();
-    ss.idx = i;
-    for (const Step::AccessInfo& info : s.declared_gathers())
-      ss.gathers.push_back(snap_access(info));
-    for (const Step::AccessInfo& info : s.declared_writes())
-      ss.writes.push_back(snap_access(info));
-    for (const Step::AccessInfo& info : s.declared_locals())
-      ss.locals.push_back(snap_access(info));
-    ss.chunked = s.chunked();
-    ss.fixed_chunks = s.fixed_chunk_count();
-    ss.claims_disjoint = s.claims_chunk_writes_disjoint();
-    for (const auto* list : {&ss.gathers, &ss.writes, &ss.locals})
-      for (const Access& a : *list)
-        if (!a.name.empty()) snap.names.emplace(a.decl.array, a.name);
-    snap.steps.push_back(std::move(ss));
-  }
-  return snap;
-}
-
-Diagnostic make(std::string rule, Severity sev, const GraphSnap& g,
-                const StepSnap* step, const void* array, std::string message,
-                std::string hint) {
-  Diagnostic d;
-  d.rule = std::move(rule);
-  d.severity = sev;
-  if (step) d.step = step->name;
-  if (array) d.array = g.name_of(array);
-  d.message = std::move(message);
-  d.hint = std::move(hint);
-  return d;
-}
-
-/// "'pos'" / "<unnamed @0x...>" for message bodies.
-std::string aname(const GraphSnap& g, const void* array) {
-  return array_subject(g.name_of(array), array);
-}
 
 // ---- rule: read-before-gather ----------------------------------------
 //
@@ -114,32 +78,31 @@ std::string aname(const GraphSnap& g, const void* array) {
 // cross-iteration wraparound makes this wrong in BOTH regimes: on
 // iteration 1 the ghost region is value-initialized (never gathered), and
 // on iteration k>1 the reader sees iteration k-1's gather — one iteration
-// stale, silently, because the hoisting machinery (try_arm wraps into the
-// next iteration) is happy to arm the gather after the reader ran.
-void rule_read_before_gather(const GraphSnap& g,
-                             std::vector<Diagnostic>& out) {
+// stale, silently, because the lowered program's trailing arm (which
+// wraps into the next iteration) is happy to arm the gather after the
+// reader ran.
+void Analyzer::Pass::read_before_gather() {
   std::map<const void*, std::size_t> first_gather;
-  for (const StepSnap& s : g.steps)
-    for (const Access& a : s.gathers) {
-      auto [it, inserted] = first_gather.emplace(a.decl.array, s.idx);
-      if (!inserted) it->second = std::min(it->second, s.idx);
+  for (const Step& s : steps_)
+    for (const Access& a : s.gathers_) {
+      auto [it, inserted] = first_gather.emplace(a.decl.array, s.idx_);
+      if (!inserted) it->second = std::min(it->second, s.idx_);
     }
-  for (const StepSnap& s : g.steps) {
-    for (const Access& l : s.locals) {
+  for (const Step& s : steps_) {
+    for (const Access& l : s.locals_) {
       if (l.decl.kind != lang::AccessKind::kLocalRead) continue;
       auto it = first_gather.find(l.decl.array);
-      if (it == first_gather.end() || s.idx >= it->second) continue;
-      const StepSnap& gstep = g.steps[it->second];
-      out.push_back(make(
-          "read-before-gather", Severity::kError, g, &s, l.decl.array,
-          "reads " + aname(g, l.decl.array) +
-              " before its first gather (step '" + gstep.name +
-              "', position " + std::to_string(gstep.idx) +
+      if (it == first_gather.end() || s.idx_ >= it->second) continue;
+      const Step& gstep = steps_[it->second];
+      add("read-before-gather", Severity::kError, &s, l.decl.array,
+          "reads " + aname(l.decl.array) +
+              " before its first gather (step '" + gstep.name_ +
+              "', position " + std::to_string(gstep.idx_) +
               "): iteration 1 consumes value-initialized ghost slots, and "
               "every later iteration reads ghosts one iteration stale — "
               "the cross-iteration gather hoist arms AFTER this step ran",
           "declare this step after the gathering step, or gather " +
-              aname(g, l.decl.array) + " in or before it"));
+              aname(l.decl.array) + " in or before it");
     }
   }
 }
@@ -152,36 +115,33 @@ void rule_read_before_gather(const GraphSnap& g,
 // consumes. Warning (not error): the array may legitimately be consumed
 // imperatively after quiesce() — but then a use() declaration in a later
 // step documents the dataflow and restores the hazard edges.
-void rule_dead_scatter(const GraphSnap& g, std::vector<Diagnostic>& out) {
+void Analyzer::Pass::dead_scatter() {
+  // Gathered, locally read, or migrated (migrated items are read and
+  // shipped).
   const auto consumed = [&](const void* array) {
-    for (const StepSnap& s : g.steps) {
-      for (const Access& a : s.gathers)
-        if (a.decl.array == array) return true;
-      for (const Access& l : s.locals)
-        if (l.decl.kind == lang::AccessKind::kLocalRead &&
-            l.decl.array == array)
-          return true;
-      for (const Access& w : s.writes)
-        if (w.decl.kind == lang::AccessKind::kMigrate &&
-            w.decl.array == array)
-          return true;  // migrated items are read and shipped
-    }
+    for (const Step& s : steps_)
+      for (const auto* list : {&s.gathers_, &s.locals_, &s.writes_})
+        for (const Access& a : *list)
+          if (a.decl.array == array &&
+              (a.decl.kind == lang::AccessKind::kGather ||
+               a.decl.kind == lang::AccessKind::kLocalRead ||
+               a.decl.kind == lang::AccessKind::kMigrate))
+            return true;
     return false;
   };
-  for (const StepSnap& s : g.steps) {
-    for (const Access& w : s.writes) {
+  for (const Step& s : steps_) {
+    for (const Access& w : s.writes_) {
       if (w.decl.kind != lang::AccessKind::kScatter &&
           w.decl.kind != lang::AccessKind::kScatterAdd)
         continue;
       if (consumed(w.decl.array)) continue;
-      out.push_back(make(
-          "dead-scatter", Severity::kWarning, g, &s, w.decl.array,
+      add("dead-scatter", Severity::kWarning, &s, w.decl.array,
           std::string(lang::to_string(w.decl.kind)) + "(" +
-              aname(g, w.decl.array) +
+              aname(w.decl.array) +
               ") is written but no step gathers or reads it — the owners "
               "receive values the declared dataflow never consumes",
           "drop the write, or declare the consumer (use(...) in a later "
-          "step) so the dependence is visible to the hazard analysis"));
+          "step) so the dependence is visible to the hazard analysis");
     }
   }
 }
@@ -199,47 +159,31 @@ void rule_dead_scatter(const GraphSnap& g, std::vector<Diagnostic>& out) {
 //     the paper's schedule-merging optimization).
 // Plus the iteration-axis flavor: an array gathered every advance() that
 // no step ever writes delivers identical values every iteration — note.
-void rule_redundant_gather(Runtime& rt, const GraphSnap& g,
-                           std::vector<Diagnostic>& out) {
+void Analyzer::Pass::redundant_gather() {
   struct Occurrence {
     std::size_t step;
     ScheduleHandle via;
   };
   std::map<const void*, std::vector<Occurrence>> gathers;
-  for (const StepSnap& s : g.steps)
-    for (const Access& a : s.gathers)
-      gathers[a.decl.array].push_back({s.idx, a.via});
+  for (const Step& s : steps_)
+    for (const Access& a : s.gathers_)
+      gathers[a.decl.array].push_back({s.idx_, a.via});
 
   const auto written_between = [&](const void* array, std::size_t lo,
                                    std::size_t hi) {
     // Writes that land between gather lo's post and gather hi's post:
     // steps [lo, hi) — step lo's compute and post-compute writes run
     // after its own gather, step hi's run after gather hi.
-    for (std::size_t i = lo; i < hi; ++i) {
-      const StepSnap& s = g.steps[i];
-      for (const Access& l : s.locals)
-        if (lang::is_owner_write(l.decl.kind) && l.decl.touches(array))
-          return true;
-      for (const Access& w : s.writes)
-        if (lang::is_owner_write(w.decl.kind) && w.decl.touches(array))
-          return true;
-    }
-    return false;
-  };
-  const auto written_anywhere = [&](const void* array) {
-    for (const StepSnap& s : g.steps) {
-      for (const Access& l : s.locals)
-        if (lang::is_owner_write(l.decl.kind) && l.decl.touches(array))
-          return true;
-      for (const Access& w : s.writes)
-        if (lang::is_owner_write(w.decl.kind) && w.decl.touches(array))
-          return true;
-    }
+    for (std::size_t i = lo; i < hi; ++i)
+      for (const auto* list : {&steps_[i].locals_, &steps_[i].writes_})
+        for (const Access& a : *list)
+          if (lang::is_owner_write(a.decl.kind) && a.decl.touches(array))
+            return true;
     return false;
   };
   const auto recv_slots = [&](ScheduleHandle h) {
     std::set<GlobalIndex> slots;
-    for (const core::ScheduleBlock& b : rt.schedule(h).recv_blocks())
+    for (const core::ScheduleBlock& b : rt_.schedule(h).recv_blocks())
       slots.insert(b.indices.begin(), b.indices.end());
     return slots;
   };
@@ -249,47 +193,44 @@ void rule_redundant_gather(Runtime& rt, const GraphSnap& g,
       const Occurrence& g1 = occ[k];
       const Occurrence& g2 = occ[k + 1];
       if (written_between(array, g1.step, g2.step)) continue;
-      const StepSnap& s2 = g.steps[g2.step];
+      const Step& s2 = steps_[g2.step];
       if (g1.via == g2.via) {
-        out.push_back(make(
-            "redundant-gather", Severity::kWarning, g, &s2, array,
-            "gathers " + aname(g, array) + " through schedule s" +
+        add("redundant-gather", Severity::kWarning, &s2, array,
+            "gathers " + aname(array) + " through schedule s" +
                 std::to_string(g2.via.id) + " already gathered by step '" +
-                g.steps[g1.step].name +
+                steps_[g1.step].name_ +
                 "' with no interleaving write — the second delivery is "
                 "identical (a gather packs owned values at post time)",
             "drop this gather; the hoisting machinery already delivers "
-            "the ghosts before this step"));
-      } else if (rt.valid(g1.via) && rt.valid(g2.via)) {
+            "the ghosts before this step");
+      } else if (rt_.valid(g1.via) && rt_.valid(g2.via)) {
         const std::set<GlobalIndex> a = recv_slots(g1.via);
         const std::set<GlobalIndex> b = recv_slots(g2.via);
         std::size_t overlap = 0;
         for (GlobalIndex i : b) overlap += a.count(i);
         if (overlap > 0) {
-          out.push_back(make(
-              "redundant-gather", Severity::kNote, g, &s2, array,
-              "gathers " + aname(g, array) + " through schedule s" +
+          add("redundant-gather", Severity::kNote, &s2, array,
+              "gathers " + aname(array) + " through schedule s" +
                   std::to_string(g2.via.id) + " while step '" +
-                  g.steps[g1.step].name + "' gathers it through s" +
+                  steps_[g1.step].name_ + "' gathers it through s" +
                   std::to_string(g1.via.id) + " — " +
                   std::to_string(overlap) +
                   " ghost slot(s) on this rank are fetched twice with no "
                   "interleaving write",
               "consider one merged schedule (rt.merge) so shared ghosts "
-              "ride the wire once"));
+              "ride the wire once");
         }
       }
     }
-    if (!written_anywhere(array)) {
-      const StepSnap& s1 = g.steps[occ.front().step];
-      out.push_back(make(
-          "redundant-gather", Severity::kNote, g, &s1, array,
-          "gathers " + aname(g, array) +
+    if (!written_between(array, 0, steps_.size())) {
+      const Step& s1 = steps_[occ.front().step];
+      add("redundant-gather", Severity::kNote, &s1, array,
+          "gathers " + aname(array) +
               " every iteration, but no step in the graph ever writes it "
               "— successive advances deliver identical ghost values",
           "if the array is constant across advances, gather it once "
           "imperatively (rt.gather) outside the iteration loop; if it is "
-          "mutated imperatively between advances, ignore this"));
+          "mutated imperatively between advances, ignore this");
     }
   }
 }
@@ -317,29 +258,23 @@ void rule_redundant_gather(Runtime& rt, const GraphSnap& g,
 //   ASSUMED (note)   anything else (fixed-count chunks, opaque local
 //                    writes): the coloring rests on the claim alone;
 //                    point at the dynamic certifiers.
-void rule_race_certification(Runtime& rt, const GraphSnap& g,
-                             std::vector<Diagnostic>& out) {
-  if (!g.arrival_driven) return;  // the claim only licenses arrival waves
-  const int me = rt.comm().rank();
-  for (const StepSnap& s : g.steps) {
-    if (!s.chunked || !s.claims_disjoint) continue;
+void Analyzer::Pass::race_certification() {
+  if (!arrival_driven_) return;  // the claim only licenses arrival waves
+  const int me = rt_.comm().rank();
+  for (const Step& s : steps_) {
+    if (!s.chunk_fn_ || !s.chunk_disjoint_) continue;
 
-    const bool gather_keyed = s.fixed_chunks == 0 && !s.gathers.empty();
-    bool has_scatter_add = false;
-    for (const Access& w : s.writes)
-      if (w.decl.kind == lang::AccessKind::kScatterAdd)
-        has_scatter_add = true;
+    const bool gather_keyed = s.chunk_count_ == 0 && !s.gathers_.empty();
+    const Access* w = nullptr;  // the step's (last) scatter-add write
+    for (const Access& a : s.writes_)
+      if (a.decl.kind == lang::AccessKind::kScatterAdd) w = &a;
 
-    if (gather_keyed && has_scatter_add) {
-      const Access* w = nullptr;
-      for (const Access& a : s.writes)
-        if (a.decl.kind == lang::AccessKind::kScatterAdd) w = &a;
-      out.push_back(make(
-          "race-certification", Severity::kError, g, &s, w->decl.array,
+    if (gather_keyed && w) {
+      add("race-certification", Severity::kError, &s, w->decl.array,
           "chunk_writes_disjoint() is refuted by the declared access "
           "sets: the chunks are keyed by per-peer gather partitions and "
           "sum(" +
-              aname(g, w->decl.array) +
+              aname(w->decl.array) +
               ") accumulates into owned slots that any two partitions "
               "referencing one element share — the conflict graph is NOT "
               "empty, and a concurrent wave would race on the "
@@ -347,21 +282,21 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
           "drop chunk_writes_disjoint() (conflicted chunks fire one at a "
           "time in canonical order, bitwise identical to the serial "
           "arm), or restructure the reduction so each chunk owns "
-          "disjoint slots"));
+          "disjoint slots");
       continue;
     }
 
     bool provable = gather_keyed;
     if (provable) {
       std::set<std::uint32_t> keying;
-      for (const Access& a : s.gathers) keying.insert(a.via.id);
-      for (const Access& w : s.writes)
+      for (const Access& a : s.gathers_) keying.insert(a.via.id);
+      for (const Access& w : s.writes_)
         if (w.decl.kind != lang::AccessKind::kScatter ||
-            !keying.count(w.via.id) || !rt.valid(w.via))
+            !keying.count(w.via.id) || !rt_.valid(w.via))
           provable = false;
-      for (const Access& l : s.locals)
+      for (const Access& l : s.locals_)
         if (l.decl.kind == lang::AccessKind::kLocalWrite) provable = false;
-      if (s.writes.empty()) provable = false;  // nothing to confine
+      if (s.writes_.empty()) provable = false;  // nothing to confine
     }
 
     if (provable) {
@@ -372,9 +307,9 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
       std::size_t slots = 0;
       GlobalIndex clash_slot = 0;
       int clash_a = 0, clash_b = 0;
-      for (const Access& w : s.writes) {
+      for (const Access& w : s.writes_) {
         for (const core::ScheduleBlock& b :
-             rt.schedule(w.via).recv_blocks()) {
+             rt_.schedule(w.via).recv_blocks()) {
           const int peer = b.proc == me ? -1 : b.proc;
           for (GlobalIndex slot : b.indices) {
             auto [it, inserted] = slot_peer.emplace(slot, peer);
@@ -390,8 +325,7 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
         }
       }
       if (disjoint) {
-        out.push_back(make(
-            "race-certification", Severity::kNote, g, &s, nullptr,
+        add("race-certification", Severity::kNote, &s, nullptr,
             "chunk_writes_disjoint() PROVEN: every write is a plain "
             "scatter riding a chunk-keying schedule, and its per-peer "
             "recv partitions are pairwise disjoint (" +
@@ -400,13 +334,12 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
                 "re-derived conflict graph is empty, one color class, and "
                 "concurrent arrival waves cannot share an output slot "
                 "(statically, what the TSan job certifies dynamically)",
-            ""));
+            "");
       } else {
         // Cannot happen for schedules of one epoch (each ghost slot has
         // one owning rank); seeing it means the step mixes epochs.
         // Warning, not error: recv blocks are per-rank observations.
-        out.push_back(make(
-            "race-certification", Severity::kWarning, g, &s, nullptr,
+        add("race-certification", Severity::kWarning, &s, nullptr,
             "chunk_writes_disjoint() is falsified on this rank: slot " +
                 std::to_string(clash_slot) +
                 " is delivered by peers " + std::to_string(clash_a) +
@@ -414,26 +347,26 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
                 " across the step's write schedules — two chunks write "
                 "one element",
             "the step likely mixes schedules from different epochs; "
-            "retarget them onto one epoch"));
+            "retarget them onto one epoch");
       }
     } else {
-      out.push_back(make(
-          "race-certification", Severity::kNote, g, &s, nullptr,
+      add("race-certification", Severity::kNote, &s, nullptr,
           "chunk_writes_disjoint() ASSUMED: the chunks' writes are not "
           "visible to the declarations (" +
-              std::string(s.fixed_chunks > 0 ? "fixed-count chunks"
+              std::string(s.chunk_count_ > 0 ? "fixed-count chunks"
                                              : "local writes / non-keying "
                                                "schedules") +
               "), so the empty conflict graph rests on the claim alone",
           "the TSan CI job and the delivery-permutation fuzz are the "
-          "certifiers for this step; keep them covering it"));
+          "certifiers for this step; keep them covering it");
     }
   }
 }
 
 // ---- rule: stale-binding ----------------------------------------------
 //
-// The lifetime analysis behind check_bindings, run without arming:
+// The lifetime analysis behind check_bindings, run without arming, through
+// the same predicate (Step::staleness):
 //   - a guarded binding whose revision probe already disagrees with the
 //     bound snapshot (Array retargeted after binding) — error now;
 //   - a schedule handle the registry has invalidated — error now;
@@ -442,61 +375,52 @@ void rule_race_certification(Runtime& rt, const GraphSnap& g,
 //     carry no revision probe, so a binding left behind would go stale
 //     UNDETECTABLY — note, pointing at chaos::Array (or .named() plus
 //     manual rebinding discipline).
-void rule_stale_binding(Runtime& rt, const GraphSnap& g,
-                        std::vector<Diagnostic>& out) {
-  const bool autonomic = rt.balance_policy() != nullptr;
-  for (const StepSnap& s : g.steps) {
-    const auto check = [&](const Access& a, bool comm) {
-      if (a.guarded && a.stale) {
-        out.push_back(make(
-            "stale-binding", Severity::kError, g, &s, a.decl.array,
-            "bound " + aname(g, a.decl.array) +
-                " was retargeted onto another epoch after the binding — "
-                "driving the graph now would read/write through a stale "
-                "snapshot",
-            "retarget() the graph onto the new epoch's schedules (arrays "
-            "first, then the graph)"));
+void Analyzer::Pass::stale_binding() {
+  const bool autonomic = rt_.balance_policy() != nullptr;
+  for (const Step& s : steps_) {
+    for (const auto* list : {&s.gathers_, &s.writes_, &s.locals_}) {
+      for (const Access& a : *list) {
+        const Step::Staleness stale = Step::staleness(rt_, a);
+        if (stale.retargeted) {
+          add("stale-binding", Severity::kError, &s, a.decl.array,
+              "bound " + aname(a.decl.array) +
+                  " was retargeted onto another epoch after the binding — "
+                  "driving the graph now would read/write through a stale "
+                  "snapshot",
+              "retarget() the graph onto the new epoch's schedules (arrays "
+              "first, then the graph)");
+        }
+        if (stale.invalid_schedule) {
+          add("stale-binding", Severity::kError, &s, a.decl.array,
+              "schedule s" + std::to_string(a.via.id) +
+                  " bound for " + aname(a.decl.array) +
+                  " is no longer valid (retired epoch or stale derivation)",
+              "call retarget() after a repartition/re-derivation");
+        }
+        if (lang::rides_schedule(a.decl.kind) && !a.revision && autonomic) {
+          add("stale-binding", Severity::kNote, &s, a.decl.array,
+              "raw-container binding " + aname(a.decl.array) +
+                  " carries no retarget-revision guard while an autonomic "
+                  "balance policy is installed — a balance_step rebalance "
+                  "that remaps this container cannot be detected if the "
+                  "binding goes stale",
+              "bind a chaos::Array (guarded automatically), or keep the "
+              "balance binding's remap hooks covering this container");
+        }
       }
-      if (comm && a.decl.kind != lang::AccessKind::kMigrate &&
-          !rt.valid(a.via)) {
-        out.push_back(make(
-            "stale-binding", Severity::kError, g, &s, a.decl.array,
-            "schedule s" + std::to_string(a.via.id) +
-                " bound for " + aname(g, a.decl.array) +
-                " is no longer valid (retired epoch or stale derivation)",
-            "call retarget() after a repartition/re-derivation"));
-      }
-      if (comm && a.decl.kind != lang::AccessKind::kMigrate &&
-          !a.guarded && autonomic) {
-        out.push_back(make(
-            "stale-binding", Severity::kNote, g, &s, a.decl.array,
-            "raw-container binding " + aname(g, a.decl.array) +
-                " carries no retarget-revision guard while an autonomic "
-                "balance policy is installed — a balance_step rebalance "
-                "that remaps this container cannot be detected if the "
-                "binding goes stale",
-            "bind a chaos::Array (guarded automatically), or keep the "
-            "balance binding's remap hooks covering this container"));
-      }
-    };
-    for (const Access& a : s.gathers) check(a, /*comm=*/true);
-    for (const Access& a : s.writes) check(a, /*comm=*/true);
-    for (const Access& a : s.locals) check(a, /*comm=*/false);
+    }
   }
 }
 
-}  // namespace
-
 std::vector<Diagnostic> Analyzer::analyze(StepGraph& graph) {
-  Runtime& rt = graph.runtime();
-  const GraphSnap snap = snapshot(graph);
-  std::vector<Diagnostic> out;
-  rule_read_before_gather(snap, out);
-  rule_dead_scatter(snap, out);
-  rule_redundant_gather(rt, snap, out);
-  rule_race_certification(rt, snap, out);
-  rule_stale_binding(rt, snap, out);
-  return out;
+  graph.resolve_for_analysis();
+  Pass pass(graph);
+  pass.read_before_gather();
+  pass.dead_scatter();
+  pass.redundant_gather();
+  pass.race_certification();
+  pass.stale_binding();
+  return std::move(pass.out);
 }
 
 }  // namespace chaos::verify

@@ -67,6 +67,9 @@ class Analyzer {
   /// severity). Resolves the graph first (resolve_for_analysis), so a
   /// step arming would refuse throws the same chaos::Error here.
   std::vector<Diagnostic> analyze(StepGraph& graph);
+
+ private:
+  class Pass;  ///< the rule pipeline over one graph (analyzer.cpp)
 };
 
 }  // namespace chaos::verify

@@ -915,6 +915,104 @@ TEST(StepGraphArrival, RetargetRebuildsChunkPlanOnSuccessorEpoch) {
   EXPECT_TRUE(spans_equal(arrival.y, eager.y, "y (across retarget)"));
 }
 
+// A gather hoisted while another step's write batch is still outstanding
+// is the other half of overlapped_posts (no shipped graph produces it: the
+// CHARMM and example graphs wait every write before their next-iteration
+// arm). Scatter-add of y, then a gather of x: per iteration the y scatter
+// posts with x's gathers armed (1), and the end-of-iteration hoist of x's
+// gathers posts over the outstanding y batch (1, except on the last
+// iteration, which does not arm); each later y compute stalls on its own
+// previous batch.
+TEST(StepGraph, GatherHoistedOverOutstandingScatterCountsAsOverlap) {
+  Machine m(kRanks);
+  m.run([&](Comm& c) {
+    Runtime rt(c);
+    const DistHandle d = rt.block(kN);
+    lang::IndirectionArray ind(make_refs(c.rank(), 3));
+    const ScheduleHandle h = rt.inspect(d, ind);
+    const auto extent = static_cast<std::size_t>(rt.local_extent(d));
+    std::vector<double> x(extent, 1.0), y(extent, 0.0);
+
+    StepGraph g(rt);
+    g.step("scatter_y").bind(sum(y).via(h)).compute([] {});
+    g.step("gather_x").bind(in(x).via(h)).compute([] {});
+    rt.run(g, 3);
+    EXPECT_EQ(g.stats().overlapped_posts, 5u);
+    EXPECT_EQ(g.stats().pipelined_gathers, 3u);
+    EXPECT_EQ(g.stats().hazard_stalls, 2u);
+  });
+}
+
+// ---- lowering: one op program per input, not per advance ------------------
+
+// The CHARMM cycle's declared shape (src/apps/charmm/parallel.cpp,
+// declare_graph): bonded and non-bonded steps gathering one position array
+// through two schedules and scatter-adding two force arrays, then an
+// integrate step reading the forces and updating positions and velocities.
+// Lowering is keyed by (modes, entry state, arm_next_iteration), so after
+// the first few iterations no advance() lowers a new program — across a
+// quiesce and a retarget too — and Runtime::compact() releases the
+// programs, which the next advance rebuilds.
+TEST(StepGraphLowering, CharmmShapeLowersOncePerInput) {
+  for (const int mode : {0, 1, 2}) {  // pipelined, eager, arrival
+    SCOPED_TRACE(mode);
+    Machine m(kRanks);
+    m.run([&](Comm& c) {
+      Runtime rt(c);
+      const DistHandle d = rt.block(kN);
+      lang::IndirectionArray bonds(make_refs(c.rank(), 0));
+      lang::IndirectionArray pairs(make_refs(c.rank(), 7, 16));
+      const ScheduleHandle hb = rt.inspect(d, bonds);
+      const ScheduleHandle hn = rt.inspect(d, pairs);
+      const auto extent = static_cast<std::size_t>(rt.local_extent(d));
+      std::vector<double> pos(extent, 1.0), vel(extent, 0.0);
+      std::vector<double> force(extent, 0.0), force_bond(extent, 0.0);
+
+      StepGraph g(rt);
+      g.set_pipelining(mode != 1);
+      g.set_arrival_driven(mode == 2);
+      g.step("bonded")
+          .bind(in(pos).via(hb), sum(force_bond).via(hb))
+          .compute([] {});
+      Step& nonbonded = g.step("nonbonded")
+                            .bind(in(pos).via(hn), sum(force).via(hn))
+                            .compute([] {});
+      if (mode == 2) nonbonded.compute_chunks([](ChunkContext&) {});
+      g.step("integrate")
+          .bind(use(force), use(force_bond), update(pos), update(vel))
+          .compute([] {});
+
+      for (int i = 0; i < 3; ++i) g.advance();
+      const std::uint64_t warm = g.stats().programs_lowered;
+      EXPECT_GE(warm, 1u);
+      EXPECT_LE(warm, 3u);
+      for (int i = 0; i < 20; ++i) g.advance();
+      EXPECT_EQ(g.stats().programs_lowered, warm);
+
+      // The final iteration (no trailing hoist) lowers at most one more
+      // program; after a quiesce or a retarget the graph re-enters from the
+      // idle state, whose program is already memoized.
+      g.advance(false);
+      const std::uint64_t with_final = g.stats().programs_lowered;
+      EXPECT_LE(with_final, warm + 1);
+      g.quiesce();
+      for (int i = 0; i < 5; ++i) g.advance();
+      g.retarget(hn, hn);
+      for (int i = 0; i < 5; ++i) g.advance();
+      g.quiesce();
+      EXPECT_EQ(g.stats().programs_lowered, with_final);
+      EXPECT_EQ(g.stats().iterations, 34u);
+
+      // compact() drops the programs; the next advance lowers again.
+      (void)rt.compact();
+      EXPECT_EQ(g.footprint_bytes(), 0u);
+      rt.run(g, 1);
+      EXPECT_EQ(g.stats().programs_lowered, with_final + 1);
+      EXPECT_GT(g.footprint_bytes(), 0u);
+    });
+  }
+}
+
 TEST(CommEngineTraffic, ResetAndPerBatchSnapshots) {
   Machine m(2);
   m.run([&](Comm& c) {
