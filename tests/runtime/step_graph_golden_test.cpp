@@ -13,11 +13,16 @@
 // DSMC graphs live inside their drivers, which run this sequence themselves
 // (repartition_every / remap_every); there the pins are what the drivers
 // report: CHARMM's pipelining and arrival counters and per-step traffic,
-// and for both apps every rank's clock and wire counts. Clocks are printed
-// as hexadecimal floats, so the comparison is bitwise.
+// and for both apps every rank's clock and wire counts. The CHARMM Table 3
+// shapes (merged, multiple, engine) and the compiler-generated arm also pin
+// the run's message totals and a bitwise hash of the collected positions
+// and forces. Clocks are printed as hexadecimal floats, so the comparison
+// is bitwise.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -119,13 +124,39 @@ std::string run_example(Repartition repartition) {
          describe_machine(m);
 }
 
-std::string run_charmm(charmm::CharmmShape shape) {
+/// FNV-1a over the bytes of every coordinate: a bitwise fingerprint of
+/// the collected state.
+std::string hash_state(const std::vector<part::Point3>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const part::Point3& p : v) {
+    for (const double c : {p.x, p.y, p.z}) {
+      unsigned char bytes[sizeof c];
+      std::memcpy(bytes, &c, sizeof c);
+      for (const unsigned char b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// `collect_state` additionally pins the result's message totals and a
+/// bitwise hash of the final positions and forces (the collection is an
+/// allgather after the run, so it also moves the clocks).
+std::string run_charmm(charmm::CharmmShape shape, bool collect_state = false,
+                       bool compiler_generated = false) {
   charmm::ParallelCharmmConfig cfg;
   cfg.system = charmm::SystemParams::small(300);
   cfg.run.steps = 6;
   cfg.run.nb_rebuild_every = 100;
   cfg.repartition_every = 4;  // steps 0-3, repartition + retarget, 4-5
   cfg.shape = shape;
+  cfg.collect_state = collect_state;
+  cfg.compiler_generated = compiler_generated;
   sim::Machine m(kRanks);
   const charmm::ParallelCharmmResult r = charmm::run_parallel_charmm(m, cfg);
   std::ostringstream os;
@@ -137,6 +168,10 @@ std::string run_charmm(charmm::CharmmShape shape) {
     os << "  " << st.name << " gather " << st.gather_msgs << '/'
        << st.gather_bytes << " write " << st.write_msgs << '/'
        << st.write_bytes << '\n';
+  if (collect_state)
+    os << "msgs " << r.msgs_sent << " coalesced " << r.coalesced_msgs << '/'
+       << r.coalesced_segments << " pos " << hash_state(r.pos) << " force "
+       << hash_state(r.force) << '\n';
   return os.str() + describe_machine(m);
 }
 
@@ -190,6 +225,54 @@ rank 0 clock 0x1.cc6bf2c7e1e3ep-2 msgs 114 bytes 63256 coalesced 0/0/0
 rank 1 clock 0x1.cc6bf2c7e1e3ep-2 msgs 113 bytes 81344 coalesced 0/0/0
 rank 2 clock 0x1.cc6bf2c7e1e3ep-2 msgs 110 bytes 77296 coalesced 0/0/0
 rank 3 clock 0x1.cc6bf2c7e1e3ep-2 msgs 103 bytes 62976 coalesced 0/0/0
+)");
+}
+
+// The Table 3 shapes and the compiler-generated arm report no graph
+// counters or per-step traffic; their pins are the wire totals, the final
+// state's bits and every rank's clock and wire counts.
+TEST(StepGraphGolden, CharmmMerged) {
+  EXPECT_EQ(run_charmm(charmm::CharmmShape::kMerged, /*collect_state=*/true),
+            R"(pipelined 0 overlapped 0 stalls 0 early 0 wakeups 0 colors 0
+msgs 320 coalesced 0/0 pos 5824e0d94cb47d5a force d37310297bb83fd2
+rank 0 clock 0x1.cd0a940838eb3p-2 msgs 84 bytes 57992 coalesced 0/0/0
+rank 1 clock 0x1.cd0a940838eb3p-2 msgs 83 bytes 78168 coalesced 0/0/0
+rank 2 clock 0x1.cd0a940838eb3p-2 msgs 80 bytes 73968 coalesced 0/0/0
+rank 3 clock 0x1.cd0a940838eb3p-2 msgs 73 bytes 58376 coalesced 0/0/0
+)");
+}
+
+TEST(StepGraphGolden, CharmmMultiple) {
+  EXPECT_EQ(run_charmm(charmm::CharmmShape::kMultiple, /*collect_state=*/true),
+            R"(pipelined 0 overlapped 0 stalls 0 early 0 wakeups 0 colors 0
+msgs 464 coalesced 0/0 pos 5824e0d94cb47d5a force 96f1e7afc4fa4560
+rank 0 clock 0x1.d41ff8f44bcf6p-2 msgs 120 bytes 61192 coalesced 0/0/0
+rank 1 clock 0x1.d41ff8f44bcf6p-2 msgs 119 bytes 80840 coalesced 0/0/0
+rank 2 clock 0x1.d41ff8f44bcf6p-2 msgs 116 bytes 76400 coalesced 0/0/0
+rank 3 clock 0x1.d41ff8f44bcf6p-2 msgs 109 bytes 61608 coalesced 0/0/0
+)");
+}
+
+TEST(StepGraphGolden, CharmmEngine) {
+  EXPECT_EQ(run_charmm(charmm::CharmmShape::kEngine, /*collect_state=*/true),
+            R"(pipelined 0 overlapped 0 stalls 0 early 0 wakeups 0 colors 0
+msgs 320 coalesced 144/288 pos 5824e0d94cb47d5a force d37310297bb83fd2
+rank 0 clock 0x1.cd9a0cb6a072dp-2 msgs 84 bytes 61192 coalesced 36/72/50208
+rank 1 clock 0x1.cd9a0cb6a072dp-2 msgs 83 bytes 80840 coalesced 36/72/48144
+rank 2 clock 0x1.cd9a0cb6a072dp-2 msgs 80 bytes 76400 coalesced 36/72/45408
+rank 3 clock 0x1.cd9a0cb6a072dp-2 msgs 73 bytes 61608 coalesced 36/72/50016
+)");
+}
+
+TEST(StepGraphGolden, CharmmCompilerGenerated) {
+  EXPECT_EQ(run_charmm(charmm::CharmmShape::kStepGraph, /*collect_state=*/true,
+                       /*compiler_generated=*/true),
+            R"(pipelined 0 overlapped 0 stalls 0 early 0 wakeups 0 colors 0
+msgs 464 coalesced 0/0 pos 5824e0d94cb47d5a force 96f1e7afc4fa4560
+rank 0 clock 0x1.eaecb8478b809p-2 msgs 120 bytes 61192 coalesced 0/0/0
+rank 1 clock 0x1.eaecb8478b809p-2 msgs 119 bytes 80840 coalesced 0/0/0
+rank 2 clock 0x1.eaecb8478b809p-2 msgs 116 bytes 76400 coalesced 0/0/0
+rank 3 clock 0x1.eaecb8478b809p-2 msgs 109 bytes 61608 coalesced 0/0/0
 )");
 }
 
