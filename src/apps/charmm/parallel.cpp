@@ -50,6 +50,7 @@ class Driver {
         phase_out_(phase_out),
         shared_(shared),
         rt_(comm),
+        graph_(rt_),
         sys_(MolecularSystem::generate(cfg.system)),
         n_(static_cast<GlobalIndex>(sys_.size())) {}
 
@@ -81,16 +82,14 @@ class Driver {
     partition_and_remap(cfg_.partitioner, /*remap_list=*/false);
     rebuild_nb_list();
     build_schedules(/*regen=*/false);
-    if (use_graph() && !graph_) declare_graph();
+    declare_graph();
 
     if (cfg_.verify_graph) {
       // Analysis-only mode: run the static rule pipeline over the declared
       // graph and return without simulating a single step. Analysis never
       // communicates, so the early return is collective-safe.
-      if (graph_) {
-        std::vector<verify::Diagnostic> ds = rt_.verify(*graph_);
-        if (comm_.rank() == 0) shared_.verify_diagnostics = std::move(ds);
-      }
+      std::vector<verify::Diagnostic> ds = rt_.verify(graph_);
+      if (comm_.rank() == 0) shared_.verify_diagnostics = std::move(ds);
       return;
     }
 
@@ -130,13 +129,19 @@ class Driver {
     }
 
     // Drain the pipeline: trailing scatters (and hoisted next-iteration
-    // gathers) may still be in flight after the last advance.
-    if (graph_) timed(&CharmmPhaseTimes::executor, [&] { graph_->quiesce(); });
+    // gathers) may still be in flight after the last advance. Collectives
+    // are charged modeled time and execution_time includes them, so only
+    // the three kStepGraph* shapes pay this drain's barrier and the graph
+    // statistics' allreduces: the Table 3 shapes keep the collective
+    // sequence of the blocking executors they reproduce (their eager graph
+    // leaves nothing in flight).
+    if (!table3_shape())
+      timed(&CharmmPhaseTimes::executor, [&] { graph_.quiesce(); });
 
     phase_out_[static_cast<size_t>(comm_.rank())] = t_;
     absorb_epoch_stats(dist_);
     report_reuse();
-    report_step_stats();
+    if (!table3_shape()) report_step_stats();
     if (comm_.rank() == 0) {
       shared_.rebalances = diffusions_ + rebuilds_;
       shared_.diffusions = diffusions_;
@@ -161,8 +166,7 @@ class Driver {
   /// Fold the step graph's pipelining counters and per-step traffic into
   /// the shared result (collective: every rank joins the sums).
   void report_step_stats() {
-    if (!graph_) return;
-    const StepGraph::Stats& gs = graph_->stats();
+    const StepGraph::Stats& gs = graph_.stats();
     if (comm_.rank() == 0) {
       shared_.steps_overlapped = gs.overlapped_posts;
       shared_.pipelined_gathers = gs.pipelined_gathers;
@@ -184,8 +188,8 @@ class Driver {
       shared_.color_classes = colors;
       shared_.pool_busy_ns = busy;
     }
-    for (std::size_t i = 0; i < graph_->size(); ++i) {
-      const Step& s = graph_->at(i);
+    for (std::size_t i = 0; i < graph_.size(); ++i) {
+      const Step& s = graph_.at(i);
       ParallelCharmmResult::StepTraffic st;
       st.name = s.name();
       st.gather_msgs = total(s.gather_traffic().messages);
@@ -266,7 +270,7 @@ class Driver {
     // A repartition invalidates in-flight pipelining for the affected
     // arrays: complete it before the epoch machinery starts. The graph
     // itself re-arms in build_schedules() via retarget().
-    if (graph_) graph_->quiesce();
+    graph_.quiesce();
     DistHandle new_dist;
     timed_with_overhead(
         &CharmmPhaseTimes::data_partition, kCompilerPartitionOverhead, [&] {
@@ -409,9 +413,8 @@ class Driver {
           [&] {
             // Re-inspection rebuilds schedules in place; any pipelined
             // operation still posted on them must complete first.
-            if (graph_) graph_->quiesce();
-            const ScheduleHandle prev_bond = h_bond_;
-            const ScheduleHandle prev_nb = h_nb_;
+            graph_.quiesce();
+            const ScheduleHandle prev[] = {h_bond_, h_nb_, h_all_, h_nb_excl_};
             const double t0 = comm_.now();
             if (!regen) {
               // Fresh distribution epoch: rebind both loops and refresh the
@@ -436,7 +439,7 @@ class Driver {
 
             if (shape() == CharmmShape::kMerged) {
               h_all_ = rt_.merge({h_bond_, h_nb_});
-            } else if (!use_graph()) {
+            } else if (table3_shape()) {
               // Disjoint complement used for the scatter direction so
               // overlapping ghost contributions are delivered exactly once
               // (the multiple and engine-coalesced shapes, which share one
@@ -446,11 +449,7 @@ class Driver {
             extent_ = rt_.local_extent(dist_);
             pos_.resize(static_cast<size_t>(extent_));
             force_.assign(static_cast<size_t>(extent_), part::Vec3{});
-            // The step graph gives the bonded step its own accumulator so
-            // the two force steps touch disjoint arrays: each scatters its
-            // full schedule (no incremental exclusion needed), and the
-            // bonded scatter legally overlaps the non-bonded compute.
-            if (use_graph())
+            if (!table3_shape())
               force_bond_.assign(static_cast<size_t>(extent_), part::Vec3{});
             if (shape() == CharmmShape::kStepGraphArrival)
               build_chunk_pairs();
@@ -459,13 +458,9 @@ class Driver {
             // Re-arm the step graph onto the (possibly repartitioned)
             // epoch's schedules: the declared steps, computes, and array
             // bindings survive — only the handles are swapped.
-            if (graph_) {
-              const auto maybe = [&](ScheduleHandle o, ScheduleHandle n) {
-                if (!(o == n)) graph_->retarget(o, n);
-              };
-              maybe(prev_bond, h_bond_);
-              maybe(prev_nb, h_nb_);
-            }
+            const ScheduleHandle now[] = {h_bond_, h_nb_, h_all_, h_nb_excl_};
+            for (std::size_t i = 0; i < std::size(now); ++i)
+              if (!(prev[i] == now[i])) graph_.retarget(prev[i], now[i]);
           });
   }
 
@@ -523,23 +518,35 @@ class Driver {
   }
 
   /// Effective executor shape. The compiler-generated path keeps the
-  /// historical separate blocking schedules (Table 6 measures generated
-  /// code, not the engine or the graph).
+  /// historical separate schedules (Table 6 measures generated code, not
+  /// the engine or the pipelined graph).
   CharmmShape shape() const {
     if (cfg_.compiler_generated) return CharmmShape::kMultiple;
     return cfg_.shape;
   }
 
-  bool use_graph() const {
-    return shape() == CharmmShape::kStepGraph ||
-           shape() == CharmmShape::kStepGraphEager ||
-           shape() == CharmmShape::kStepGraphArrival;
+  /// The Table 3 shapes: merged, multiple and engine. They sum both force
+  /// loops into one accumulator, while the kStepGraph* shapes give the
+  /// bonded step its own (`force_bond_`, left empty here).
+  bool table3_shape() const {
+    return shape() == CharmmShape::kMerged ||
+           shape() == CharmmShape::kMultiple ||
+           shape() == CharmmShape::kEngine;
   }
 
   /// Declare the force cycle as a step graph: each step binds its array
   /// accesses as typed views (in/sum/use/update — the step's lang::Access
-  /// sets are inferred from the bindings) and the runtime pipelines
-  /// communication across the steps. The bonded step owns its accumulator
+  /// sets are inferred from the bindings) and the runtime schedules the
+  /// communication. Every shape is such a declaration.
+  ///
+  /// The Table 3 shapes run eagerly with one accumulator for both loops,
+  /// one post/flush/wait per batch like the blocking executors they
+  /// reproduce: merged rides one merged schedule; multiple sends one batch
+  /// per schedule (bonded gather, non-bonded gather, bonded scatter, then
+  /// the non-bonded scatter through the disjoint complement `h_nb_excl_`);
+  /// engine posts both loops' schedules into one batch per direction.
+  ///
+  /// The kStepGraph* shapes give the bonded step its own accumulator
   /// (`force_bond_`), so the two force steps touch disjoint arrays: the
   /// non-bonded gather of `pos_` posts at iteration start, and the bonded
   /// scatter-add of `force_bond_` stays in flight across the whole
@@ -547,48 +554,81 @@ class Driver {
   /// while the integrate step's declared reads force both scatters to
   /// deliver first.
   void declare_graph() {
-    graph_ = std::make_unique<StepGraph>(rt_);
-    graph_->set_pipelining(shape() != CharmmShape::kStepGraphEager);
     // Dogfood the static analyzer: every shipped graph arms strict, so a
     // declaration defect fails fast here, not as a downstream data race.
-    graph_->set_strict(true);
-    graph_->step("bonded")
-        .bind(in(pos_).via(h_bond_).named("pos"),
-              sum(force_bond_).via(h_bond_).named("force_bond"))
-        .compute([this] { compute_bonded_step(); });
-    Step& nonbonded = graph_->step("nonbonded")
-                          .bind(in(pos_).via(h_nb_).named("pos"),
-                                sum(force_).via(h_nb_).named("force"));
-    if (shape() == CharmmShape::kStepGraphArrival) {
-      // Message-driven arm: the pair list is split by the peer owning the
-      // off-processor partner, and each chunk fires once that peer's ghost
-      // positions have landed by the rank's modeled clock. The chunks all
-      // accumulate into force_ (conflicted — a pair's own-atom row is
-      // shared across chunks), so they fire one at a time in canonical
-      // order and the forces are bitwise identical run to run.
-      nonbonded.compute([this] {
-        std::fill(force_.begin(), force_.end(), part::Vec3{});
-      });
-      nonbonded.compute_chunks(
-          [this](ChunkContext& ctx) { nonbonded_chunk(ctx); });
-      graph_->set_arrival_driven(true);
-    } else {
-      nonbonded.compute([this] { compute_nonbonded_step(); });
+    graph_.set_strict(true);
+    graph_.set_pipelining(shape() == CharmmShape::kStepGraph ||
+                          shape() == CharmmShape::kStepGraphArrival);
+    const auto forces = [this] {
+      std::fill(force_.begin(), force_.end(), part::Vec3{});
+      bonded_into(force_);
+      nonbonded_into(force_);
+    };
+    switch (shape()) {
+      case CharmmShape::kMerged:
+        graph_.step("forces")
+            .bind(in(pos_).via(h_all_).named("pos"),
+                  sum(force_).via(h_all_).named("force"))
+            .compute(forces);
+        break;
+      case CharmmShape::kMultiple:
+        graph_.step("bonded_gather").bind(in(pos_).via(h_bond_).named("pos"));
+        graph_.step("forces")
+            .bind(in(pos_).via(h_nb_).named("pos"),
+                  sum(force_).via(h_bond_).named("force"))
+            .compute(forces);
+        graph_.step("nonbonded_scatter")
+            .bind(sum(force_).via(h_nb_excl_).named("force"));
+        break;
+      case CharmmShape::kEngine:
+        graph_.step("forces")
+            .bind(in(pos_).via(h_bond_).named("pos"),
+                  in(pos_).via(h_nb_).named("pos"),
+                  sum(force_).via(h_bond_).named("force"),
+                  sum(force_).via(h_nb_excl_).named("force"))
+            .compute(forces);
+        break;
+      case CharmmShape::kStepGraph:
+      case CharmmShape::kStepGraphEager:
+      case CharmmShape::kStepGraphArrival: {
+        graph_.step("bonded")
+            .bind(in(pos_).via(h_bond_).named("pos"),
+                  sum(force_bond_).via(h_bond_).named("force_bond"))
+            .compute([this] {
+              std::fill(force_bond_.begin(), force_bond_.end(), part::Vec3{});
+              bonded_into(force_bond_);
+            });
+        Step& nonbonded = graph_.step("nonbonded")
+                              .bind(in(pos_).via(h_nb_).named("pos"),
+                                    sum(force_).via(h_nb_).named("force"));
+        if (shape() == CharmmShape::kStepGraphArrival) {
+          // Message-driven arm: the pair list is split by the peer owning
+          // the off-processor partner, and each chunk fires once that
+          // peer's ghost positions have landed by the rank's modeled clock.
+          // The chunks all accumulate into force_ (conflicted — a pair's
+          // own-atom row is shared across chunks), so they fire one at a
+          // time in canonical order and the forces are bitwise identical
+          // run to run.
+          nonbonded.compute([this] {
+            std::fill(force_.begin(), force_.end(), part::Vec3{});
+          });
+          nonbonded.compute_chunks(
+              [this](ChunkContext& ctx) { nonbonded_chunk(ctx); });
+          graph_.set_arrival_driven(true);
+        } else {
+          nonbonded.compute([this] {
+            std::fill(force_.begin(), force_.end(), part::Vec3{});
+            nonbonded_into(force_);
+          });
+        }
+        break;
+      }
     }
-    graph_->step("integrate")
-        .bind(use(force_).named("force"), use(force_bond_).named("force_bond"),
-              update(pos_).named("pos"), update(vel_).named("vel"))
-        .compute([this] { integrate_graph(); });
-  }
-
-  void compute_bonded_step() {
-    std::fill(force_bond_.begin(), force_bond_.end(), part::Vec3{});
-    bonded_into(force_bond_);
-  }
-
-  void compute_nonbonded_step() {
-    std::fill(force_.begin(), force_.end(), part::Vec3{});
-    nonbonded_into(force_);
+    Step& integrate = graph_.step("integrate").bind(use(force_).named("force"));
+    if (!table3_shape())
+      integrate.bind(use(force_bond_).named("force_bond"));
+    integrate.bind(update(pos_).named("pos"), update(vel_).named("vel"))
+        .compute([this] { integrate_atoms(); });
   }
 
   /// Bonded force loop (Figure 10 shape, localized indices), accumulating
@@ -662,13 +702,18 @@ class Driver {
     comm_.charge_work(static_cast<double>(nb_.pairs()) * kWorkPerNonbonded);
   }
 
-  /// Integrate owned atoms; `force_at(r)` supplies the per-atom force.
-  template <typename ForceAt>
-  void integrate_atoms(ForceAt&& force_at) {
+  /// The total force on owned atom `r`: the kStepGraph* shapes split it
+  /// between the two force steps' accumulators (the split is what lets
+  /// their scatters pipeline).
+  part::Vec3 total_force(std::size_t r) const {
+    return table3_shape() ? force_[r] : force_[r] + force_bond_[r];
+  }
+
+  void integrate_atoms() {
     const double box = cfg_.system.box;
     const double dt = cfg_.run.dt;
     for (std::size_t r = 0; r < my_globals_.size(); ++r) {
-      vel_[r] = vel_[r] + force_at(r) * dt;
+      vel_[r] = vel_[r] + total_force(r) * dt;
       pos_[r] = pos_[r] + vel_[r] * dt;
       for (int a = 0; a < 3; ++a) {
         while (pos_[r][a] >= box) pos_[r][a] -= box;
@@ -679,83 +724,18 @@ class Driver {
                       kWorkPerIntegrate);
   }
 
-  void compute_integrate() {
-    integrate_atoms([&](std::size_t r) { return force_[r]; });
-  }
-
-  /// Graph-shape integration: total force is the sum of the two steps'
-  /// accumulators (the split is what lets their scatters pipeline).
-  void integrate_graph() {
-    integrate_atoms(
-        [&](std::size_t r) { return force_[r] + force_bond_[r]; });
-  }
-
+  /// One declared-graph iteration; the graph posts/waits communication per
+  /// its own dependence analysis. Generated code (Table 6) guards every
+  /// irregular loop execution with a modification-record check (a global
+  /// agreement) and is charged its mechanical overhead.
   void executor_step(bool arm_next) {
-    if (use_graph()) {
-      // One declared-graph iteration; the graph posts/waits communication
-      // per its own dependence analysis.
-      timed(&CharmmPhaseTimes::executor, [&] { graph_->advance(arm_next); });
-      return;
-    }
     timed(&CharmmPhaseTimes::executor, [&] {
       const double t0 = comm_.now();
       if (cfg_.compiler_generated) {
-        // Generated guard before every irregular loop execution: check the
-        // modification records (a global agreement).
         (void)rt_.inspect(bond_loop_);
         (void)rt_.inspect(jnb_loop_);
       }
-
-      std::span<part::Point3> pos{pos_.data(), pos_.size()};
-      std::span<part::Vec3> force{force_.data(), force_.size()};
-      switch (shape()) {
-        case CharmmShape::kMerged:
-          rt_.gather<part::Point3>(h_all_, pos);
-          break;
-        case CharmmShape::kMultiple:
-          rt_.gather<part::Point3>(h_bond_, pos);
-          rt_.gather<part::Point3>(h_nb_, pos);
-          break;
-        case CharmmShape::kEngine:
-          // Independent force-phase gathers posted into one batch: one
-          // coalesced message per peer carries both loops' ghost traffic.
-          rt_.gather_async<part::Point3>(h_bond_, pos);
-          rt_.gather_async<part::Point3>(h_nb_, pos);
-          rt_.comm_flush();
-          rt_.comm_wait_all();
-          break;
-        case CharmmShape::kStepGraph:
-        case CharmmShape::kStepGraphEager:
-        case CharmmShape::kStepGraphArrival:
-          CHAOS_ASSERT(false);  // handled above
-          break;
-      }
-
-      std::fill(force_.begin(), force_.end(), part::Vec3{});
-      bonded_into(force_);
-      nonbonded_into(force_);
-
-      switch (shape()) {
-        case CharmmShape::kMerged:
-          rt_.scatter_add<part::Vec3>(h_all_, force);
-          break;
-        case CharmmShape::kMultiple:
-          rt_.scatter_add<part::Vec3>(h_bond_, force);
-          rt_.scatter_add<part::Vec3>(h_nb_excl_, force);
-          break;
-        case CharmmShape::kEngine:
-          rt_.scatter_add_async<part::Vec3>(h_bond_, force);
-          rt_.scatter_add_async<part::Vec3>(h_nb_excl_, force);
-          rt_.comm_flush();
-          rt_.comm_wait_all();
-          break;
-        case CharmmShape::kStepGraph:
-        case CharmmShape::kStepGraphEager:
-        case CharmmShape::kStepGraphArrival:
-          break;
-      }
-
-      compute_integrate();
+      graph_.advance(arm_next);
       charge_overhead(comm_.now() - t0, kCompilerExecutorOverhead);
     });
   }
@@ -763,10 +743,7 @@ class Driver {
   void collect_state() {
     std::vector<StateRecord> mine(my_globals_.size());
     for (std::size_t i = 0; i < my_globals_.size(); ++i) {
-      part::Vec3 f = force_[i];
-      // Graph shapes split the accumulator per force step.
-      if (graph_) f = f + force_bond_[i];
-      mine[i] = StateRecord{my_globals_[i], pos_[i], f};
+      mine[i] = StateRecord{my_globals_[i], pos_[i], total_force(i)};
     }
     std::vector<StateRecord> all = comm_.allgatherv<StateRecord>(mine);
     if (comm_.rank() == 0) {
@@ -785,7 +762,7 @@ class Driver {
   ParallelCharmmResult& shared_;
 
   Runtime rt_;
-  std::unique_ptr<StepGraph> graph_;  // kStepGraph / kStepGraphEager shapes
+  StepGraph graph_;  // declared once the first schedules exist
   MolecularSystem sys_;
   GlobalIndex n_;
   DistHandle dist_;
@@ -793,7 +770,7 @@ class Driver {
   std::vector<part::Point3> pos_;  // owned + ghost
   std::vector<part::Vec3> vel_;    // owned only
   std::vector<part::Vec3> force_;  // owned + ghost
-  std::vector<part::Vec3> force_bond_;  // graph shapes: bonded accumulator
+  std::vector<part::Vec3> force_bond_;  // kStepGraph*: bonded accumulator
   std::vector<std::pair<GlobalIndex, GlobalIndex>> my_bonds_;
 
   NonbondedList nb_;  // rows = my_globals_

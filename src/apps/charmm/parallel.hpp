@@ -20,6 +20,8 @@
 namespace chaos::charmm {
 
 /// Executor communication shape (Table 3, plus the step-graph redesign).
+/// Every shape is a strict step graph the executor advances once per step;
+/// the shapes differ only in their declarations.
 enum class CharmmShape {
   /// Declarative chaos::StepGraph over the bonded / non-bonded / integrate
   /// cycle, communication pipelined across steps from the declared array
@@ -40,12 +42,14 @@ enum class CharmmShape {
   kStepGraphArrival,
   /// One merged gather/scatter schedule for both force loops (Table 3 a).
   kMerged,
-  /// Separate blocking schedules per loop (Table 3 b): duplicated fetches
-  /// of shared off-processor atoms, one message per peer per loop.
+  /// Separate schedules per loop (Table 3 b), one eager batch per
+  /// schedule: duplicated fetches of shared off-processor atoms, one
+  /// message per peer per loop. verify::Analyzer's redundant-gather rule
+  /// counts the ghost slots fetched twice.
   kMultiple,
-  /// Separate schedules posted through the comm engine in one batch, so
-  /// each flush sends at most one message per peer (Table 3 c) — run-time
-  /// message merging without rebuilding schedules.
+  /// Separate schedules posted in one batch per direction, so each flush
+  /// sends at most one message per peer (Table 3 c) — run-time message
+  /// merging without rebuilding schedules.
   kEngine,
 };
 
@@ -55,7 +59,8 @@ struct ParallelCharmmConfig {
   core::PartitionerKind partitioner = core::PartitionerKind::kRcb;
 
   /// Executor shape. compiler_generated overrides this to kMultiple
-  /// (Table 6 measures generated code, not the engine or the graph).
+  /// (Table 6 measures generated code, not the engine or the pipelined
+  /// graph).
   CharmmShape shape = CharmmShape::kStepGraph;
 
   /// Table 6 mode: re-partition + remap every k steps (0 = partition once),
@@ -72,9 +77,10 @@ struct ParallelCharmmConfig {
   bool autonomic = false;
   balance::PolicyConfig policy;
 
-  /// Route the adaptive non-bonded loop through the compiler-generated path
-  /// (per-step modification-record guards on the runtime's schedule
-  /// registry) and charge the mechanical overheads of generated code.
+  /// Run the compiler-generated path: the kMultiple graph with a
+  /// modification-record guard (rt.inspect on the runtime's schedule
+  /// registry) for both loops before every advance, and the mechanical
+  /// overheads of generated code charged around each phase.
   bool compiler_generated = false;
 
   /// Collect final global positions/forces into the result (tests only;
@@ -84,7 +90,7 @@ struct ParallelCharmmConfig {
   /// Analysis-only mode: declare the step graph, run the verify::Analyzer
   /// rule pipeline over it, store the findings in the result, and return
   /// WITHOUT simulating anything (the chaos-verify CLI and the shipped-
-  /// graphs-clean sweep). Only meaningful for the step-graph shapes.
+  /// graphs-clean sweep). Every shape declares a graph.
   bool verify_graph = false;
 };
 
@@ -125,11 +131,12 @@ struct ParallelCharmmResult {
   std::uint64_t patched_schedules = 0;
   std::uint64_t rebuilt_schedules = 0;
 
-  /// Step-graph pipelining accounting (kStepGraph/kStepGraphEager only;
-  /// arming decisions are SPMD-static, so these are identical on every
-  /// rank): gather batches posted while an earlier step's scatters were
-  /// still in flight, gather batches hoisted ahead of their step, and
-  /// forced waits the hazard analysis inserted.
+  /// Step-graph pipelining accounting, reported by the kStepGraph* shapes
+  /// only: the Table 3 shapes run no statistics collectives, which would
+  /// be charged modeled time. Arming decisions are SPMD-static, so these
+  /// are identical on every rank: gather batches posted while an earlier
+  /// step's scatters were still in flight, gather batches hoisted ahead of
+  /// their step, and forced waits the hazard analysis inserted.
   std::uint64_t steps_overlapped = 0;
   std::uint64_t pipelined_gathers = 0;
   std::uint64_t hazard_stalls = 0;
@@ -152,7 +159,8 @@ struct ParallelCharmmResult {
   int rebuilds = 0;
 
   /// Per-step wire traffic, summed over ranks (comm::Engine per-batch
-  /// snapshots), attributing messages/bytes to individual steps.
+  /// snapshots), attributing messages/bytes to individual steps
+  /// (kStepGraph* shapes only, like the counters above).
   struct StepTraffic {
     std::string name;
     std::uint64_t gather_msgs = 0;

@@ -15,8 +15,6 @@ void Monitor::sample(StepGraph* graph, comm::Engine* engine) {
     const StepGraph::Stats s = graph->take_stats();
     acc_.hazard_stalls += s.hazard_stalls;
     acc_.pool_busy_ns += s.pool_busy_ns;
-    acc_.chunks_fired_early += s.chunks_fired_early;
-    acc_.arrival_wakeups += s.arrival_wakeups;
   }
   engine_ = engine;
   ++steps_;

@@ -560,7 +560,7 @@ const compile::SchedulePlan& Runtime::plan_of(const ScheduleEntry& e) {
       // plan here is never stale.
       runtime::ScheduleRegistry& reg = dists_[e.dist].registry;
       auto plan = std::make_unique<const compile::SchedulePlan>(
-          compile::SchedulePlan::compile(e.sched, reg.compile_options()));
+          compile::SchedulePlan::compile(e.sched));
       comm_.charge_work(static_cast<double>(plan->stats().total_elements) *
                         core::costs::kDeltaScan);
       reg.note_external_compile(plan->stats());

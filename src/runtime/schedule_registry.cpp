@@ -111,7 +111,7 @@ const compile::SchedulePlan* ScheduleRegistry::compiled_plan(
   CachedLoop& entry = it->second;
   if (!entry.compiled) {
     auto plan = std::make_unique<const compile::SchedulePlan>(
-        compile::SchedulePlan::compile(entry.plan.schedule, copts_));
+        compile::SchedulePlan::compile(entry.plan.schedule));
     // Lowering is one local scan over the schedule's index lists.
     comm.charge_work(static_cast<double>(plan->stats().total_elements) *
                      core::costs::kDeltaScan);
@@ -208,7 +208,6 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
   loops_.clear();
   next_order_ = 0;
   scan_order_pristine_ = true;  // seeding is itself a compact replay
-  copts_ = prior.copts_;
   hash_ = std::make_unique<core::IndexHashTable>(
       dist.owned_count(comm.rank()));
   if (!prior.hash_) return;
@@ -368,7 +367,7 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
         // remapped recv side.
         nl.compiled = std::make_unique<const compile::SchedulePlan>(
             compile::SchedulePlan::carry_patched(*pl.compiled,
-                                                 nl.plan.schedule, copts_));
+                                                 nl.plan.schedule));
         ++stats_.carried_compiled_plans;
       }
     } else {

@@ -87,9 +87,6 @@ class ScheduleRegistry {
   /// compiled by Runtime) into this epoch's compile stats.
   void note_external_compile(const compile::SchedulePlan::Stats& s);
 
-  const compile::Options& compile_options() const { return copts_; }
-  void set_compile_options(const compile::Options& o) { copts_ = o; }
-
   /// Locality remap (compile/locality.hpp): renumber this epoch's ghost
   /// region so cached schedules' recv blocks land consecutively in wire
   /// order, then rewrite the hash table, localized references, and recv
@@ -190,7 +187,6 @@ class ScheduleRegistry {
   bool scan_order_pristine_ = true;
   std::unique_ptr<core::IndexHashTable> hash_;
   std::map<std::uint64_t, CachedLoop> loops_;  // by IndirectionArray::id
-  compile::Options copts_;
   Stats stats_;
 };
 

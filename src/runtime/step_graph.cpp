@@ -23,10 +23,15 @@ Step& StepGraph::step(std::string name) {
   return steps_.back();
 }
 
+void Step::require_open(const char* call) const {
+  CHAOS_CHECK(!resolved_, "step '" + name_ + "': " + call +
+                              " after the graph started executing — "
+                              "declare every access before the first "
+                              "advance");
+}
+
 void Step::bind_view(views::Binding b) {
-  CHAOS_CHECK(!resolved_,
-              "step '" + name_ + "': bind() after the graph started "
-              "executing — declare every access before the first advance");
+  require_open("bind()");
   const char* label = lang::to_string(b.decl.kind);
   switch (b.decl.kind) {
     case lang::AccessKind::kGather:

@@ -171,8 +171,11 @@ class Step {
   /// eager/static arms chunks run serially in canonical order (local
   /// first, then ascending peer) — the bitwise oracle. An optional
   /// compute() callback becomes the serial prelude that runs before any
-  /// chunk.
+  /// chunk. Like bind(), a chunk declaration must come before the first
+  /// advance (or analysis): the lowered program bakes in whether the step
+  /// is chunked, so a later call throws chaos::Error.
   Step& compute_chunks(std::function<void(ChunkContext&)> fn) {
+    require_open("compute_chunks()");
     chunk_fn_ = std::move(fn);
     chunk_count_ = 0;  // derive from the gather schedules' recv blocks
     return *this;
@@ -183,6 +186,7 @@ class Step {
   /// immediately eligible — arrival-driven execution still runs them as
   /// concurrent waves when the writes are declared disjoint.
   Step& compute_chunks(std::size_t n, std::function<void(ChunkContext&)> fn) {
+    require_open("compute_chunks()");
     CHAOS_CHECK(n > 0, "compute_chunks: need at least one chunk");
     chunk_fn_ = std::move(fn);
     chunk_count_ = n;
@@ -195,8 +199,9 @@ class Step {
   /// order-independent arm. Without it chunks are conservatively assumed
   /// conflicted: arrival-driven execution still fires them early, but one
   /// at a time in canonical order, so they stay bitwise identical to the
-  /// serial arm.
+  /// serial arm. Refused after the step resolved, like compute_chunks().
   Step& chunk_writes_disjoint() {
+    require_open("chunk_writes_disjoint()");
     chunk_disjoint_ = true;
     return *this;
   }
@@ -253,6 +258,10 @@ class Step {
   };
   static Staleness staleness(const Runtime& rt, const Access& a);
 
+  /// Throw chaos::Error naming `call` once the step has resolved: a
+  /// declaration made after the first advance would not reach the lowered
+  /// program.
+  void require_open(const char* call) const;
   /// Route one type-erased view binding into the access lists.
   void bind_view(views::Binding b);
   /// First-advance resolution: closes the step to further bind() calls and

@@ -943,6 +943,33 @@ TEST(StepGraph, GatherHoistedOverOutstandingScatterCountsAsOverlap) {
   });
 }
 
+// A lowered program bakes in whether a step is chunked, so a chunk
+// declaration after the first advance would be silently ignored; it is
+// refused like a late bind().
+TEST(StepGraph, LateChunkDeclarationThrows) {
+  Machine m(kRanks);
+  m.run([&](Comm& c) {
+    Runtime rt(c);
+    const DistHandle d = rt.block(kN);
+    lang::IndirectionArray ind(make_refs(c.rank(), 3));
+    const ScheduleHandle h = rt.inspect(d, ind);
+    const auto extent = static_cast<std::size_t>(rt.local_extent(d));
+    std::vector<double> x(extent, 1.0);
+
+    StepGraph g(rt);
+    Step& s = g.step("gather_x").bind(in(x).via(h)).compute([] {});
+    rt.run(g, 1);
+    const auto chunk = [](ChunkContext&) {};
+    EXPECT_THROW(s.compute_chunks(chunk), Error);
+    EXPECT_THROW(s.compute_chunks(2, chunk), Error);
+    EXPECT_THROW(s.chunk_writes_disjoint(), Error);
+    EXPECT_THROW(s.bind(use(x)), Error);
+    // Nothing reached the step: it still runs unchunked.
+    rt.run(g, 1);
+    EXPECT_EQ(g.stats().color_classes, 0u);
+  });
+}
+
 // ---- lowering: one op program per input, not per advance ------------------
 
 // The CHARMM cycle's declared shape (src/apps/charmm/parallel.cpp,

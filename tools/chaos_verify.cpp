@@ -15,8 +15,9 @@
 // that is not an integer >= 1.
 //
 // Usage: chaos-verify [--strict] [--ranks=N] [target...]
-//   targets: charmm charmm-arrival dsmc dsmc-arrival
-//            step-pipeline spmv-adaptive mesh-sweep      (default: all)
+//   targets: charmm charmm-arrival charmm-merged charmm-multiple
+//            charmm-engine dsmc dsmc-arrival step-pipeline spmv-adaptive
+//            mesh-sweep                                  (default: all)
 #include <charconv>
 #include <functional>
 #include <iostream>
@@ -88,6 +89,12 @@ const Target kTargets[] = {
     {"charmm", [](int r) { return charmm_graph(r, charmm::CharmmShape::kStepGraph); }},
     {"charmm-arrival",
      [](int r) { return charmm_graph(r, charmm::CharmmShape::kStepGraphArrival); }},
+    {"charmm-merged",
+     [](int r) { return charmm_graph(r, charmm::CharmmShape::kMerged); }},
+    {"charmm-multiple",
+     [](int r) { return charmm_graph(r, charmm::CharmmShape::kMultiple); }},
+    {"charmm-engine",
+     [](int r) { return charmm_graph(r, charmm::CharmmShape::kEngine); }},
     {"dsmc", [](int r) { return dsmc_graph(r, dsmc::DsmcExecutor::kStepGraph); }},
     {"dsmc-arrival",
      [](int r) { return dsmc_graph(r, dsmc::DsmcExecutor::kStepGraphArrival); }},
