@@ -52,14 +52,12 @@ namespace chaos::bench {
 inline charmm::CharmmShape charmm_shape_from(const std::string& name) {
   if (name == "step_graph") return charmm::CharmmShape::kStepGraph;
   if (name == "step_graph_eager") return charmm::CharmmShape::kStepGraphEager;
-  if (name == "step_graph_arrival" || name == "arrival")
-    return charmm::CharmmShape::kStepGraphArrival;
   if (name == "merged") return charmm::CharmmShape::kMerged;
   if (name == "multiple") return charmm::CharmmShape::kMultiple;
   if (name == "engine") return charmm::CharmmShape::kEngine;
   throw Error("unknown --shape '" + name +
-              "' (step_graph | step_graph_eager | step_graph_arrival | "
-              "merged | multiple | engine)");
+              "' (step_graph | step_graph_eager | merged | multiple | "
+              "engine)");
 }
 
 inline dsmc::DsmcExecutor dsmc_executor_from(const std::string& name) {

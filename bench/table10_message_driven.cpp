@@ -24,18 +24,13 @@
 // identical to the eager arm, (gate b) chunks actually fired while their
 // gather batch was still outstanding, and (gate c) the arrival arm beats
 // static pipelining on the skewed configuration. A second table runs the
-// CHARMM and DSMC drivers with their arrival executor shapes: DSMC's
-// disjoint-write chunks must stay bitwise identical to its serial step
-// graph; CHARMM's conflicted non-bonded chunks fire in canonical order,
-// and because the chunked sum runs in a different order than kStepGraph's
-// unchunked loop, its forces are checked against kStepGraph to a relative
-// bound.
+// DSMC driver with its arrival executor: its disjoint-write chunks must
+// stay bitwise identical to its serial step graph.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
-#include "apps/charmm/parallel.hpp"
 #include "apps/dsmc/parallel.hpp"
 #include "bench_common.hpp"
 #include "lang/array.hpp"
@@ -263,7 +258,7 @@ int main(int argc, char** argv) {
                {"skew", w.skew}});
   }
 
-  // ---- application arms: DSMC (bitwise) and CHARMM (relative bound) ----
+  // ---- application arm: DSMC (bitwise) ----
   const int app_ranks = opt.quick ? 4 : 8;
 
   dsmc::ParallelDsmcConfig dc;
@@ -290,52 +285,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  charmm::ParallelCharmmConfig cc;
-  cc.system = charmm::SystemParams::small(opt.quick ? 400 : 800);
-  cc.run.steps = opt.quick ? 4 : 8;
-  cc.collect_state = true;
-  sim::Machine cm_graph(app_ranks), cm_arrival(app_ranks);
-  cc.shape = charmm::CharmmShape::kStepGraph;
-  const charmm::ParallelCharmmResult cr_graph =
-      run_parallel_charmm(cm_graph, cc);
-  cc.shape = charmm::CharmmShape::kStepGraphArrival;
-  const charmm::ParallelCharmmResult cr_arrival =
-      run_parallel_charmm(cm_arrival, cc);
-  // The CHARMM arrival arm sums the non-bonded forces chunk by chunk
-  // (local pairs, then each peer's, in canonical order) where kStepGraph
-  // sums in pair-list order: check the deviation against a bound far
-  // below any physical signal.
-  double max_rel = 0.0;
-  for (std::size_t i = 0; i < cr_graph.force.size(); ++i) {
-    for (int a = 0; a < 3; ++a) {
-      const double g = cr_graph.force[i][a];
-      const double v = cr_arrival.force[i][a];
-      const double mag = std::max(std::abs(g), std::abs(v));
-      if (mag > 1e-9) max_rel = std::max(max_rel, std::abs(g - v) / mag);
-    }
-  }
-  const bool charmm_within = max_rel < 1e-6;
-
   Table at("Application arrival arms");
   at.header({"App", "Serial exec s", "Arrival exec s", "Fired early",
              "Equivalence"});
   at.row({"DSMC", Table::num(dr_serial.execution_time, 2),
           Table::num(dr_arrival.execution_time, 2), "-",
           dsmc_bitwise ? "bitwise" : "MISMATCH"});
-  at.row({"CHARMM", Table::num(cr_graph.execution_time, 2),
-          Table::num(cr_arrival.execution_time, 2),
-          std::to_string(cr_arrival.chunks_fired_early),
-          charmm_within ? ("rel<=" + Table::num(max_rel, 10)) : "EXCEEDED"});
   at.print();
 
   emit_json(opt.json, "table10_message_driven", "dsmc_arrival",
             1000.0 * dr_arrival.execution_time / dc.steps,
             {{"bitwise", dsmc_bitwise ? 1.0 : 0.0}});
-  emit_json(opt.json, "table10_message_driven", "charmm_arrival",
-            1000.0 * cr_arrival.execution_time / cc.run.steps,
-            {{"chunks_fired_early",
-              static_cast<double>(cr_arrival.chunks_fired_early)},
-             {"max_rel_deviation", max_rel}});
 
   // ---- gates ----------------------------------------------------------
   int failures = 0;
@@ -363,11 +323,6 @@ int main(int argc, char** argv) {
   if (!dsmc_bitwise) {
     std::cerr << "GATE FAILED: DSMC arrival executor diverged from the "
                  "serial step graph\n";
-    ++failures;
-  }
-  if (!charmm_within) {
-    std::cerr << "GATE FAILED: CHARMM arrival arm deviation " << max_rel
-              << " exceeds the relative bound\n";
     ++failures;
   }
   if (failures == 0)

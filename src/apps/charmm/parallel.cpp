@@ -131,7 +131,7 @@ class Driver {
     // Drain the pipeline: trailing scatters (and hoisted next-iteration
     // gathers) may still be in flight after the last advance. Collectives
     // are charged modeled time and execution_time includes them, so only
-    // the three kStepGraph* shapes pay this drain's barrier and the graph
+    // the two kStepGraph* shapes pay this drain's barrier and the graph
     // statistics' allreduces: the Table 3 shapes keep the collective
     // sequence of the blocking executors they reproduce (their eager graph
     // leaves nothing in flight).
@@ -176,8 +176,8 @@ class Driver {
       return static_cast<std::uint64_t>(
           comm_.allreduce_sum(static_cast<long long>(v)));
     };
-    // Arrival-driven counters depend on modeled arrivals and differ per
-    // rank; report machine-wide sums.
+    // Arrival-driven counters: no CHARMM shape declares a chunked step, so
+    // these sums read 0; the collectives themselves are charged modeled time.
     const std::uint64_t fired = total(gs.chunks_fired_early);
     const std::uint64_t wakeups = total(gs.arrival_wakeups);
     const std::uint64_t colors = total(gs.color_classes);
@@ -451,8 +451,6 @@ class Driver {
             force_.assign(static_cast<size_t>(extent_), part::Vec3{});
             if (!table3_shape())
               force_bond_.assign(static_cast<size_t>(extent_), part::Vec3{});
-            if (shape() == CharmmShape::kStepGraphArrival)
-              build_chunk_pairs();
             charge_overhead(comm_.now() - t0, kCompilerInspectorOverhead);
 
             // Re-arm the step graph onto the (possibly repartitioned)
@@ -557,8 +555,7 @@ class Driver {
     // Dogfood the static analyzer: every shipped graph arms strict, so a
     // declaration defect fails fast here, not as a downstream data race.
     graph_.set_strict(true);
-    graph_.set_pipelining(shape() == CharmmShape::kStepGraph ||
-                          shape() == CharmmShape::kStepGraphArrival);
+    graph_.set_pipelining(shape() == CharmmShape::kStepGraph);
     const auto forces = [this] {
       std::fill(force_.begin(), force_.end(), part::Vec3{});
       bonded_into(force_);
@@ -590,7 +587,6 @@ class Driver {
         break;
       case CharmmShape::kStepGraph:
       case CharmmShape::kStepGraphEager:
-      case CharmmShape::kStepGraphArrival: {
         graph_.step("bonded")
             .bind(in(pos_).via(h_bond_).named("pos"),
                   sum(force_bond_).via(h_bond_).named("force_bond"))
@@ -598,31 +594,14 @@ class Driver {
               std::fill(force_bond_.begin(), force_bond_.end(), part::Vec3{});
               bonded_into(force_bond_);
             });
-        Step& nonbonded = graph_.step("nonbonded")
-                              .bind(in(pos_).via(h_nb_).named("pos"),
-                                    sum(force_).via(h_nb_).named("force"));
-        if (shape() == CharmmShape::kStepGraphArrival) {
-          // Message-driven arm: the pair list is split by the peer owning
-          // the off-processor partner, and each chunk fires once that
-          // peer's ghost positions have landed by the rank's modeled clock.
-          // The chunks all accumulate into force_ (conflicted — a pair's
-          // own-atom row is shared across chunks), so they fire one at a
-          // time in canonical order and the forces are bitwise identical
-          // run to run.
-          nonbonded.compute([this] {
-            std::fill(force_.begin(), force_.end(), part::Vec3{});
-          });
-          nonbonded.compute_chunks(
-              [this](ChunkContext& ctx) { nonbonded_chunk(ctx); });
-          graph_.set_arrival_driven(true);
-        } else {
-          nonbonded.compute([this] {
-            std::fill(force_.begin(), force_.end(), part::Vec3{});
-            nonbonded_into(force_);
-          });
-        }
+        graph_.step("nonbonded")
+            .bind(in(pos_).via(h_nb_).named("pos"),
+                  sum(force_).via(h_nb_).named("force"))
+            .compute([this] {
+              std::fill(force_.begin(), force_.end(), part::Vec3{});
+              nonbonded_into(force_);
+            });
         break;
-      }
     }
     Step& integrate = graph_.step("integrate").bind(use(force_).named("force"));
     if (!table3_shape())
@@ -645,54 +624,6 @@ class Driver {
       acc[static_cast<size_t>(lj)] = acc[static_cast<size_t>(lj)] - f;
     }
     comm_.charge_work(static_cast<double>(my_bonds_.size()) * kWorkPerBond);
-  }
-
-  /// Partition the non-bonded list by the peer owning the partner atom
-  /// (the recv block its ghost slot lands through): partners that are
-  /// owned or self-block ghosts go to the local chunk (peer -1), the rest
-  /// to their source peer's chunk. Rebuilt whenever the list or the
-  /// schedule changes — both land in build_schedules.
-  void build_chunk_pairs() {
-    chunk_lists_.clear();
-    // Ghost slot -> source peer, from the non-bonded schedule's recv
-    // blocks (slot indices are local).
-    std::vector<int> src(static_cast<std::size_t>(extent_), -1);
-    const int me = comm_.rank();
-    for (const core::ScheduleBlock& b : rt_.schedule(h_nb_).recv_blocks()) {
-      if (b.proc == me) continue;
-      for (GlobalIndex idx : b.indices)
-        src[static_cast<std::size_t>(idx)] = b.proc;
-    }
-    for (std::size_t r = 0; r + 1 < nb_.inblo.size(); ++r) {
-      for (GlobalIndex at = nb_.inblo[r]; at < nb_.inblo[r + 1]; ++at) {
-        const GlobalIndex lj = jnb_local_[static_cast<size_t>(at)];
-        const int peer = src[static_cast<std::size_t>(lj)];
-        auto c = std::find_if(chunk_lists_.begin(), chunk_lists_.end(),
-                              [&](const auto& pl) { return pl.first == peer; });
-        if (c == chunk_lists_.end()) {  // rows 0 .. r-1 are empty
-          chunk_lists_.emplace_back(peer, NonbondedList{});
-          c = chunk_lists_.end() - 1;
-          c->second.inblo.assign(r + 1, 0);
-        }
-        c->second.jnb.push_back(lj);
-      }
-      for (auto& [peer, list] : chunk_lists_)
-        list.inblo.push_back(static_cast<GlobalIndex>(list.jnb.size()));
-    }
-  }
-
-  /// One arrival-driven chunk of the non-bonded loop: the pairs whose
-  /// partner came from this chunk's peer. Work is charged through the
-  /// context, not the Comm (thread-safety contract for chunk callbacks).
-  void nonbonded_chunk(ChunkContext& ctx) {
-    for (const auto& [peer, list] : chunk_lists_) {
-      if (peer != ctx.chunk().peer) continue;
-      nonbonded_rows(pos_.data(), force_.data(), list.inblo, list.jnb.data(),
-                     cfg_.system.cutoff, cfg_.system.box);
-      ctx.charge(static_cast<double>(list.pairs()) * kWorkPerNonbonded);
-      return;
-    }
-    // No chunk: the peer gathered only bonded ghosts.
   }
 
   /// Non-bonded loop: outer iteration r is the owned atom at offset r.
@@ -774,11 +705,6 @@ class Driver {
   std::vector<std::pair<GlobalIndex, GlobalIndex>> my_bonds_;
 
   NonbondedList nb_;  // rows = my_globals_
-
-  /// Arrival-shape partition of the non-bonded list: (peer, list) pairs,
-  /// peer -1 for the local pairs. Each list has a row per owned atom and
-  /// localized partners, in nb_ order.
-  std::vector<std::pair<int, NonbondedList>> chunk_lists_;
 
   // Irregular-loop descriptors: two indirection arrays (bonded refs,
   // non-bonded partners) and their runtime handles.

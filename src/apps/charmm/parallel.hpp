@@ -30,16 +30,6 @@ enum class CharmmShape {
   /// The same step graph executed eagerly — post/flush/wait at every step.
   /// The bitwise reference arm for kStepGraph.
   kStepGraphEager,
-  /// Message-driven arm: the non-bonded compute is split into partition
-  /// chunks keyed by the gather schedule's recv peers, and each chunk
-  /// fires once its peer's ghost positions have landed by the rank's
-  /// modeled clock instead of waiting for the whole gather batch. The
-  /// non-bonded chunks share one force accumulator (conflicted), so they
-  /// fire one at a time in canonical order (local, then ascending peer):
-  /// the forces are bitwise identical run to run and across delivery
-  /// permutations, though not to kStepGraph, whose unchunked loop sums
-  /// in pair-list order.
-  kStepGraphArrival,
   /// One merged gather/scatter schedule for both force loops (Table 3 a).
   kMerged,
   /// Separate schedules per loop (Table 3 b), one eager batch per
@@ -141,12 +131,13 @@ struct ParallelCharmmResult {
   std::uint64_t pipelined_gathers = 0;
   std::uint64_t hazard_stalls = 0;
 
-  /// Message-driven execution accounting (kStepGraphArrival), summed over
-  /// ranks — unlike the arming counters above these depend on modeled
-  /// arrivals and genuinely differ per rank: chunks that fired while their
-  /// step's gather batch was still partially outstanding, clock advances
-  /// to the next modeled arrival, conflict classes over built chunk plans,
-  /// and pool worker busy-time (host time, the one non-modeled field).
+  /// Message-driven execution accounting (StepGraph::Stats), summed over
+  /// ranks: chunks that fired while their step's gather batch was still
+  /// partially outstanding, clock advances to the next modeled arrival,
+  /// conflict classes over built chunk plans, and pool worker busy-time.
+  /// No CHARMM shape declares a chunked step, so all four read 0 for every
+  /// shape; the kStepGraph* shapes still run their four sums, whose
+  /// collectives are charged modeled time.
   std::uint64_t chunks_fired_early = 0;
   std::uint64_t arrival_wakeups = 0;
   std::uint64_t color_classes = 0;

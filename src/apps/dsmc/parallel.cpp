@@ -87,6 +87,7 @@ class Driver {
       shared_.rebalances = diffusions_ + rebuilds_;
       shared_.diffusions = diffusions_;
       shared_.rebuilds = rebuilds_;
+      if (graph_) shared_.graph = graph_->stats();
     }
     if (cfg_.collect_state) {
       arrived_ = {};  // free the dead per-step scratch before the final

@@ -9,6 +9,7 @@
 #include "apps/dsmc/sequential.hpp"
 #include "balance/policy.hpp"
 #include "core/parallel_partition.hpp"
+#include "runtime/step_graph.hpp"
 #include "sim/machine.hpp"
 #include "verify/diagnostic.hpp"
 
@@ -105,6 +106,9 @@ struct ParallelDsmcResult {
   int rebalances = 0;
   int diffusions = 0;
   int rebuilds = 0;
+  /// Rank 0's step-graph counters, copied without a collective (so no
+  /// modeled clock moves); all zero for the executors without a graph.
+  StepGraph::Stats graph;
   std::vector<Particle> particles;  ///< only when collect_state
   /// Findings of the analysis-only run (cfg.verify_graph), from rank 0.
   std::vector<verify::Diagnostic> verify_diagnostics;

@@ -277,8 +277,18 @@ StepGraph::Program StepGraph::lower(bool arm_next) const {
       post_gathers(k, /*early=*/false);
     }
     // Arrival-driven chunked steps skip the whole-batch wait: their chunks
-    // fire as partitions land, and the batch settles after them.
+    // fire as partitions land, and the batch settles after them. Arrival
+    // waves run concurrently, so they need the explicit disjointness claim;
+    // refuse here, before the advance posts anything (the verdict depends
+    // only on the declarations, so every rank refuses alike).
     const bool arrival = arrival_driven_ && s.chunk_fn_;
+    CHAOS_CHECK(!arrival || s.chunk_disjoint_,
+                "step '" + s.name_ +
+                    "': arrival-driven execution fires chunks as concurrent "
+                    "waves, but the step does not declare "
+                    "chunk_writes_disjoint() — restructure the reduction so "
+                    "each chunk owns disjoint slots, leave the step "
+                    "unchunked, or run it without set_arrival_driven()");
     if (gathers && !arrival) wait_gathers(k);
     // WAR/WAW: outstanding write batches on anything the compute or this
     // step's write packing touches must deliver first.
@@ -462,20 +472,17 @@ void StepGraph::run_chunks_arrival(Step& s) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t k = 0; k < arrivals.size(); ++k)
       if (arrivals[k].peer == s.chunk_peers_[i]) need[i] = k + 1;
-  std::size_t next = 0;  // next chunk in canonical order (conflicted steps)
   std::vector<char> done(n, 0);
   std::vector<std::size_t> wave;
   for (std::size_t fired = 0; fired < n;) {
     while (received < arrivals.size() &&
            arrivals[received].at <= rt_.comm().now())
       receive_next();
+    // Every landed chunk not yet run fires as one concurrent wave (lowering
+    // refused arrival steps without chunk_writes_disjoint()).
     wave.clear();
-    if (s.chunk_disjoint_) {
-      for (std::size_t i = 0; i < n; ++i)
-        if (!done[i] && need[i] <= received) wave.push_back(i);
-    } else if (need[next] <= received) {
-      wave.push_back(next++);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      if (!done[i] && need[i] <= received) wave.push_back(i);
     if (wave.empty()) {
       // Nothing can fire: idle until the next modeled arrival.
       receive_next();

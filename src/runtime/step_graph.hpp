@@ -167,13 +167,14 @@ class Step {
   /// schedules' recv blocks: one local chunk (peer == -1, owned data plus
   /// self-block ghosts) plus one chunk per remote peer the step's gathers
   /// receive from. Under arrival-driven execution a chunk fires once its
-  /// peer's segments have landed by the rank's modeled clock; under the
-  /// eager/static arms chunks run serially in canonical order (local
-  /// first, then ascending peer) — the bitwise oracle. An optional
-  /// compute() callback becomes the serial prelude that runs before any
-  /// chunk. Like bind(), a chunk declaration must come before the first
-  /// advance (or analysis): the lowered program bakes in whether the step
-  /// is chunked, so a later call throws chaos::Error.
+  /// peer's segments have landed by the rank's modeled clock (which needs
+  /// chunk_writes_disjoint()); under the eager/static arms chunks run
+  /// serially in canonical order (local first, then ascending peer) — the
+  /// bitwise oracle. An optional compute() callback becomes the serial
+  /// prelude that runs before any chunk. Like bind(), a chunk declaration
+  /// must come before the first advance (or analysis): the lowered program
+  /// bakes in whether the step is chunked, so a later call throws
+  /// chaos::Error.
   Step& compute_chunks(std::function<void(ChunkContext&)> fn) {
     require_open("compute_chunks()");
     chunk_fn_ = std::move(fn);
@@ -196,10 +197,11 @@ class Step {
   /// Declare that no two chunks write the same element (disjoint output
   /// slots). This is what licenses running every landed chunk as one
   /// concurrent wave on the worker pool in any order — the
-  /// order-independent arm. Without it chunks are conservatively assumed
-  /// conflicted: arrival-driven execution still fires them early, but one
-  /// at a time in canonical order, so they stay bitwise identical to the
-  /// serial arm. Refused after the step resolved, like compute_chunks().
+  /// order-independent arm. Without it chunks are assumed conflicted: the
+  /// eager/static arms run them serially in canonical order, and an
+  /// arrival-driven graph refuses the step (chaos::Error naming it) when
+  /// it lowers the iteration, before anything is posted. Refused after
+  /// the step resolved, like compute_chunks().
   Step& chunk_writes_disjoint() {
     require_open("chunk_writes_disjoint()");
     chunk_disjoint_ = true;
@@ -334,9 +336,10 @@ class StepGraph {
   /// gather batch and fire on the modeled clock instead. The rank learns
   /// every message's modeled arrival (comm::Engine::arrival_order),
   /// receives them in (arrival, peer) order, and fires each chunk whose
-  /// peer has landed by its clock: for chunk_writes_disjoint() steps, all
-  /// such chunks as one concurrent wave on the worker pool; for conflicted
-  /// steps, one at a time in canonical order. Either way the results are
+  /// peer has landed by its clock, all such chunks as one concurrent wave
+  /// on the worker pool. Every chunked step must declare
+  /// chunk_writes_disjoint(); a step without the claim throws chaos::Error
+  /// naming it at the first advance that lowers it. The results are
   /// bitwise identical to the eager arm and the firing order is a function
   /// of modeled time alone.
   void set_arrival_driven(bool on) { arrival_driven_ = on; }

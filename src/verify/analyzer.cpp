@@ -279,10 +279,8 @@ void Analyzer::Pass::race_certification() {
               "referencing one element share — the conflict graph is NOT "
               "empty, and a concurrent wave would race on the "
               "accumulator",
-          "drop chunk_writes_disjoint() (conflicted chunks fire one at a "
-          "time in canonical order, bitwise identical to the serial "
-          "arm), or restructure the reduction so each chunk owns "
-          "disjoint slots");
+          "restructure the reduction so each chunk owns disjoint slots, "
+          "or leave the step unchunked");
       continue;
     }
 

@@ -13,7 +13,8 @@
 // DSMC graphs live inside their drivers, which run this sequence themselves
 // (repartition_every / remap_every); there the pins are what the drivers
 // report: CHARMM's pipelining and arrival counters and per-step traffic,
-// and for both apps every rank's clock and wire counts. The CHARMM Table 3
+// DSMC's rank-0 graph counters (all but pool_busy_ns), and for both apps
+// every rank's clock and wire counts. The CHARMM Table 3
 // shapes (merged, multiple, engine) and the compiler-generated arm also pin
 // the run's message totals and a bitwise hash of the collected positions
 // and forces. Clocks are printed as hexadecimal floats, so the comparison
@@ -60,17 +61,23 @@ std::string describe_machine(const sim::Machine& m) {
   return os.str();
 }
 
-/// One rank's graph counters (all but pool_busy_ns) and per-step traffic.
-std::string describe_graph(int rank, const StepGraph& g) {
-  const StepGraph::Stats& s = g.stats();
+/// The graph counters of describe_graph, without a trailing newline.
+std::string describe_stats(const StepGraph::Stats& s) {
   std::ostringstream os;
-  os << "rank " << rank << " iterations " << s.iterations << " gathers "
-     << s.gather_batches << " writes " << s.write_batches << " pipelined "
-     << s.pipelined_gathers << " overlapped " << s.overlapped_posts
-     << " stalls " << s.hazard_stalls << " retargets " << s.retargets
-     << " quiesces " << s.quiesces << " early " << s.chunks_fired_early
-     << " wakeups " << s.arrival_wakeups << " colors " << s.color_classes
-     << '\n';
+  os << "iterations " << s.iterations << " gathers " << s.gather_batches
+     << " writes " << s.write_batches << " pipelined " << s.pipelined_gathers
+     << " overlapped " << s.overlapped_posts << " stalls " << s.hazard_stalls
+     << " retargets " << s.retargets << " quiesces " << s.quiesces
+     << " early " << s.chunks_fired_early << " wakeups " << s.arrival_wakeups
+     << " colors " << s.color_classes;
+  return os.str();
+}
+
+/// One rank's graph counters (all but pool_busy_ns and programs_lowered)
+/// and per-step traffic.
+std::string describe_graph(int rank, const StepGraph& g) {
+  std::ostringstream os;
+  os << "rank " << rank << ' ' << describe_stats(g.stats()) << '\n';
   for (std::size_t i = 0; i < g.size(); ++i) {
     const Step& st = g.at(i);
     os << "  " << st.name() << " gather " << st.gather_traffic().messages
@@ -186,7 +193,8 @@ std::string run_dsmc(dsmc::DsmcExecutor executor) {
   sim::Machine m(kRanks);
   const dsmc::ParallelDsmcResult r = dsmc::run_parallel_dsmc(m, cfg);
   return "collisions " + std::to_string(r.collisions) + '\n' +
-         describe_machine(m);
+         describe_machine(m) + "graph " + describe_stats(r.graph) +
+         " lowered " + std::to_string(r.graph.programs_lowered) + '\n';
 }
 
 TEST(StepGraphGolden, CharmmPipelined) {
@@ -212,19 +220,6 @@ rank 0 clock 0x1.d8d12cde5e26cp-2 msgs 114 bytes 63256 coalesced 0/0/0
 rank 1 clock 0x1.d8d12cde5e26cp-2 msgs 113 bytes 81344 coalesced 0/0/0
 rank 2 clock 0x1.d8d12cde5e26cp-2 msgs 110 bytes 77296 coalesced 0/0/0
 rank 3 clock 0x1.d8d12cde5e26cp-2 msgs 103 bytes 62976 coalesced 0/0/0
-)");
-}
-
-TEST(StepGraphGolden, CharmmArrival) {
-  EXPECT_EQ(run_charmm(charmm::CharmmShape::kStepGraphArrival),
-            R"(pipelined 6 overlapped 6 stalls 12 early 0 wakeups 0 colors 32
-  bonded gather 72/14976 write 72/14976
-  nonbonded gather 72/88512 write 72/88512
-  integrate gather 0/0 write 0/0
-rank 0 clock 0x1.cc6bf2c7e1e3ep-2 msgs 114 bytes 63256 coalesced 0/0/0
-rank 1 clock 0x1.cc6bf2c7e1e3ep-2 msgs 113 bytes 81344 coalesced 0/0/0
-rank 2 clock 0x1.cc6bf2c7e1e3ep-2 msgs 110 bytes 77296 coalesced 0/0/0
-rank 3 clock 0x1.cc6bf2c7e1e3ep-2 msgs 103 bytes 62976 coalesced 0/0/0
 )");
 }
 
@@ -283,6 +278,7 @@ rank 0 clock 0x1.d5bf345dd59d5p-5 msgs 12 bytes 5264 coalesced 0/0/0
 rank 1 clock 0x1.d5bf345dd59d5p-5 msgs 11 bytes 6720 coalesced 0/0/0
 rank 2 clock 0x1.d5bf345dd59d5p-5 msgs 12 bytes 8960 coalesced 0/0/0
 rank 3 clock 0x1.d5bf345dd59d5p-5 msgs 13 bytes 6720 coalesced 0/0/0
+graph iterations 6 gathers 0 writes 6 pipelined 0 overlapped 0 stalls 4 retargets 0 quiesces 2 early 0 wakeups 0 colors 0 lowered 4
 )");
 }
 
@@ -293,6 +289,7 @@ rank 0 clock 0x1.8f3882278d0cbp-5 msgs 12 bytes 5264 coalesced 0/0/0
 rank 1 clock 0x1.8f3882278d0cbp-5 msgs 11 bytes 6720 coalesced 0/0/0
 rank 2 clock 0x1.8f3882278d0cbp-5 msgs 12 bytes 8960 coalesced 0/0/0
 rank 3 clock 0x1.8f3882278d0cbp-5 msgs 13 bytes 6720 coalesced 0/0/0
+graph iterations 6 gathers 0 writes 6 pipelined 0 overlapped 0 stalls 4 retargets 0 quiesces 2 early 0 wakeups 0 colors 1 lowered 4
 )");
 }
 

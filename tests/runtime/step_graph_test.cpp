@@ -580,28 +580,27 @@ TEST(StepGraph, AdvanceRejectsStaleBindingsAfterRepartition) {
 
 // ---- arrival-driven chunked execution --------------------------------------
 
-/// How the chunked halo step writes its outputs:
-///   kDisjointByPeer   each chunk writes only the y slots its peer owns
-///                     (declared chunk_writes_disjoint — the
-///                     order-independent arm, bitwise oracle applies)
-///   kConflictedShared every chunk folds into a shared accumulator window
-///                     (undeclared → conservatively conflicted; arrival
-///                     execution fires the chunks in canonical order)
-enum class ChunkShape { kDisjointByPeer, kConflictedShared };
+/// Which executor drives the chunked halo step: eager post/flush/wait,
+/// static pipelining (gathers hoisted, chunks serial), or arrival-driven.
+enum class HaloArm { kEager, kStatic, kArrival };
 
 struct ChunkedResult {
   std::vector<double> x, y;
   /// Summed over ranks (rank-0 slot after an allreduce).
   std::uint64_t chunks_fired_early = 0;
   std::uint64_t color_classes = 0;
+  /// Rank 0's chunk peers in firing order, over every iteration.
+  std::vector<int> fire_order;
 };
 
 /// The table10 workload at test size: a local step with a rotating slow
 /// rank (so gather replies leave late and arrival order varies), then a
-/// chunked halo step keyed by the gather schedule's recv peers. With
-/// `perm_spread > 0` the mailbox delivery-permutation hook additionally
-/// shuffles modeled arrival times per (src, tag).
-ChunkedResult run_chunked_halo(bool arrival, ChunkShape shape, int iters,
+/// chunked halo step keyed by the gather schedule's recv peers. Each chunk
+/// writes only the y slots its peer owns; `claim` declares that with
+/// chunk_writes_disjoint(). With `perm_spread > 0` the mailbox
+/// delivery-permutation hook additionally shuffles modeled arrival times
+/// per (src, tag).
+ChunkedResult run_chunked_halo(HaloArm arm, int iters, bool claim = true,
                                std::uint64_t perm_seed = 0,
                                double perm_spread = 0.0) {
   ChunkedResult out;
@@ -641,9 +640,10 @@ ChunkedResult run_chunked_halo(bool arrival, ChunkShape shape, int iters,
     }
 
     int iter = 0;
+    std::vector<int> fired_peers;
     StepGraph g(rt);
-    g.set_pipelining(arrival);
-    g.set_arrival_driven(arrival);
+    g.set_pipelining(arm != HaloArm::kEager);
+    g.set_arrival_driven(arm == HaloArm::kArrival);
 
     g.step("local").bind(use(y), update(x)).compute([&] {
       for (std::size_t i = 0; i < globals.size(); ++i)
@@ -653,49 +653,23 @@ ChunkedResult run_chunked_halo(bool arrival, ChunkShape shape, int iters,
     });
 
     Step& halo = g.step("halo").bind(in(x).via(h), update(y));
-    if (shape == ChunkShape::kDisjointByPeer) {
-      halo.compute_chunks([&](ChunkContext& ctx) {
-        const int peer = ctx.chunk().peer;
-        if (peer < 0) {
-          for (std::size_t i = 0; i < globals.size(); ++i)
-            y[i] = std::sqrt(x[i] * x[i] + 1.0) + 0.0625 * x[i];
-        } else {
-          for (GlobalIndex j : lrefs) {
-            const auto s = static_cast<std::size_t>(j);
-            if (slot_peer[s] == peer)
-              y[s] = std::sqrt(x[s] * x[s] + 1.0) + 0.0625 * x[s];
-          }
-        }
-        ctx.charge(40.0);
-      });
-      halo.chunk_writes_disjoint();
-    } else {
-      // Shared accumulator window: every chunk folds its partial sum into
-      // every slot of y[0..owned), so each slot combines kRanks inexact
-      // contributions and chunk order permutes the floating-point
-      // combine order.
-      halo.compute([&] {
-        std::fill(y.begin(), y.begin() + static_cast<std::ptrdiff_t>(
-                                             globals.size()),
-                  0.0);
-      });
-      halo.compute_chunks([&](ChunkContext& ctx) {
-        const int peer = ctx.chunk().peer;
-        double part = 0.0;
-        if (peer < 0) {
-          for (std::size_t i = 0; i < globals.size(); ++i)
-            part += 0.25 * x[i];
-        } else {
-          for (GlobalIndex j : lrefs) {
-            const auto s = static_cast<std::size_t>(j);
-            if (slot_peer[s] == peer) part += 0.125 * x[s];
-          }
-        }
+    halo.compute_chunks([&](ChunkContext& ctx) {
+      const int peer = ctx.chunk().peer;
+      // Serial arms only: arrival waves run on the pool's worker threads.
+      if (arm != HaloArm::kArrival) fired_peers.push_back(peer);
+      if (peer < 0) {
         for (std::size_t i = 0; i < globals.size(); ++i)
-          y[i] += part / static_cast<double>(3 + i);
-        ctx.charge(40.0);
-      });
-    }
+          y[i] = std::sqrt(x[i] * x[i] + 1.0) + 0.0625 * x[i];
+      } else {
+        for (GlobalIndex j : lrefs) {
+          const auto s = static_cast<std::size_t>(j);
+          if (slot_peer[s] == peer)
+            y[s] = std::sqrt(x[s] * x[s] + 1.0) + 0.0625 * x[s];
+        }
+      }
+      ctx.charge(40.0);
+    });
+    if (claim) halo.chunk_writes_disjoint();
 
     rt.run(g, iters);
 
@@ -711,6 +685,7 @@ ChunkedResult run_chunked_halo(bool arrival, ChunkShape shape, int iters,
       out.y = std::move(y_all);
       out.chunks_fired_early = fired;
       out.color_classes = colors;
+      out.fire_order = std::move(fired_peers);
     }
   });
   return out;
@@ -722,13 +697,12 @@ TEST(StepGraphArrival, OrderIndependentChunksBitwiseMatchEagerUnderFuzzing) {
   // The delivery-permutation hook reshuffles modeled arrival times per
   // (src, tag) for each seed — 100+ distinct arrival orders on top of the
   // rotating-skew baseline.
-  const auto eager =
-      run_chunked_halo(false, ChunkShape::kDisjointByPeer, 6);
+  const auto eager = run_chunked_halo(HaloArm::kEager, 6);
   std::uint64_t fired_total = 0;
   for (std::uint64_t seed = 1; seed <= 104; ++seed) {
     const double spread = 1e-3 * static_cast<double>(1 + seed % 7);
-    const auto fuzzed = run_chunked_halo(
-        true, ChunkShape::kDisjointByPeer, 6, seed, spread);
+    const auto fuzzed =
+        run_chunked_halo(HaloArm::kArrival, 6, true, seed, spread);
     ASSERT_TRUE(spans_equal(fuzzed.x, eager.x,
                             "x (seed " + std::to_string(seed) + ")"));
     ASSERT_TRUE(spans_equal(fuzzed.y, eager.y,
@@ -741,30 +715,62 @@ TEST(StepGraphArrival, OrderIndependentChunksBitwiseMatchEagerUnderFuzzing) {
 }
 
 TEST(StepGraphArrival, DisjointChunksColorAsOneClass) {
-  const auto r = run_chunked_halo(true, ChunkShape::kDisjointByPeer, 4);
+  const auto r = run_chunked_halo(HaloArm::kArrival, 4);
   // Disjoint writes -> empty conflict graph -> exactly one color class
   // per rank's single chunked step plan.
   EXPECT_EQ(r.color_classes, static_cast<std::uint64_t>(kRanks));
 }
 
-TEST(StepGraphArrival, ConflictedChunksBitwiseMatchEagerUnderFuzzing) {
-  // Conflicted chunks (shared accumulator) still fire early under the
-  // arrival arm, but one at a time in canonical order — so every delivery
-  // permutation is bitwise identical to the eager serial arm.
-  const auto eager =
-      run_chunked_halo(false, ChunkShape::kConflictedShared, 6);
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const double spread = 1e-3 * static_cast<double>(1 + seed % 5);
-    const auto fuzzed = run_chunked_halo(
-        true, ChunkShape::kConflictedShared, 6, seed, spread);
-    ASSERT_TRUE(spans_equal(fuzzed.x, eager.x,
-                            "x (seed " + std::to_string(seed) + ")"));
-    ASSERT_TRUE(spans_equal(fuzzed.y, eager.y,
-                            "y (seed " + std::to_string(seed) + ")"));
-    // The arrival path really ran: chunks fired before their gather
-    // batch completed.
-    EXPECT_GT(fuzzed.chunks_fired_early, 0u) << "seed " << seed;
+TEST(StepGraphArrival, UnclaimedChunksAreRefusedBeforeAnyPost) {
+  // Arrival waves run concurrently, so a chunked step without
+  // chunk_writes_disjoint() is refused when the first advance lowers the
+  // iteration. The verdict depends only on the declarations: every rank
+  // throws the same error, naming the step, before posting anything, so no
+  // rank is left waiting on a peer.
+  std::vector<std::string> errors(kRanks);
+  Machine m(kRanks);
+  m.run([&](Comm& c) {
+    Runtime rt(c);
+    const DistHandle d = rt.block(kN);
+    lang::IndirectionArray ind(make_refs(c.rank(), 7, 16));
+    const ScheduleHandle h = rt.inspect(d, ind);
+    std::vector<double> x(static_cast<std::size_t>(rt.local_extent(d)), 1.0);
+    StepGraph g(rt);
+    g.set_arrival_driven(true);
+    g.step("halo").bind(in(x).via(h)).compute_chunks([](ChunkContext&) {});
+    const std::uint64_t sent = c.stats().msgs_sent;
+    try {
+      g.advance();
+    } catch (const Error& e) {
+      errors[static_cast<std::size_t>(c.rank())] = e.what();
+    }
+    EXPECT_EQ(g.stats().gather_batches, 0u);
+    EXPECT_EQ(c.stats().msgs_sent, sent);
+  });
+  for (const std::string& e : errors) {
+    EXPECT_NE(e.find("step 'halo'"), std::string::npos) << e;
+    EXPECT_NE(e.find("chunk_writes_disjoint()"), std::string::npos) << e;
+    EXPECT_EQ(e, errors[0]);
   }
+}
+
+TEST(StepGraphArrival, UnclaimedChunksRunSeriallyUnderStaticPipelining) {
+  // Without the claim, the static arm still hoists the gathers but runs
+  // the chunks one at a time in canonical order (local, then ascending
+  // peer) — bitwise identical to the eager arm.
+  const auto eager = run_chunked_halo(HaloArm::kEager, 6, false);
+  const auto piped = run_chunked_halo(HaloArm::kStatic, 6, false);
+  ASSERT_TRUE(spans_equal(piped.x, eager.x, "x"));
+  ASSERT_TRUE(spans_equal(piped.y, eager.y, "y"));
+  std::vector<int> canonical;
+  for (int it = 0; it < 6; ++it)
+    for (int p = -1; p < kRanks; ++p)
+      if (p != 0) canonical.push_back(p);  // rank 0 gathers from 1..3
+  EXPECT_EQ(piped.fire_order, canonical);
+  EXPECT_EQ(eager.fire_order, canonical);
+  // One conflict class per chunk: kRanks chunks on each of kRanks ranks.
+  EXPECT_EQ(piped.color_classes,
+            static_cast<std::uint64_t>(kRanks * kRanks));
 }
 
 TEST(StepGraphArrival, FixedCountChunksRunConcurrentWavesBitwise) {
@@ -1004,7 +1010,9 @@ TEST(StepGraphLowering, CharmmShapeLowersOncePerInput) {
       Step& nonbonded = g.step("nonbonded")
                             .bind(in(pos).via(hn), sum(force).via(hn))
                             .compute([] {});
-      if (mode == 2) nonbonded.compute_chunks([](ChunkContext&) {});
+      // The chunks write nothing, so the disjointness claim holds.
+      if (mode == 2)
+        nonbonded.compute_chunks([](ChunkContext&) {}).chunk_writes_disjoint();
       g.step("integrate")
           .bind(use(force), use(force_bond), update(pos), update(vel))
           .compute([] {});

@@ -533,8 +533,8 @@ TEST(VerifyShippedGraphs, EveryCharmmGraphIsCertified) {
   using charmm::CharmmShape;
   for (const CharmmShape shape :
        {CharmmShape::kStepGraph, CharmmShape::kStepGraphEager,
-        CharmmShape::kStepGraphArrival, CharmmShape::kMerged,
-        CharmmShape::kMultiple, CharmmShape::kEngine}) {
+        CharmmShape::kMerged, CharmmShape::kMultiple,
+        CharmmShape::kEngine}) {
     Machine machine(kRanks);
     const auto res = charmm::run_parallel_charmm(machine, charmm_cfg(shape));
     const std::string label =

@@ -15,9 +15,9 @@
 // that is not an integer >= 1.
 //
 // Usage: chaos-verify [--strict] [--ranks=N] [target...]
-//   targets: charmm charmm-arrival charmm-merged charmm-multiple
-//            charmm-engine dsmc dsmc-arrival step-pipeline spmv-adaptive
-//            mesh-sweep                                  (default: all)
+//   targets: charmm charmm-merged charmm-multiple charmm-engine dsmc
+//            dsmc-arrival step-pipeline spmv-adaptive mesh-sweep
+//                                                        (default: all)
 #include <charconv>
 #include <functional>
 #include <iostream>
@@ -87,8 +87,6 @@ struct Target {
 
 const Target kTargets[] = {
     {"charmm", [](int r) { return charmm_graph(r, charmm::CharmmShape::kStepGraph); }},
-    {"charmm-arrival",
-     [](int r) { return charmm_graph(r, charmm::CharmmShape::kStepGraphArrival); }},
     {"charmm-merged",
      [](int r) { return charmm_graph(r, charmm::CharmmShape::kMerged); }},
     {"charmm-multiple",
