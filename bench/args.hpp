@@ -30,8 +30,9 @@
 //                         configuration (bench_common.hpp emit_json) —
 //                         honored by table1/table5/table10/table11/table12
 //
-// Unknown values raise chaos::Error listing the accepted spellings;
-// unknown flags are ignored (benches historically tolerate extra argv).
+// An unknown value prints the accepted spellings and a usage line to
+// stderr and exits 2; unknown flags are ignored (benches historically
+// tolerate extra argv).
 // A bench that sweeps or pins a knob simply does not honor its override —
 // see the per-table notes above.
 #pragma once
@@ -39,6 +40,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <optional>
 #include <string>
 
@@ -124,6 +126,8 @@ struct Options {
     return seeds ? *seeds : fallback;
   }
 
+  /// Parse argv. A value the enum parsers reject prints the error and a
+  /// usage line to stderr and exits 2.
   static Options parse(int argc, char** argv) {
     Options o;
     const auto value_of = [](const char* arg,
@@ -132,30 +136,40 @@ struct Options {
       if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return arg + n + 1;
       return nullptr;
     };
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
-        o.quick = true;
-      } else if (const char* v = value_of(argv[i], "--shape")) {
-        o.shape = charmm_shape_from(v);
-      } else if (const char* v = value_of(argv[i], "--executor")) {
-        o.executor = dsmc_executor_from(v);
-      } else if (const char* v = value_of(argv[i], "--partitioner")) {
-        o.partitioner = partitioner_from(v);
-      } else if (const char* v = value_of(argv[i], "--pattern")) {
-        o.pattern = pattern_from(v);
-      } else if (const char* v = value_of(argv[i], "--json")) {
-        o.json = v;
-      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-        o.json = argv[++i];
-      } else if (const char* v = value_of(argv[i], "--skew")) {
-        o.skew = std::stod(v);
-      } else if (std::strcmp(argv[i], "--skew") == 0 && i + 1 < argc) {
-        o.skew = std::stod(argv[++i]);
-      } else if (const char* v = value_of(argv[i], "--seeds")) {
-        o.seeds = std::strtoull(v, nullptr, 10);
-      } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-        o.seeds = std::strtoull(argv[++i], nullptr, 10);
+    try {
+      for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--quick") == 0) {
+          o.quick = true;
+        } else if (const char* v = value_of(argv[i], "--shape")) {
+          o.shape = charmm_shape_from(v);
+        } else if (const char* v = value_of(argv[i], "--executor")) {
+          o.executor = dsmc_executor_from(v);
+        } else if (const char* v = value_of(argv[i], "--partitioner")) {
+          o.partitioner = partitioner_from(v);
+        } else if (const char* v = value_of(argv[i], "--pattern")) {
+          o.pattern = pattern_from(v);
+        } else if (const char* v = value_of(argv[i], "--json")) {
+          o.json = v;
+        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+          o.json = argv[++i];
+        } else if (const char* v = value_of(argv[i], "--skew")) {
+          o.skew = std::stod(v);
+        } else if (std::strcmp(argv[i], "--skew") == 0 && i + 1 < argc) {
+          o.skew = std::stod(argv[++i]);
+        } else if (const char* v = value_of(argv[i], "--seeds")) {
+          o.seeds = std::strtoull(v, nullptr, 10);
+        } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
+          o.seeds = std::strtoull(argv[++i], nullptr, 10);
+        }
       }
+    } catch (const Error& e) {
+      const char* prog = argc > 0 ? argv[0] : "bench";
+      std::cerr << prog << ": " << e.what() << "\n"
+                << "usage: " << prog
+                << " [--quick] [--shape=NAME] [--executor=NAME]"
+                   " [--partitioner=NAME] [--pattern=NAME] [--seeds=N]"
+                   " [--skew=X] [--json=PATH]\n";
+      std::exit(2);
     }
     return o;
   }

@@ -46,7 +46,6 @@ ArmResult run_arm(int ranks, bool pipelining) {
     MeshSweep m(rt);
     StepGraph& g = m.graph;
     g.set_pipelining(pipelining);
-    g.set_strict(true);  // static verification gates arming
     rt.run(g, kIters);
     const Array<double>& u = m.u;
 

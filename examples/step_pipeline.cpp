@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
       Runtime rt(comm);
       StepPipeline p(rt);
       p.graph.set_pipelining(pipelining);
-      p.graph.set_strict(true);  // static verification gates arming
       rt.run(p.graph, iterations);
       if (comm.rank() == 0 && stats_out) *stats_out = p.graph.stats();
 

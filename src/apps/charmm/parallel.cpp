@@ -1,13 +1,8 @@
 #include "apps/charmm/parallel.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <numeric>
 
 #include "apps/charmm/forces.hpp"
-#include "balance/monitor.hpp"
-#include "balance/service.hpp"
-#include "partition/diffusion.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/step_graph.hpp"
 
@@ -93,15 +88,9 @@ class Driver {
       return;
     }
 
-    if (cfg_.autonomic) {
-      policy_ = std::make_unique<balance::Policy>(cfg_.policy);
-      monitor_ = std::make_unique<balance::Monitor>(
-          comm_, policy_->config().window_steps);
-    }
-
     int repartitions = 0;
     for (int step = 0; step < cfg_.run.steps; ++step) {
-      const bool repartition_due = !cfg_.autonomic && quiesces_at(step) &&
+      const bool repartition_due = quiesces_at(step) &&
                                    cfg_.repartition_every > 0 &&
                                    step % cfg_.repartition_every == 0;
       const bool rebuild_due = quiesces_at(step) && !repartition_due;
@@ -125,7 +114,6 @@ class Driver {
       // (repartition / list rebuild) that would discard them.
       const int next = step + 1;
       executor_step(/*arm_next=*/next < cfg_.run.steps && !quiesces_at(next));
-      if (cfg_.autonomic) autonomic_tick();
     }
 
     // Drain the pipeline: trailing scatters (and hoisted next-iteration
@@ -142,11 +130,6 @@ class Driver {
     absorb_epoch_stats(dist_);
     report_reuse();
     if (!table3_shape()) report_step_stats();
-    if (comm_.rank() == 0) {
-      shared_.rebalances = diffusions_ + rebuilds_;
-      shared_.diffusions = diffusions_;
-      shared_.rebuilds = rebuilds_;
-    }
     if (cfg_.collect_state) collect_state();
   }
 
@@ -262,11 +245,7 @@ class Driver {
   /// redistributions move the list with its atoms (paper §5.3.1 flow);
   /// the initial distribution regenerates it instead (paper §4.1.1: "this
   /// regeneration was performed because atoms were redistributed").
-  /// A non-empty `forced_map` (replicated atom -> rank, e.g. from the
-  /// diffusion partitioner) is adopted directly as the successor epoch —
-  /// the autonomic diffusion arm; `kind` is then unused.
-  void partition_and_remap(core::PartitionerKind kind, bool remap_list,
-                           std::vector<int> forced_map = {}) {
+  void partition_and_remap(core::PartitionerKind kind, bool remap_list) {
     // A repartition invalidates in-flight pipelining for the affected
     // arrays: complete it before the epoch machinery starts. The graph
     // itself re-arms in build_schedules() via retarget().
@@ -274,10 +253,6 @@ class Driver {
     DistHandle new_dist;
     timed_with_overhead(
         &CharmmPhaseTimes::data_partition, kCompilerPartitionOverhead, [&] {
-          if (!forced_map.empty()) {
-            new_dist = rt_.repartition(dist_, std::move(forced_map));
-            return;
-          }
           // Weights: the per-atom computational load is dominated by the
           // non-bonded partner count (paper §4.1 Data Partitioning). Before
           // any list exists, a local-density estimate stands in.
@@ -462,56 +437,13 @@ class Driver {
           });
   }
 
-  /// One autonomic sample per simulation step. When the policy's window
-  /// closes hot, diffusion shifts whole atoms (highest global ids off the
-  /// hot rank, so surviving owners keep ascending-id prefixes and the
-  /// schedule registry can patch/carry instead of rebuild) and the
-  /// non-bonded list rows travel with their atoms; a rebuild runs the
-  /// configured partitioner on current positions/loads. Decisions are
-  /// computed from replicated windows — identical on every rank.
-  void autonomic_tick() {
-    using balance::Action;
-    monitor_->sample(nullptr, &rt_.engine());
-    if (!monitor_->window_full()) return;
-    const balance::Window w = monitor_->close();
-    Action a = policy_->decide(w);
-    if (a == Action::kNone) return;
-
-    const double t0 = comm_.now();
-    std::vector<int> forced;
-    if (a == Action::kDiffuse) {
-      // Replicated per-atom weights (the §4.1 partner-count model) give
-      // the mover exact bookkeeping on skewed partner counts.
-      std::vector<double> atom_w(my_globals_.size(), 1.0);
-      for (std::size_t r = 0; r < atom_w.size() && r + 1 < nb_.inblo.size(); ++r)
-        atom_w[r] = 2.0 + static_cast<double>(nb_.inblo[r + 1] - nb_.inblo[r]);
-      part::DiffusionResult diff = balance::diffuse_replicated(
-          comm_, rt_.dist(dist_).map(), my_globals_, atom_w, w.load,
-          policy_->config().target_balance);
-      if (diff.moved == 0) {
-        a = Action::kRebuild;  // nothing diffusible: fall back to a rebuild
-      } else {
-        forced = std::move(diff.map);
-      }
-    }
-    partition_and_remap(cfg_.partitioner, /*remap_list=*/true,
-                        std::move(forced));
-    build_schedules(/*regen=*/false);
-    if (a == Action::kDiffuse)
-      ++diffusions_;
-    else
-      ++rebuilds_;
-    policy_->note_cost(comm_.now() - t0);
-  }
-
   /// True when simulation step `s` begins with a pipeline quiesce: a
   /// periodic repartition or a non-bonded list rebuild. The single source
   /// of the cadence — both the per-step dispatch and the graph's
   /// next-iteration arm prediction derive from it.
   bool quiesces_at(int s) const {
     if (s <= 0) return false;
-    return (!cfg_.autonomic && cfg_.repartition_every > 0 &&
-            s % cfg_.repartition_every == 0) ||
+    return (cfg_.repartition_every > 0 && s % cfg_.repartition_every == 0) ||
            (s % cfg_.run.nb_rebuild_every == 0);
   }
 
@@ -552,9 +484,6 @@ class Driver {
   /// while the integrate step's declared reads force both scatters to
   /// deliver first.
   void declare_graph() {
-    // Dogfood the static analyzer: every shipped graph arms strict, so a
-    // declaration defect fails fast here, not as a downstream data race.
-    graph_.set_strict(true);
     graph_.set_pipelining(shape() == CharmmShape::kStepGraph);
     const auto forces = [this] {
       std::fill(force_.begin(), force_.end(), part::Vec3{});
@@ -720,13 +649,6 @@ class Driver {
   std::uint64_t reused_homes_ = 0;
   std::uint64_t patched_schedules_ = 0;
   std::uint64_t rebuilt_schedules_ = 0;
-
-  // Autonomic mode (cfg_.autonomic): telemetry + decisions, and replicated
-  // counts of the rebalances that fired.
-  std::unique_ptr<balance::Policy> policy_;
-  std::unique_ptr<balance::Monitor> monitor_;
-  int diffusions_ = 0;
-  int rebuilds_ = 0;
 
   CharmmPhaseTimes t_;
 };

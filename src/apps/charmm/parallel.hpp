@@ -12,7 +12,6 @@
 
 #include "apps/charmm/sequential.hpp"
 #include "apps/charmm/system.hpp"
-#include "balance/policy.hpp"
 #include "core/parallel_partition.hpp"
 #include "sim/machine.hpp"
 #include "verify/diagnostic.hpp"
@@ -20,8 +19,8 @@
 namespace chaos::charmm {
 
 /// Executor communication shape (Table 3, plus the step-graph redesign).
-/// Every shape is a strict step graph the executor advances once per step;
-/// the shapes differ only in their declarations.
+/// Every shape is a step graph the executor advances once per step (each
+/// verified before it arms); the shapes differ only in their declarations.
 enum class CharmmShape {
   /// Declarative chaos::StepGraph over the bonded / non-bonded / integrate
   /// cycle, communication pipelined across steps from the declared array
@@ -54,18 +53,11 @@ struct ParallelCharmmConfig {
   CharmmShape shape = CharmmShape::kStepGraph;
 
   /// Table 6 mode: re-partition + remap every k steps (0 = partition once),
-  /// alternating RCB and RIB as the paper does.
+  /// alternating RCB and RIB as the paper does. CHARMM has no autonomic
+  /// mode: the policy-driven loop is the Runtime balance service (Table 12)
+  /// and DSMC's cfg.autonomic.
   int repartition_every = 0;
   bool alternate_partitioners = false;
-
-  /// Autonomic mode: ignore repartition_every and let a balance::Policy
-  /// decide when to redistribute from windowed per-rank load telemetry.
-  /// Diffusion rebalances adopt an incrementally shifted atom map (the
-  /// non-bonded list rows travel with their atoms, schedules re-seed on
-  /// the successor epoch); rebuilds run the configured partitioner. The
-  /// periodic non-bonded list rebuild cadence is unaffected.
-  bool autonomic = false;
-  balance::PolicyConfig policy;
 
   /// Run the compiler-generated path: the kMultiple graph with a
   /// modification-record guard (rt.inspect on the runtime's schedule
@@ -143,9 +135,9 @@ struct ParallelCharmmResult {
   std::uint64_t color_classes = 0;
   std::uint64_t pool_busy_ns = 0;
 
-  /// Autonomic mode: rebalances the policy fired (= diffusions +
-  /// rebuilds); replicated decisions, identical on every rank.
-  int rebalances = 0;
+  /// Policy-driven rebalances, kept so one report reads both apps' results
+  /// (ParallelDsmcResult has the same fields). CHARMM has no autonomic
+  /// mode, so both always read 0.
   int diffusions = 0;
   int rebuilds = 0;
 

@@ -194,9 +194,6 @@ class Driver {
   void declare_graph() {
     graph_ = std::make_unique<StepGraph>(rt_);
     graph_->set_pipelining(cfg_.executor != DsmcExecutor::kStepGraphEager);
-    // Every shipped graph arms strict: declaration defects fail fast as
-    // analyzer findings instead of downstream races.
-    graph_->set_strict(true);
     const auto move_step = [this] {
       timed(&DsmcPhaseTimes::reduce_append, [&] { move_compute(); });
     };

@@ -72,7 +72,7 @@ struct Binding {
 };
 
 /// The diffusion strategy under exact per-element weights, shared by the
-/// service and the apps' own autonomic paths: pair this rank's owned
+/// service and DSMC's own autonomic path: pair this rank's owned
 /// `ids` with their `weights` (one each), replicate the pairs in one
 /// allgatherv of 16-byte records, spread them into a dense per-element
 /// vector over `map`, and run part::diffuse_partition toward

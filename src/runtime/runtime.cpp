@@ -275,17 +275,6 @@ ScheduleHandle Runtime::plan_remap(DistHandle from, DistHandle to) {
   return ScheduleHandle{static_cast<std::uint32_t>(scheds_.size() - 1)};
 }
 
-// ---- Phases C & D ----------------------------------------------------------
-
-std::vector<int> Runtime::partition_iterations(
-    DistHandle h, std::span<const GlobalIndex> refs, std::size_t arity,
-    IterationPolicy policy) {
-  const core::TranslationTable& table = dist(h).table();
-  return policy == IterationPolicy::kOwnerComputes
-             ? core::owner_computes(comm_, table, refs, arity)
-             : core::almost_owner_computes(comm_, table, refs, arity);
-}
-
 // ---- Phase E ---------------------------------------------------------------
 
 LoopHandle Runtime::bind(DistHandle dist, const lang::IndirectionArray& ind) {

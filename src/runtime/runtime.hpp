@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "comm/engine.hpp"
-#include "core/iteration.hpp"
 #include "core/lightweight.hpp"
 #include "core/parallel_partition.hpp"
 #include "core/remap.hpp"
@@ -79,9 +78,6 @@ struct ScheduleHandle {
   std::uint32_t id = detail::kInvalidHandle;
   friend bool operator==(const ScheduleHandle&, const ScheduleHandle&) = default;
 };
-
-/// Iteration-partitioning policy (Phase C, paper §3.1).
-enum class IterationPolicy { kOwnerComputes, kAlmostOwnerComputes };
 
 class StepGraph;
 
@@ -306,21 +302,6 @@ class Runtime {
     return engine_.post_transport<T>(x.sched, src, dst, x.plan);
   }
 
-  // ---- Phases C & D: iteration partitioning / remapping -------------
-
-  /// Assign loop iterations to processors from their data references
-  /// (iteration-major, `arity` refs per iteration). Collective.
-  std::vector<int> partition_iterations(
-      DistHandle h, std::span<const GlobalIndex> refs, std::size_t arity,
-      IterationPolicy policy = IterationPolicy::kAlmostOwnerComputes);
-
-  /// Redistribute iteration records to their executing processors.
-  core::RemappedIterations remap_iterations(
-      std::span<const int> dest_proc, std::span<const GlobalIndex> refs,
-      std::size_t arity, std::span<const GlobalIndex> iter_ids) {
-    return core::remap_iterations(comm_, dest_proc, refs, arity, iter_ids);
-  }
-
   // ---- Phase E: the inspector ----------------------------------------
 
   /// Register the irregular loop driven by `ind` over arrays aligned with
@@ -518,8 +499,8 @@ class Runtime {
   /// Run the verify::Analyzer rule pipeline over a declared graph and
   /// return every finding (analysis only — nothing executes, nothing
   /// communicates; see docs/API.md "Static verification"). Equivalent to
-  /// verify::Analyzer().analyze(graph); StepGraph::set_strict(true) runs
-  /// the same pipeline at arm time and refuses on error findings.
+  /// verify::Analyzer().analyze(graph); every StepGraph runs the same
+  /// pipeline at arm time and refuses on error findings.
   std::vector<verify::Diagnostic> verify(StepGraph& graph);
 
   /// The distribution currently bound to the service (moves to each

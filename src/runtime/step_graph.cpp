@@ -416,38 +416,35 @@ void StepGraph::build_chunk_plan(Step& s) {
 
 void StepGraph::run_wave(Step& s, std::span<const std::size_t> wave) {
   const std::size_t n = s.chunk_peers_.size();
-  if (wave.size() > 1 && worker_threads_ > 1) {
-    if (!pool_)
-      pool_ = std::make_unique<runtime::TaskPool>(worker_threads_);
-    std::vector<ChunkContext> ctxs(wave.size());
-    const std::uint64_t busy_before = pool_->busy_ns();
-    for (std::size_t k = 0; k < wave.size(); ++k) {
-      ctxs[k].chunk_ = Chunk{s.chunk_peers_[wave[k]], wave[k], n};
-      ChunkContext* ctx = &ctxs[k];
-      const auto* fn = &s.chunk_fn_;
-      pool_->submit([fn, ctx] { (*fn)(*ctx); });
-    }
-    pool_->wait_idle();
-    stats_.pool_busy_ns += pool_->busy_ns() - busy_before;
-    // Modeled cost of the threaded wave: its critical path — never better
-    // than the biggest chunk, never better than perfect division across
-    // the pool.
-    double total = 0.0;
-    double biggest = 0.0;
-    for (const ChunkContext& ctx : ctxs) {
-      total += ctx.work_;
-      biggest = std::max(biggest, ctx.work_);
-    }
-    rt_.comm().charge_work(
-        std::max(biggest, total / static_cast<double>(worker_threads_)));
-  } else {
-    for (std::size_t idx : wave) {
-      ChunkContext ctx;
-      ctx.chunk_ = Chunk{s.chunk_peers_[idx], idx, n};
-      s.chunk_fn_(ctx);
-      rt_.comm().charge_work(ctx.work_);
-    }
+  if (wave.size() == 1) {
+    ChunkContext ctx;
+    ctx.chunk_ = Chunk{s.chunk_peers_[wave[0]], wave[0], n};
+    s.chunk_fn_(ctx);
+    rt_.comm().charge_work(ctx.work_);
+    return;
   }
+  if (!pool_) pool_ = std::make_unique<runtime::TaskPool>(kWorkerThreads);
+  std::vector<ChunkContext> ctxs(wave.size());
+  const std::uint64_t busy_before = pool_->busy_ns();
+  for (std::size_t k = 0; k < wave.size(); ++k) {
+    ctxs[k].chunk_ = Chunk{s.chunk_peers_[wave[k]], wave[k], n};
+    ChunkContext* ctx = &ctxs[k];
+    const auto* fn = &s.chunk_fn_;
+    pool_->submit([fn, ctx] { (*fn)(*ctx); });
+  }
+  pool_->wait_idle();
+  stats_.pool_busy_ns += pool_->busy_ns() - busy_before;
+  // Modeled cost of the threaded wave: its critical path — never better
+  // than the biggest chunk, never better than perfect division across the
+  // pool.
+  double total = 0.0;
+  double biggest = 0.0;
+  for (const ChunkContext& ctx : ctxs) {
+    total += ctx.work_;
+    biggest = std::max(biggest, ctx.work_);
+  }
+  rt_.comm().charge_work(
+      std::max(biggest, total / static_cast<double>(kWorkerThreads)));
 }
 
 void StepGraph::run_chunks_arrival(Step& s) {
@@ -510,7 +507,7 @@ std::size_t StepGraph::footprint_bytes() const {
            sizeof(std::uint32_t);
   }
   if (pool_) n += sizeof(runtime::TaskPool);
-  n += verify::footprint_bytes(strict_diags_);
+  n += verify::footprint_bytes(findings_);
   return n;
 }
 
@@ -525,35 +522,35 @@ std::size_t StepGraph::release_chunk_plans() {
   hazards_ = std::vector<std::uint8_t>();
   programs_ = std::vector<Program>();
   pool_.reset();
-  // Same capacity discipline for the cached strict-verification findings;
-  // a strict graph simply re-verifies at its next arm.
-  strict_diags_ = std::vector<verify::Diagnostic>();
-  strict_checked_ = false;
+  // Same capacity discipline for the cached verification findings; the
+  // graph simply re-verifies at its next arm.
+  findings_ = std::vector<verify::Diagnostic>();
+  verified_ = false;
   return released;
 }
 
-void StepGraph::enforce_strict() {
-  if (strict_checked_) return;
+void StepGraph::verify_before_arming() {
+  if (verified_) return;
   verify::Analyzer analyzer;
   std::vector<verify::Diagnostic> diags = analyzer.analyze(*this);
   if (verify::has_errors(diags)) {
-    // Do NOT latch: a strict graph keeps refusing on every advance until
-    // the declarations are fixed (analysis is cheap next to execution).
+    // Do NOT latch: the graph keeps refusing on every advance until the
+    // declarations are fixed (analysis is cheap next to execution).
     std::string msg =
-        "strict step graph refused to arm: " +
+        "step graph refused to arm: " +
         std::to_string(verify::count(diags, verify::Severity::kError)) +
         " error finding(s):\n" + verify::render(diags);
-    strict_diags_ = std::move(diags);
+    findings_ = std::move(diags);
     throw Error(std::move(msg));
   }
-  strict_diags_ = std::move(diags);
-  strict_checked_ = true;
+  findings_ = std::move(diags);
+  verified_ = true;
 }
 
 void StepGraph::advance(bool arm_next_iteration) {
   CHAOS_CHECK(!steps_.empty(), "step graph has no steps");
   for (Step& s : steps_) s.resolve();
-  if (strict_) enforce_strict();
+  verify_before_arming();
   check_bindings();
   ++stats_.iterations;
   // Normalize the memo key: the trailing hoist exists only when pipelining.
@@ -618,9 +615,8 @@ void StepGraph::retarget(ScheduleHandle from, ScheduleHandle to) {
     }
   }
   // The successor epoch's schedules change what the static rules can see
-  // (recv partitions, validity); a strict graph re-verifies at its next
-  // arm.
-  strict_checked_ = false;
+  // (recv partitions, validity); the graph re-verifies at its next arm.
+  verified_ = false;
   ++stats_.retargets;
 }
 

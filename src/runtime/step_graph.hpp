@@ -54,6 +54,11 @@
 // is bitwise identical to the eager one (set_pipelining(false): plain
 // post -> flush -> wait at every step, the reference arm).
 //
+// Every graph is verified before it runs: the first advance() (and the
+// first after each retarget) runs the verify::Analyzer rule pipeline over
+// the declarations and refuses to arm — chaos::Error listing the findings,
+// before anything is posted — on any error finding (last_verification()).
+//
 // Repartition interop: a repartition invalidates the schedules a graph's
 // accesses point at. retarget(old, new) quiesces in-flight pipelining and
 // swaps the schedule handle everywhere it is declared — the steps, their
@@ -345,30 +350,23 @@ class StepGraph {
   void set_arrival_driven(bool on) { arrival_driven_ = on; }
   bool arrival_driven() const { return arrival_driven_; }
 
-  /// Size of the intra-rank worker pool concurrent chunk waves run on
-  /// (default 2; 1 disables threading — waves run inline). The pool is
-  /// created lazily on the first threaded wave.
-  void set_worker_threads(int n) {
-    CHAOS_CHECK(n >= 1, "worker threads must be >= 1");
-    worker_threads_ = n;
-    pool_.reset();  // re-created at the new size on next use
-  }
-  int worker_threads() const { return worker_threads_; }
+  /// Size of the intra-rank worker pool concurrent chunk waves run on.
+  /// The pool is created on the first wave of more than one chunk. Such a
+  /// wave is charged its critical path: the larger of its biggest chunk and
+  /// its total work divided across the pool.
+  static constexpr int kWorkerThreads = 2;
 
-  /// Strict mode: before the graph first arms (and again after every
-  /// retarget), run the verify::Analyzer rule pipeline over the declared
-  /// graph and refuse to execute — chaos::Error listing every finding —
-  /// if any error-severity finding exists. Warnings and notes are cached
-  /// (last_verification()) but do not block. Error rules are functions of
-  /// the declarations alone, so every rank reaches the same verdict and a
-  /// strict refusal cannot desynchronize the SPMD batch sequence.
-  void set_strict(bool on) { strict_ = on; }
-  bool strict() const { return strict_; }
-
-  /// Findings of the most recent strict verification (empty until one
-  /// ran; released by Runtime::compact / release_chunk_plans).
+  /// Findings of the most recent verification (empty until one ran;
+  /// released by Runtime::compact / release_chunk_plans). Before a graph
+  /// first arms, and again after every retarget, it runs
+  /// the verify::Analyzer rule pipeline over its declarations and refuses
+  /// to execute — chaos::Error listing every finding — if any
+  /// error-severity finding exists. Warnings and notes are kept here but do
+  /// not block. Error rules are functions of the declarations alone, so
+  /// every rank reaches the same verdict and a refusal cannot
+  /// desynchronize the SPMD batch sequence.
   const std::vector<verify::Diagnostic>& last_verification() const {
-    return strict_diags_;
+    return findings_;
   }
 
   /// Execute every step once, in declaration order. Leaves the pipeline
@@ -504,9 +502,9 @@ class StepGraph {
   };
 
   void check_bindings() const;
-  /// Strict-mode gate: run the analyzer once per arming epoch; throw on
+  /// The arming gate: run the analyzer once per arming epoch; throw on
   /// error findings (without latching, so every advance re-refuses).
-  void enforce_strict();
+  void verify_before_arming();
   /// The program for the current modes and in-flight state, lowered (and
   /// the hazard table built) on first use.
   const Program& program(bool arm_next);
@@ -524,18 +522,15 @@ class StepGraph {
   void build_chunk_plan(Step& s);
   void run_chunks_arrival(Step& s);
   /// Run chunks `wave` of `s`: concurrently on the worker pool when the
-  /// wave holds more than one and threads are enabled, else one at a time
-  /// in the order given — the one serial chunk loop.
+  /// wave holds more than one, else the single chunk inline.
   void run_wave(Step& s, std::span<const std::size_t> wave);
 
   Runtime& rt_;
   bool pipelining_ = true;
   bool arrival_driven_ = false;
-  bool strict_ = false;
-  /// Strict verification latches per arming epoch; retarget re-verifies.
-  bool strict_checked_ = false;
-  std::vector<verify::Diagnostic> strict_diags_;
-  int worker_threads_ = 2;
+  /// Verification latches per arming epoch; retarget re-verifies.
+  bool verified_ = false;
+  std::vector<verify::Diagnostic> findings_;
   std::unique_ptr<runtime::TaskPool> pool_;
   std::deque<Step> steps_;
   std::vector<std::uint8_t> hazards_;  ///< size() x size() Hazard bits

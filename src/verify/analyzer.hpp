@@ -39,7 +39,7 @@
 //                                 can retarget the graph underneath them.
 //
 // Error rules are functions of the declarations alone — identical on
-// every rank — so StepGraph strict mode can refuse to arm without
+// every rank — so every StepGraph can refuse to arm without
 // desynchronizing the SPMD batch sequence. Schedule-shape notes (recv
 // overlap counts, partition proofs) are per-rank observations.
 //

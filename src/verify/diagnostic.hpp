@@ -3,8 +3,8 @@
 // A Diagnostic is one finding of one rule: an id ("read-before-gather"),
 // a severity, the step/array subjects it names, a message stating what the
 // rule observed, and a fix hint. Error-severity findings are declaration
-// bugs the runtime can prove before anything executes — StepGraph strict
-// mode refuses to arm on them; warnings are hazards worth a look; notes
+// bugs the runtime can prove before anything executes — every StepGraph
+// refuses to arm on them; warnings are hazards worth a look; notes
 // are certifications and advisories (including the "proven" results of
 // the race-certification rule).
 //
@@ -25,7 +25,7 @@ namespace chaos::verify {
 enum class Severity {
   kNote,     ///< certification / advisory; never fails anything
   kWarning,  ///< suspicious declaration; fails `chaos-verify --strict`
-  kError,    ///< provable defect; strict graphs refuse to arm
+  kError,    ///< provable defect; step graphs refuse to arm
 };
 
 std::string_view to_string(Severity s);

@@ -303,40 +303,6 @@ TEST(CharmmParallel, RepartitioningPreservesCorrectness) {
       EXPECT_NEAR(par.pos[i][a], seq.pos[i][a], 1e-8);
 }
 
-TEST(CharmmAutonomic, PolicyFiresAndPhysicsTracksSequential) {
-  // Smoke for the cfg.autonomic wiring: seed a weight-blind block
-  // distribution, set a hair trigger so the first closed window fires, and
-  // check the rebalance machinery (diffusion, or the rebuild fallback when
-  // nothing is diffusible) leaves the trajectory on the sequential
-  // reference. kMerged tracks the sequential loop nest to last-bit scale
-  // even across redistributions (see RepartitioningPreservesCorrectness).
-  const auto sys_params = SystemParams::small(240);
-  SequentialRunConfig run;
-  run.steps = 9;
-  run.nb_rebuild_every = 4;
-  auto seq = run_sequential_charmm(MolecularSystem::generate(sys_params), run);
-
-  ParallelCharmmConfig cfg;
-  cfg.system = sys_params;
-  cfg.run = run;
-  cfg.partitioner = core::PartitionerKind::kBlock;
-  cfg.shape = CharmmShape::kMerged;
-  cfg.autonomic = true;
-  cfg.policy.window_steps = 3;
-  cfg.policy.trigger_balance = 1.001;
-  cfg.collect_state = true;
-  sim::Machine m(4);
-  auto aut = run_parallel_charmm(m, cfg);
-
-  EXPECT_GE(aut.rebalances, 1);
-  EXPECT_EQ(aut.rebalances, aut.diffusions + aut.rebuilds);
-  ASSERT_EQ(aut.pos.size(), seq.pos.size());
-  for (std::size_t i = 0; i < seq.pos.size(); ++i)
-    for (int a = 0; a < 3; ++a)
-      EXPECT_NEAR(aut.pos[i][a], seq.pos[i][a], 1e-8)
-          << "atom " << i << " axis " << a;
-}
-
 TEST(CharmmParallel, PhaseTimesArePopulated) {
   ParallelCharmmConfig cfg;
   cfg.system = SystemParams::small(150);

@@ -345,6 +345,9 @@ SameArrayResult run_reader_window_cycle(bool pipelining, int iters) {
 
     StepGraph g(rt);
     g.set_pipelining(pipelining);
+    // Delivers x's ghosts before anything reads them (a reader ahead of
+    // every gather of x is a read-before-gather error the graph refuses).
+    g.step("pull").bind(in(x).via(hx)).compute([] {});
     // Writes owned x: the values a hoisted refresh-gather would pack.
     g.step("bump").bind(update(x)).compute([&] {
       for (std::size_t i = 0; i < globals.size(); ++i) x[i] += 1.0;
@@ -358,8 +361,8 @@ SameArrayResult run_reader_window_cycle(bool pipelining, int iters) {
             b[static_cast<std::size_t>(j)] += 1.0;
         })
         .bind(sum(b).via(hb));
-    // Reads x's GHOST slots — under the eager schedule these are the
-    // previous refresh's (pre-bump) values.
+    // Reads x's GHOST slots — under the eager schedule these are the ones
+    // "pull" delivered this iteration (pre-bump values).
     g.step("readghost").bind(use(b), use(x), update(acc)).compute([&] {
       for (std::size_t i = 0; i < lrefs_x.size(); ++i)
         acc[i % acc.size()] += x[static_cast<std::size_t>(lrefs_x[i])];
@@ -385,6 +388,48 @@ TEST(StepGraph, ReaderInHoistWindowBlocksEarlyGatherDelivery) {
   const auto eager = run_reader_window_cycle(/*pipelining=*/false, 3);
   EXPECT_TRUE(spans_equal(pipelined.x, eager.x, "x"));
   EXPECT_TRUE(spans_equal(pipelined.y, eager.y, "acc"));
+}
+
+// ---- verification before arming -------------------------------------------
+
+// No setter turns verification on: every graph runs the analyzer before it
+// first arms. A step that reads x before any step gathers it is a
+// read-before-gather error, so the first advance() throws on every rank
+// alike, before any compute runs or any batch is posted — no rank is left
+// waiting on a peer.
+TEST(StepGraph, GraphWithoutSetterRefusesErrorFinding) {
+  std::vector<std::string> errors(kRanks);
+  Machine m(kRanks);
+  m.run([&](Comm& c) {
+    Runtime rt(c);
+    const DistHandle d = rt.block(kN);
+    lang::IndirectionArray ind(make_refs(c.rank(), 3));
+    const ScheduleHandle h = rt.inspect(d, ind);
+    const auto extent = static_cast<std::size_t>(rt.local_extent(d));
+    std::vector<double> x(extent, 1.0), y(extent, 0.0);
+
+    int ran = 0;
+    StepGraph g(rt);
+    // Named arrays keep the (per-rank) addresses out of the message.
+    g.step("early")
+        .bind(use(x).named("x"), update(y).named("y"))
+        .compute([&] { ++ran; });
+    g.step("late").bind(in(x).via(h).named("x")).compute([&] { ++ran; });
+    const std::uint64_t sent = c.stats().msgs_sent;
+    try {
+      g.advance();
+    } catch (const Error& e) {
+      errors[static_cast<std::size_t>(c.rank())] = e.what();
+    }
+    EXPECT_EQ(ran, 0);
+    EXPECT_EQ(g.stats().gather_batches, 0u);
+    EXPECT_EQ(c.stats().msgs_sent, sent);
+  });
+  for (const std::string& e : errors) {
+    EXPECT_NE(e.find("refused to arm"), std::string::npos) << e;
+    EXPECT_NE(e.find("read-before-gather"), std::string::npos) << e;
+    EXPECT_EQ(e, errors[0]);
+  }
 }
 
 // ---- repartition landing mid-pipeline --------------------------------------
@@ -792,7 +837,6 @@ TEST(StepGraphArrival, FixedCountChunksRunConcurrentWavesBitwise) {
       StepGraph g(rt);
       g.set_pipelining(arrival);
       g.set_arrival_driven(arrival);
-      g.set_worker_threads(3);
       Step& s = g.step("sweep").bind(update(x));
       s.compute_chunks(4, [&](ChunkContext& ctx) {
         const std::size_t n = x.size();
@@ -980,8 +1024,9 @@ TEST(StepGraph, LateChunkDeclarationThrows) {
 
 // The CHARMM cycle's declared shape (src/apps/charmm/parallel.cpp,
 // declare_graph): bonded and non-bonded steps gathering one position array
-// through two schedules and scatter-adding two force arrays, then an
-// integrate step reading the forces and updating positions and velocities.
+// through two schedules and scatter-adding two force arrays (the arrival
+// arm scatters the non-bonded one), then an integrate step reading the
+// forces and updating positions and velocities.
 // Lowering is keyed by (modes, entry state, arm_next_iteration), so after
 // the first few iterations no advance() lowers a new program — across a
 // quiesce and a retarget too — and Runtime::compact() releases the
@@ -1007,12 +1052,18 @@ TEST(StepGraphLowering, CharmmShapeLowersOncePerInput) {
       g.step("bonded")
           .bind(in(pos).via(hb), sum(force_bond).via(hb))
           .compute([] {});
-      Step& nonbonded = g.step("nonbonded")
-                            .bind(in(pos).via(hn), sum(force).via(hn))
-                            .compute([] {});
-      // The chunks write nothing, so the disjointness claim holds.
+      // The arrival arm chunks the non-bonded step, so its ghost writes
+      // become a plain scatter through the chunk-keying schedule: each
+      // chunk writes only its own peer's recv partition, and the analyzer
+      // proves the disjointness claim (a sum() there would refute it).
+      Step& nonbonded =
+          g.step("nonbonded").bind(in(pos).via(hn)).compute([] {});
       if (mode == 2)
-        nonbonded.compute_chunks([](ChunkContext&) {}).chunk_writes_disjoint();
+        nonbonded.bind(out(force).via(hn))
+            .compute_chunks([](ChunkContext&) {})
+            .chunk_writes_disjoint();
+      else
+        nonbonded.bind(sum(force).via(hn));
       g.step("integrate")
           .bind(use(force), use(force_bond), update(pos), update(vel))
           .compute([] {});

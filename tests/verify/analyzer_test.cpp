@@ -1,5 +1,5 @@
 // chaos::verify tests: every analyzer rule exercised with a flagged graph
-// AND a clean graph, the strict-mode refuse-to-arm contract, and the
+// AND a clean graph, the refuse-to-arm contract every graph keeps, and the
 // shipped-graphs-clean sweep (every step graph the apps declare must come
 // back with zero errors and zero warnings — the same gate the
 // chaos-verify CLI enforces in CI).
@@ -389,7 +389,7 @@ TEST(VerifyAnalyzer, StaleBindingNotesUnguardedRawUnderAutonomicPolicy) {
   });
 }
 
-// ---- strict mode -----------------------------------------------------------
+// ---- refuse to arm ---------------------------------------------------------
 
 TEST(VerifyStrict, StrictGraphRefusesToArmOnErrorFindings) {
   Machine m(kRanks);
@@ -402,7 +402,6 @@ TEST(VerifyStrict, StrictGraphRefusesToArmOnErrorFindings) {
     std::vector<double> y(x.size(), 0.0);
 
     StepGraph g(rt);
-    g.set_strict(true);
     g.step("early").bind(use(x), update(y)).compute([] {});
     g.step("late").bind(in(x).via(h)).compute([] {});
 
@@ -433,7 +432,6 @@ TEST(VerifyStrict, StrictGraphArmsWhenCleanAndKeepsReport) {
 
     int ran = 0;
     StepGraph g(rt);
-    g.set_strict(true);
     g.step("halo").bind(in(x).via(h)).compute([&] {
       for (GlobalIndex j : lrefs) y[static_cast<std::size_t>(j)] = 1.0;
       ++ran;
