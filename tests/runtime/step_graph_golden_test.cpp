@@ -17,8 +17,10 @@
 // every rank's clock and wire counts. The CHARMM Table 3
 // shapes (merged, multiple, engine) and the compiler-generated arm also pin
 // the run's message totals and a bitwise hash of the collected positions
-// and forces. Clocks are printed as hexadecimal floats, so the comparison
-// is bitwise.
+// and forces. DSMC's blocking-move shapes (imperative, regular-schedule,
+// compiler-generated) pin the collision count, clocks and wire counts but
+// not the graph counters. Clocks are printed as hexadecimal floats, so the
+// comparison is bitwise.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -182,7 +184,7 @@ std::string run_charmm(charmm::CharmmShape shape, bool collect_state = false,
   return os.str() + describe_machine(m);
 }
 
-std::string run_dsmc(dsmc::DsmcExecutor executor) {
+dsmc::ParallelDsmcConfig dsmc_config(dsmc::DsmcExecutor executor) {
   dsmc::ParallelDsmcConfig cfg;
   cfg.params.nx = 8;
   cfg.params.ny = 8;
@@ -190,11 +192,21 @@ std::string run_dsmc(dsmc::DsmcExecutor executor) {
   cfg.steps = 6;
   cfg.remap_every = 4;  // steps 0-4, quiesce + remap, step 5
   cfg.executor = executor;
+  return cfg;
+}
+
+/// Collisions and every rank's clock and wire counts; `pin_graph` adds
+/// rank 0's graph counters.
+std::string run_dsmc(const dsmc::ParallelDsmcConfig& cfg,
+                     bool pin_graph = true) {
   sim::Machine m(kRanks);
   const dsmc::ParallelDsmcResult r = dsmc::run_parallel_dsmc(m, cfg);
-  return "collisions " + std::to_string(r.collisions) + '\n' +
-         describe_machine(m) + "graph " + describe_stats(r.graph) +
-         " lowered " + std::to_string(r.graph.programs_lowered) + '\n';
+  std::string out =
+      "collisions " + std::to_string(r.collisions) + '\n' + describe_machine(m);
+  if (pin_graph)
+    out += "graph " + describe_stats(r.graph) + " lowered " +
+           std::to_string(r.graph.programs_lowered) + '\n';
+  return out;
 }
 
 TEST(StepGraphGolden, CharmmPipelined) {
@@ -272,7 +284,7 @@ rank 3 clock 0x1.eaecb8478b809p-2 msgs 109 bytes 61608 coalesced 0/0/0
 }
 
 TEST(StepGraphGolden, DsmcPipelined) {
-  EXPECT_EQ(run_dsmc(dsmc::DsmcExecutor::kStepGraph),
+  EXPECT_EQ(run_dsmc(dsmc_config(dsmc::DsmcExecutor::kStepGraph)),
             R"(collisions 666
 rank 0 clock 0x1.d5bf345dd59d5p-5 msgs 12 bytes 5264 coalesced 0/0/0
 rank 1 clock 0x1.d5bf345dd59d5p-5 msgs 11 bytes 6720 coalesced 0/0/0
@@ -283,13 +295,52 @@ graph iterations 6 gathers 0 writes 6 pipelined 0 overlapped 0 stalls 4 retarget
 }
 
 TEST(StepGraphGolden, DsmcArrival) {
-  EXPECT_EQ(run_dsmc(dsmc::DsmcExecutor::kStepGraphArrival),
+  EXPECT_EQ(run_dsmc(dsmc_config(dsmc::DsmcExecutor::kStepGraphArrival)),
             R"(collisions 666
 rank 0 clock 0x1.8f3882278d0cbp-5 msgs 12 bytes 5264 coalesced 0/0/0
 rank 1 clock 0x1.8f3882278d0cbp-5 msgs 11 bytes 6720 coalesced 0/0/0
 rank 2 clock 0x1.8f3882278d0cbp-5 msgs 12 bytes 8960 coalesced 0/0/0
 rank 3 clock 0x1.8f3882278d0cbp-5 msgs 13 bytes 6720 coalesced 0/0/0
 graph iterations 6 gathers 0 writes 6 pipelined 0 overlapped 0 stalls 4 retargets 0 quiesces 2 early 0 wakeups 0 colors 1 lowered 4
+)");
+}
+
+// The blocking-move shapes: the MOVE phase migrates inside its own
+// compute (light-weight, regular-schedule and compiler-generated), so
+// the pins are the physics and the wire; the graph counters are left
+// out.
+TEST(StepGraphGolden, DsmcImperative) {
+  EXPECT_EQ(run_dsmc(dsmc_config(dsmc::DsmcExecutor::kImperative),
+                     /*pin_graph=*/false),
+            R"(collisions 666
+rank 0 clock 0x1.d5bf345dd59d5p-5 msgs 12 bytes 5264 coalesced 0/0/0
+rank 1 clock 0x1.d5bf345dd59d5p-5 msgs 11 bytes 6720 coalesced 0/0/0
+rank 2 clock 0x1.d5bf345dd59d5p-5 msgs 12 bytes 8960 coalesced 0/0/0
+rank 3 clock 0x1.d5bf345dd59d5p-5 msgs 13 bytes 6720 coalesced 0/0/0
+)");
+}
+
+TEST(StepGraphGolden, DsmcRegular) {
+  dsmc::ParallelDsmcConfig cfg = dsmc_config(dsmc::DsmcExecutor::kImperative);
+  cfg.migration = dsmc::MigrationMode::kRegular;
+  EXPECT_EQ(run_dsmc(cfg, /*pin_graph=*/false),
+            R"(collisions 666
+rank 0 clock 0x1.88bb5ab4817cep-4 msgs 83 bytes 9976 coalesced 0/0/0
+rank 1 clock 0x1.88bb5ab4817cep-4 msgs 80 bytes 11432 coalesced 0/0/0
+rank 2 clock 0x1.88bb5ab4817cep-4 msgs 82 bytes 14120 coalesced 0/0/0
+rank 3 clock 0x1.88bb5ab4817cep-4 msgs 85 bytes 11704 coalesced 0/0/0
+)");
+}
+
+TEST(StepGraphGolden, DsmcCompilerGenerated) {
+  dsmc::ParallelDsmcConfig cfg = dsmc_config(dsmc::DsmcExecutor::kImperative);
+  cfg.compiler_generated = true;
+  EXPECT_EQ(run_dsmc(cfg, /*pin_graph=*/false),
+            R"(collisions 666
+rank 0 clock 0x1.55e74299d883bp-4 msgs 36 bytes 6144 coalesced 0/0/0
+rank 1 clock 0x1.55e74299d883bp-4 msgs 33 bytes 7600 coalesced 0/0/0
+rank 2 clock 0x1.55e74299d883bp-4 msgs 34 bytes 9824 coalesced 0/0/0
+rank 3 clock 0x1.55e74299d883bp-4 msgs 37 bytes 7584 coalesced 0/0/0
 )");
 }
 
