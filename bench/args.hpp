@@ -5,12 +5,14 @@
 //   --quick               shrink workloads for smoke runs
 //   --shape=NAME          override the CHARMM executor shape
 //                         (step_graph | step_graph_eager | merged |
-//                          multiple | engine) — honored by table1/table2;
-//                         table3/table8 sweep shapes themselves
-//   --executor=NAME       override the DSMC executor drive
-//                         (step_graph | step_graph_eager | imperative) —
-//                         honored by table5; table4/table7 pin the
-//                         imperative drive for per-phase comparability
+//                          multiple | engine | compiler_generated) —
+//                         honored by table1/table2; table3/table6/table8
+//                         sweep shapes themselves
+//   --executor=NAME       override the DSMC executor shape
+//                         (step_graph | step_graph_eager |
+//                          step_graph_arrival | imperative | regular |
+//                          compiler_generated) — honored by table5;
+//                         table4/table7 pin their two shapes
 //   --partitioner=NAME    override the (re)partitioner
 //                         (rcb | rib | chain | block) — honored by the
 //                         CHARMM tables; table5 sweeps partitioners itself
@@ -18,31 +20,36 @@
 //                         (sorted | banded | random | hypergraph) — honored
 //                         by fig6_hash_schedule and table9_schedule_compile;
 //                         both sweep all patterns when it is absent
-//   --seeds=N             seed count for randomized sweeps — the same knob
-//                         the stress-labeled randomized test suites read
+//   --seeds=N             seed count (a whole number >= 1) for randomized
+//                         sweeps — the same knob the stress-labeled
+//                         randomized test suites read
 //                         (tests/support/seeds.hpp), so one flag drives
 //                         both benches and suites instead of per-suite
 //                         environment variables
-//   --skew=X              hot-spot compute skew factor for benches that
-//                         inject imbalance (table10 arrival chunks,
-//                         table12's rotating hot band); default 4.0
+//   --skew=X              hot-spot compute skew factor (a positive number)
+//                         for benches that inject imbalance (table10
+//                         arrival chunks, table12's rotating hot band);
+//                         default 4.0
 //   --json=PATH           append one JSON-lines record per measured
 //                         configuration (bench_common.hpp emit_json) —
 //                         honored by table1/table5/table10/table11/table12
 //
-// An unknown value prints the accepted spellings and a usage line to
-// stderr and exits 2; unknown flags are ignored (benches historically
-// tolerate extra argv).
+// An unknown or malformed value prints what is accepted and a usage line
+// to stderr and exits 2; unknown flags are ignored (benches historically
+// tolerate extra argv, and chaos_bench passes its own flags through).
 // A bench that sweeps or pins a knob simply does not honor its override —
 // see the per-table notes above.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "apps/charmm/parallel.hpp"
 #include "apps/dsmc/parallel.hpp"
@@ -57,9 +64,11 @@ inline charmm::CharmmShape charmm_shape_from(const std::string& name) {
   if (name == "merged") return charmm::CharmmShape::kMerged;
   if (name == "multiple") return charmm::CharmmShape::kMultiple;
   if (name == "engine") return charmm::CharmmShape::kEngine;
+  if (name == "compiler_generated")
+    return charmm::CharmmShape::kCompilerGenerated;
   throw Error("unknown --shape '" + name +
               "' (step_graph | step_graph_eager | merged | multiple | "
-              "engine)");
+              "engine | compiler_generated)");
 }
 
 inline dsmc::DsmcExecutor dsmc_executor_from(const std::string& name) {
@@ -68,9 +77,34 @@ inline dsmc::DsmcExecutor dsmc_executor_from(const std::string& name) {
   if (name == "step_graph_arrival" || name == "arrival")
     return dsmc::DsmcExecutor::kStepGraphArrival;
   if (name == "imperative") return dsmc::DsmcExecutor::kImperative;
+  if (name == "regular") return dsmc::DsmcExecutor::kRegular;
+  if (name == "compiler_generated")
+    return dsmc::DsmcExecutor::kCompilerGenerated;
   throw Error("unknown --executor '" + name +
               "' (step_graph | step_graph_eager | step_graph_arrival | "
-              "imperative)");
+              "imperative | regular | compiler_generated)");
+}
+
+/// `--skew`: the whole text must be one positive finite number.
+inline double skew_from(std::string_view text) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v <= 0)
+    throw Error("bad --skew '" + std::string(text) +
+                "' (a positive number, e.g. 4.0)");
+  return v;
+}
+
+/// `--seeds`: the whole text must be one integer >= 1.
+inline std::uint64_t seeds_from(std::string_view text) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < 1)
+    throw Error("bad --seeds '" + std::string(text) +
+                "' (a whole number >= 1)");
+  return v;
 }
 
 /// Reference-pattern families the schedule-compilation benches sweep: how
@@ -126,7 +160,7 @@ struct Options {
     return seeds ? *seeds : fallback;
   }
 
-  /// Parse argv. A value the enum parsers reject prints the error and a
+  /// Parse argv. A value the parsers above reject prints the error and a
   /// usage line to stderr and exits 2.
   static Options parse(int argc, char** argv) {
     Options o;
@@ -153,13 +187,13 @@ struct Options {
         } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
           o.json = argv[++i];
         } else if (const char* v = value_of(argv[i], "--skew")) {
-          o.skew = std::stod(v);
+          o.skew = skew_from(v);
         } else if (std::strcmp(argv[i], "--skew") == 0 && i + 1 < argc) {
-          o.skew = std::stod(argv[++i]);
+          o.skew = skew_from(argv[++i]);
         } else if (const char* v = value_of(argv[i], "--seeds")) {
-          o.seeds = std::strtoull(v, nullptr, 10);
+          o.seeds = seeds_from(v);
         } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-          o.seeds = std::strtoull(argv[++i], nullptr, 10);
+          o.seeds = seeds_from(argv[++i]);
         }
       }
     } catch (const Error& e) {

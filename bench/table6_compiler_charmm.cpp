@@ -3,10 +3,11 @@
 // A reduced CHARMM case (the paper used "a smaller version of the
 // program"), 100 iterations, data arrays redistributed every 25 iterations
 // by applying RCB and RIB alternately. Compares the hand-written CHAOS
-// parallelization against the Fortran-90D-style compiler-generated path
-// (chaos::Runtime's schedule registry with modification records and the mechanical
-// overheads of generated code). Columns: partition, remap, inspector,
-// executor, total.
+// parallelization (CharmmShape::kMultiple) against the Fortran-90D-style
+// compiler-generated shape (CharmmShape::kCompilerGenerated: the same
+// graph behind chaos::Runtime's schedule registry with modification
+// records, and the mechanical overheads of generated code). Columns:
+// partition, remap, inspector, executor, total.
 #include <iostream>
 
 #include "apps/charmm/parallel.hpp"
@@ -34,8 +35,10 @@ Phases run_mode(int P, bool compiler, bool quick) {
   cfg.repartition_every = quick ? 4 : 25;
   cfg.alternate_partitioners = true;
   cfg.partitioner = chaos::core::PartitionerKind::kRcb;
-  cfg.shape = chaos::charmm::CharmmShape::kMultiple;
-  cfg.compiler_generated = compiler;
+  // The generated code keeps separate schedules per loop, so the hand arm
+  // is the multiple-schedules shape.
+  cfg.shape = compiler ? chaos::charmm::CharmmShape::kCompilerGenerated
+                       : chaos::charmm::CharmmShape::kMultiple;
 
   chaos::sim::Machine machine(P);
   auto r = chaos::charmm::run_parallel_charmm(machine, cfg);

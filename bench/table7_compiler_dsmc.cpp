@@ -5,7 +5,8 @@
 // per-cell counts directly; the compiler-generated version lowers the MOVE
 // phase to REDUCE(APPEND, ...) and must recompute the counts with an extra
 // irregular loop (extra inspector + communication), plus FORALL
-// copy-in/copy-out overheads in the update loops.
+// copy-in/copy-out overheads in the update loops. The arms are the
+// DsmcExecutor::kImperative and kCompilerGenerated shapes.
 #include <iostream>
 
 #include "apps/dsmc/parallel.hpp"
@@ -28,12 +29,12 @@ Result run_mode(int P, bool compiler, bool quick) {
   // paper's DSMC variants (velocity/position updates inside the template).
   cfg.params.work_scale = 2.0;
   cfg.steps = quick ? 10 : 50;
-  cfg.compiler_generated = compiler;
-  // The compiler arm is forced onto the imperative path; pin the manual
-  // arm there too so the per-phase rows (the MOVE migration especially)
-  // are timed identically and the table measures generated-code overhead,
-  // not executor-shape differences.
-  cfg.executor = chaos::dsmc::DsmcExecutor::kImperative;
+  // The manual arm is the imperative shape: like the compiler-generated
+  // shape it migrates inside the move step, so the per-phase rows (the
+  // MOVE migration especially) are timed identically and the table
+  // measures generated-code overhead, not executor-shape differences.
+  cfg.executor = compiler ? chaos::dsmc::DsmcExecutor::kCompilerGenerated
+                          : chaos::dsmc::DsmcExecutor::kImperative;
 
   chaos::sim::Machine machine(P);
   auto r = chaos::dsmc::run_parallel_dsmc(machine, cfg);

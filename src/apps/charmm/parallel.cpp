@@ -120,16 +120,16 @@ class Driver {
     // gathers) may still be in flight after the last advance. Collectives
     // are charged modeled time and execution_time includes them, so only
     // the two kStepGraph* shapes pay this drain's barrier and the graph
-    // statistics' allreduces: the Table 3 shapes keep the collective
-    // sequence of the blocking executors they reproduce (their eager graph
-    // leaves nothing in flight).
-    if (!table3_shape())
+    // statistics' allreduces: the Table 3 and compiler-generated shapes
+    // keep the collective sequence of the blocking executors they
+    // reproduce (their eager graph leaves nothing in flight).
+    if (step_graph_shape())
       timed(&CharmmPhaseTimes::executor, [&] { graph_.quiesce(); });
 
     phase_out_[static_cast<size_t>(comm_.rank())] = t_;
     absorb_epoch_stats(dist_);
     report_reuse();
-    if (!table3_shape()) report_step_stats();
+    if (step_graph_shape()) report_step_stats();
     if (cfg_.collect_state) collect_state();
   }
 
@@ -209,7 +209,7 @@ class Driver {
     t_.*slot += comm_.now() - t0;
   }
 
-  /// Like timed(), but in compiler-generated mode additionally charges the
+  /// Like timed(), but the compiler-generated shape additionally charges the
   /// mechanical overhead of generated code, inside the phase bucket.
   template <typename Fn>
   void timed_with_overhead(double CharmmPhaseTimes::*slot, double factor,
@@ -224,7 +224,7 @@ class Driver {
   /// Charge the mechanical overhead of compiler-generated code for a phase
   /// that just took `seconds` of virtual time.
   void charge_overhead(double seconds, double factor) {
-    if (cfg_.compiler_generated && seconds > 0)
+    if (cfg_.shape == CharmmShape::kCompilerGenerated && seconds > 0)
       comm_.charge_compute_seconds(seconds * factor);
   }
 
@@ -381,7 +381,7 @@ class Driver {
   /// records, the registry recycles stamps on rebuild and reuses unchanged
   /// entries (hash hits skip translation, paper §3.2.2). The paths differ
   /// only in schedule shape (merged vs separate, Table 3) and in the
-  /// mechanical overheads the compiler mode charges (Table 6).
+  /// mechanical overheads the compiler-generated shape charges (Table 6).
   void build_schedules(bool regen) {
     timed(regen ? &CharmmPhaseTimes::schedule_regen
                 : &CharmmPhaseTimes::schedule_gen,
@@ -412,19 +412,19 @@ class Driver {
             bond_refs_ = rt_.local_refs(bond_loop_);
             jnb_local_ = rt_.local_refs(jnb_loop_);
 
-            if (shape() == CharmmShape::kMerged) {
+            if (cfg_.shape == CharmmShape::kMerged) {
               h_all_ = rt_.merge({h_bond_, h_nb_});
-            } else if (table3_shape()) {
+            } else if (!step_graph_shape()) {
               // Disjoint complement used for the scatter direction so
               // overlapping ghost contributions are delivered exactly once
-              // (the multiple and engine-coalesced shapes, which share one
-              // accumulator between the loops).
+              // (the multiple, compiler-generated and engine-coalesced
+              // shapes, which share one accumulator between the loops).
               h_nb_excl_ = rt_.incremental(h_nb_, h_bond_);
             }
             extent_ = rt_.local_extent(dist_);
             pos_.resize(static_cast<size_t>(extent_));
             force_.assign(static_cast<size_t>(extent_), part::Vec3{});
-            if (!table3_shape())
+            if (step_graph_shape())
               force_bond_.assign(static_cast<size_t>(extent_), part::Vec3{});
             charge_overhead(comm_.now() - t0, kCompilerInspectorOverhead);
 
@@ -447,21 +447,12 @@ class Driver {
            (s % cfg_.run.nb_rebuild_every == 0);
   }
 
-  /// Effective executor shape. The compiler-generated path keeps the
-  /// historical separate schedules (Table 6 measures generated code, not
-  /// the engine or the pipelined graph).
-  CharmmShape shape() const {
-    if (cfg_.compiler_generated) return CharmmShape::kMultiple;
-    return cfg_.shape;
-  }
-
-  /// The Table 3 shapes: merged, multiple and engine. They sum both force
-  /// loops into one accumulator, while the kStepGraph* shapes give the
-  /// bonded step its own (`force_bond_`, left empty here).
-  bool table3_shape() const {
-    return shape() == CharmmShape::kMerged ||
-           shape() == CharmmShape::kMultiple ||
-           shape() == CharmmShape::kEngine;
+  /// The kStepGraph* shapes give the bonded step its own accumulator
+  /// (`force_bond_`); the Table 3 and compiler-generated shapes sum both
+  /// force loops into one (`force_bond_` stays empty).
+  bool step_graph_shape() const {
+    return cfg_.shape == CharmmShape::kStepGraph ||
+           cfg_.shape == CharmmShape::kStepGraphEager;
   }
 
   /// Declare the force cycle as a step graph: each step binds its array
@@ -471,10 +462,12 @@ class Driver {
   ///
   /// The Table 3 shapes run eagerly with one accumulator for both loops,
   /// one post/flush/wait per batch like the blocking executors they
-  /// reproduce: merged rides one merged schedule; multiple sends one batch
-  /// per schedule (bonded gather, non-bonded gather, bonded scatter, then
-  /// the non-bonded scatter through the disjoint complement `h_nb_excl_`);
-  /// engine posts both loops' schedules into one batch per direction.
+  /// reproduce: merged rides one merged schedule; multiple (and the
+  /// compiler-generated code, which keeps its separate schedules) sends one
+  /// batch per schedule (bonded gather, non-bonded gather, bonded scatter,
+  /// then the non-bonded scatter through the disjoint complement
+  /// `h_nb_excl_`); engine posts both loops' schedules into one batch per
+  /// direction.
   ///
   /// The kStepGraph* shapes give the bonded step its own accumulator
   /// (`force_bond_`), so the two force steps touch disjoint arrays: the
@@ -484,13 +477,13 @@ class Driver {
   /// while the integrate step's declared reads force both scatters to
   /// deliver first.
   void declare_graph() {
-    graph_.set_pipelining(shape() == CharmmShape::kStepGraph);
+    graph_.set_pipelining(cfg_.shape == CharmmShape::kStepGraph);
     const auto forces = [this] {
       std::fill(force_.begin(), force_.end(), part::Vec3{});
       bonded_into(force_);
       nonbonded_into(force_);
     };
-    switch (shape()) {
+    switch (cfg_.shape) {
       case CharmmShape::kMerged:
         graph_.step("forces")
             .bind(in(pos_).via(h_all_).named("pos"),
@@ -498,6 +491,7 @@ class Driver {
             .compute(forces);
         break;
       case CharmmShape::kMultiple:
+      case CharmmShape::kCompilerGenerated:
         graph_.step("bonded_gather").bind(in(pos_).via(h_bond_).named("pos"));
         graph_.step("forces")
             .bind(in(pos_).via(h_nb_).named("pos"),
@@ -533,7 +527,7 @@ class Driver {
         break;
     }
     Step& integrate = graph_.step("integrate").bind(use(force_).named("force"));
-    if (!table3_shape())
+    if (step_graph_shape())
       integrate.bind(use(force_bond_).named("force_bond"));
     integrate.bind(update(pos_).named("pos"), update(vel_).named("vel"))
         .compute([this] { integrate_atoms(); });
@@ -566,7 +560,7 @@ class Driver {
   /// between the two force steps' accumulators (the split is what lets
   /// their scatters pipeline).
   part::Vec3 total_force(std::size_t r) const {
-    return table3_shape() ? force_[r] : force_[r] + force_bond_[r];
+    return step_graph_shape() ? force_[r] + force_bond_[r] : force_[r];
   }
 
   void integrate_atoms() {
@@ -591,7 +585,7 @@ class Driver {
   void executor_step(bool arm_next) {
     timed(&CharmmPhaseTimes::executor, [&] {
       const double t0 = comm_.now();
-      if (cfg_.compiler_generated) {
+      if (cfg_.shape == CharmmShape::kCompilerGenerated) {
         (void)rt_.inspect(bond_loop_);
         (void)rt_.inspect(jnb_loop_);
       }

@@ -1,8 +1,8 @@
 // CHAOS-parallel driver for the mini-CHARMM molecular dynamics simulation
 // (paper §4.1), written against the chaos::Runtime facade: all six runtime
 // phases as handle operations, schedule-registry reuse across non-bonded
-// list regenerations, merged vs multiple schedules, and an optional
-// "compiler-generated" mode with per-step modification-record guards
+// list regenerations, merged vs multiple schedules, and a
+// "compiler-generated" shape with per-step modification-record guards
 // (paper §5.3.1, Table 6).
 #pragma once
 
@@ -18,9 +18,11 @@
 
 namespace chaos::charmm {
 
-/// Executor communication shape (Table 3, plus the step-graph redesign).
-/// Every shape is a step graph the executor advances once per step (each
-/// verified before it arms); the shapes differ only in their declarations.
+/// Executor communication shape (Table 3, the compiler-generated code of
+/// Table 6, plus the step-graph redesign). Every shape is a step graph the
+/// executor advances once per step (each verified before it arms); the
+/// shapes differ only in their declarations and, for kCompilerGenerated,
+/// in the guards and overheads around them.
 enum class CharmmShape {
   /// Declarative chaos::StepGraph over the bonded / non-bonded / integrate
   /// cycle, communication pipelined across steps from the declared array
@@ -40,6 +42,11 @@ enum class CharmmShape {
   /// sends at most one message per peer (Table 3 c) — run-time message
   /// merging without rebuilding schedules.
   kEngine,
+  /// Generated code (Table 6): the kMultiple graph with a
+  /// modification-record guard (rt.inspect on the runtime's schedule
+  /// registry) for both loops before every advance, and the mechanical
+  /// overheads of generated code charged around each phase.
+  kCompilerGenerated,
 };
 
 struct ParallelCharmmConfig {
@@ -47,9 +54,7 @@ struct ParallelCharmmConfig {
   SequentialRunConfig run;  ///< steps / rebuild period / dt
   core::PartitionerKind partitioner = core::PartitionerKind::kRcb;
 
-  /// Executor shape. compiler_generated overrides this to kMultiple
-  /// (Table 6 measures generated code, not the engine or the pipelined
-  /// graph).
+  /// Executor shape.
   CharmmShape shape = CharmmShape::kStepGraph;
 
   /// Table 6 mode: re-partition + remap every k steps (0 = partition once),
@@ -58,12 +63,6 @@ struct ParallelCharmmConfig {
   /// and DSMC's cfg.autonomic.
   int repartition_every = 0;
   bool alternate_partitioners = false;
-
-  /// Run the compiler-generated path: the kMultiple graph with a
-  /// modification-record guard (rt.inspect on the runtime's schedule
-  /// registry) for both loops before every advance, and the mechanical
-  /// overheads of generated code charged around each phase.
-  bool compiler_generated = false;
 
   /// Collect final global positions/forces into the result (tests only;
   /// costs an allgather outside the timed region).
@@ -114,7 +113,7 @@ struct ParallelCharmmResult {
   std::uint64_t rebuilt_schedules = 0;
 
   /// Step-graph pipelining accounting, reported by the kStepGraph* shapes
-  /// only: the Table 3 shapes run no statistics collectives, which would
+  /// only: the other shapes run no statistics collectives, which would
   /// be charged modeled time. Arming decisions are SPMD-static, so these
   /// are identical on every rank: gather batches posted while an earlier
   /// step's scatters were still in flight, gather batches hoisted ahead of

@@ -35,18 +35,17 @@ class Driver {
         p_(cfg.params),
         phase_out_(phase_out),
         shared_(shared),
-        rt_(comm) {}
+        rt_(comm),
+        graph_(rt_) {}
 
   void run() {
     initialize();
-    if (use_graph()) declare_graph();
+    declare_graph();
     if (cfg_.verify_graph) {
       // Analysis-only mode: static rule pipeline over the declared graph,
       // no simulation. Analysis never communicates — collective-safe.
-      if (graph_) {
-        std::vector<verify::Diagnostic> ds = rt_.verify(*graph_);
-        if (comm_.rank() == 0) shared_.verify_diagnostics = std::move(ds);
-      }
+      std::vector<verify::Diagnostic> ds = rt_.verify(graph_);
+      if (comm_.rank() == 0) shared_.verify_diagnostics = std::move(ds);
       return;
     }
     if (cfg_.autonomic) {
@@ -58,20 +57,15 @@ class Driver {
       cur_step_ = step;
       const bool remap_due = !cfg_.autonomic && cfg_.remap_every > 0 &&
                              step > 0 && step % cfg_.remap_every == 0;
-      if (use_graph()) {
-        // One collide/move iteration of the declared graph; the previous
-        // step's migration completes at collide's derived `mine_` hazard.
-        // Skip the trailing hoist when a remap (which quiesces) or the end
-        // of the run follows.
-        graph_->advance(!remap_due && step + 1 < cfg_.steps);
-      } else {
-        collide_phase();
-        move_phase();
-      }
+      // One collide/move iteration of the declared graph; the previous
+      // step's migration completes at collide's derived `mine_` hazard.
+      // Skip the trailing hoist when a remap (which quiesces) or the end
+      // of the run follows.
+      graph_.advance(!remap_due && step + 1 < cfg_.steps);
       if (remap_due) remap_phase();
       if (cfg_.autonomic) autonomic_tick();
     }
-    if (graph_) graph_->quiesce();
+    graph_.quiesce();
     const long long local = collisions_;
     const long long total = comm_.allreduce_sum(local);
     // Sum of per-rank peak residency: the storage each rank actually had
@@ -87,7 +81,7 @@ class Driver {
       shared_.rebalances = diffusions_ + rebuilds_;
       shared_.diffusions = diffusions_;
       shared_.rebuilds = rebuilds_;
-      if (graph_) shared_.graph = graph_->stats();
+      shared_.graph = graph_.stats();
     }
     if (cfg_.collect_state) {
       arrived_ = {};  // free the dead per-step scratch before the final
@@ -149,7 +143,7 @@ class Driver {
         my_cells_.push_back(c);
       }
     }
-    if (cfg_.compiler_generated) {
+    if (cfg_.executor == DsmcExecutor::kCompilerGenerated) {
       // Rows distribution the REDUCE(APPEND) lowering appends into. After
       // the first epoch the new map is adopted as a successor: the
       // translation table is patched from the owner delta instead of being
@@ -162,7 +156,7 @@ class Driver {
         rows_ = rt_.irregular(cell_map_);
       }
     }
-    if (cfg_.migration == MigrationMode::kRegular) {
+    if (cfg_.executor == DsmcExecutor::kRegular) {
       // The regular-schedule path translates through a non-replicated
       // (paged) translation table, whose lookups communicate — the cost the
       // paper calls out for index analysis with distributed tables
@@ -178,27 +172,20 @@ class Driver {
     }
   }
 
-  bool use_graph() const {
-    return cfg_.executor != DsmcExecutor::kImperative &&
-           cfg_.migration == MigrationMode::kLightweight &&
-           !cfg_.compiler_generated;
-  }
-
   /// Declare the collide/move cycle as a step graph, the accesses bound
   /// as typed views (use/update/migrate — the step's access sets are
   /// inferred from the bindings).
-  /// The move step's migration is a declared access on `mine_`/`arrived_`;
-  /// the runtime derives that the next collide (updates mine_) depends on it
-  /// and defers the wait to that point, and the finalizer swaps the
-  /// arrival buffer in when the motion completes.
+  /// On the kStepGraph* shapes the move step's migration is a declared
+  /// access on `mine_`/`arrived_`; the runtime derives that the next
+  /// collide (updates mine_) depends on it and defers the wait to that
+  /// point, and the finalizer swaps the arrival buffer in when the motion
+  /// completes. The other shapes run eagerly and migrate inside the move
+  /// step's compute.
   void declare_graph() {
-    graph_ = std::make_unique<StepGraph>(rt_);
-    graph_->set_pipelining(cfg_.executor != DsmcExecutor::kStepGraphEager);
-    const auto move_step = [this] {
-      timed(&DsmcPhaseTimes::reduce_append, [&] { move_compute(); });
-    };
+    graph_.set_pipelining(cfg_.executor == DsmcExecutor::kStepGraph ||
+                          cfg_.executor == DsmcExecutor::kStepGraphArrival);
     Step& collide =
-        graph_->step("collide").bind(update(mine_).named("particles"));
+        graph_.step("collide").bind(update(mine_).named("particles"));
     if (cfg_.executor == DsmcExecutor::kStepGraphArrival) {
       // Chunked collide: the serial prelude sorts the particle keys by
       // cell, then fixed-count chunks each gather and collide a disjoint
@@ -206,7 +193,7 @@ class Driver {
       // disjoint — the chunks form one conflict class and run concurrently on
       // the worker pool, bitwise identical to the serial arms. The
       // finalizer swaps the gathered array in.
-      graph_->set_arrival_driven(true);
+      graph_.set_arrival_driven(true);
       collide.compute([this] {
         timed(&DsmcPhaseTimes::collide, [&] { order_particles(); });
       });
@@ -220,16 +207,42 @@ class Driver {
     } else {
       collide.compute([this] { collide_phase(); });
     }
-    graph_->step("move")
-        .bind(update(mine_).named("particles"),
-              update(dest_procs_).named("dest_procs"))
-        .compute(move_step)
-        .bind(migrate(mine_).to(dest_procs_).into(arrived_).named("particles"))
-        .then([this] { take_arrivals(); });
-  }
-
-  void collide_phase() {
-    timed(&DsmcPhaseTimes::collide, [&] { collide_compute(); });
+    Step& move = graph_.step("move").bind(
+        update(mine_).named("particles"),
+        update(dest_procs_).named("dest_procs"));
+    switch (cfg_.executor) {
+      case DsmcExecutor::kStepGraph:
+      case DsmcExecutor::kStepGraphEager:
+      case DsmcExecutor::kStepGraphArrival:
+        move.compute([this] {
+              timed(&DsmcPhaseTimes::reduce_append, [&] { move_compute(); });
+            })
+            .bind(migrate(mine_).to(dest_procs_).into(arrived_).named(
+                "particles"))
+            .then([this] { take_arrivals(); });
+        break;
+      case DsmcExecutor::kImperative:
+        // The same move with a blocking migrate where the graph posts
+        // asynchronously: destinations straight from the replicated cell
+        // map, no translation, no placement lists.
+        move.compute([this] {
+          timed(&DsmcPhaseTimes::reduce_append, [&] {
+            move_compute();
+            rt_.migrate<Particle>(dest_procs_, mine_, arrived_);
+            take_arrivals();
+          });
+        });
+        break;
+      case DsmcExecutor::kRegular:
+        move.compute([this] {
+          timed(&DsmcPhaseTimes::reduce_append,
+                [&] { move_regular(advance_to_cells()); });
+        });
+        break;
+      case DsmcExecutor::kCompilerGenerated:
+        move.compute([this] { move_compiler(); });
+        break;
+    }
   }
 
   /// Serial prelude shared by every collide arm: sort the particle keys by
@@ -267,21 +280,25 @@ class Driver {
     ctx.charge(work);
   }
 
-  void collide_compute() {
-    const double t0 = comm_.now();
-    order_particles();
-    for (std::size_t s = 0; s < my_cells_.size(); ++s) {
-      const int done = collide_cell(p_, my_cells_[s], cur_step_,
-                                    order_.gather(s, mine_, arrived_));
-      collisions_ += done;
-      comm_.charge_work((kWorkPerCellVisit +
-                         static_cast<double>(done) * kWorkPerCollision) *
-                        p_.work_scale);
-    }
-    mine_.swap(arrived_);
-    if (cfg_.compiler_generated)
-      comm_.charge_compute_seconds((comm_.now() - t0) *
-                                   kCompilerForallOverhead);
+  /// The serial collide phase; generated code pays its FORALL overhead on
+  /// top.
+  void collide_phase() {
+    timed(&DsmcPhaseTimes::collide, [&] {
+      const double t0 = comm_.now();
+      order_particles();
+      for (std::size_t s = 0; s < my_cells_.size(); ++s) {
+        const int done = collide_cell(p_, my_cells_[s], cur_step_,
+                                      order_.gather(s, mine_, arrived_));
+        collisions_ += done;
+        comm_.charge_work((kWorkPerCellVisit +
+                           static_cast<double>(done) * kWorkPerCollision) *
+                          p_.work_scale);
+      }
+      mine_.swap(arrived_);
+      if (cfg_.executor == DsmcExecutor::kCompilerGenerated)
+        comm_.charge_compute_seconds((comm_.now() - t0) *
+                                     kCompilerForallOverhead);
+    });
   }
 
   /// The fused move pass shared by every arm (it mirrors the sequential
@@ -301,8 +318,8 @@ class Driver {
     peak_mine_ = std::max(peak_mine_, mine_.size());
   }
 
-  /// Step-graph move compute: the fused move pass, then reset the arrival
-  /// buffer the declared migration appends into.
+  /// Light-weight move compute: the fused move pass, then reset the
+  /// arrival buffer the migration appends into.
   void move_compute() {
     advance_particles();
     comm_.charge_work(static_cast<double>(mine_.size()) * 0.5);
@@ -315,41 +332,17 @@ class Driver {
   /// carried slots hold); the spent buffer is the next collide's gather target.
   void take_arrivals() { mine_.swap(arrived_); }
 
-  void move_phase() {
-    std::vector<GlobalIndex> dest_cells;
-    timed(&DsmcPhaseTimes::reduce_append, [&] {
-      if (cfg_.migration == MigrationMode::kLightweight &&
-          !cfg_.compiler_generated) {
-        // Hand-sequenced arm of the same move the step graph declares:
-        // the shared compute (destinations straight from the replicated
-        // cell map, no translation, no placement lists), then a blocking
-        // migrate where the graph posts asynchronously.
-        move_compute();
-        rt_.migrate<Particle>(dest_procs_, mine_, arrived_);
-        take_arrivals();
-        return;
-      }
-
-      advance_particles();
-      order_.carried = 0;  // these arrivals carry no stayer slots
-      dest_cells.resize(mine_.size());
-      for (std::size_t i = 0; i < mine_.size(); ++i)
-        dest_cells[i] = cell_of(p_, mine_[i]);
-      if (cfg_.compiler_generated) {
-        move_compiler(dest_cells);
-        return;
-      }
-      move_regular(dest_cells);
-    });
-
-    // The compiler-generated size-recovery loop runs after the append and
-    // is accounted separately (it is extra work the manual version avoids).
-    if (cfg_.compiler_generated) {
-      timed(&DsmcPhaseTimes::size_recompute, [&] {
-        std::vector<GlobalIndex> sizes = rt_.row_sizes(rows_, dest_cells);
-        (void)sizes;
-      });
-    }
+  /// The fused move pass for the moves that place particles by
+  /// destination cell; returns each particle's cell and empties the
+  /// arrival buffer.
+  std::vector<GlobalIndex> advance_to_cells() {
+    advance_particles();
+    order_.carried = 0;  // these arrivals carry no stayer slots
+    arrived_.clear();
+    std::vector<GlobalIndex> dest_cells(mine_.size());
+    for (std::size_t i = 0; i < mine_.size(); ++i)
+      dest_cells[i] = cell_of(p_, mine_[i]);
+    return dest_cells;
   }
 
   /// Regular-schedule migration (Table 4's expensive path): a full
@@ -385,21 +378,23 @@ class Driver {
 
     // Payload motion (same arrivals as the light-weight path) plus the
     // placement work of honoring the permutation list.
-    std::vector<Particle> arrived;
-    arrived.reserve(mine_.size());
-    rt_.migrate<Particle>(dest_procs_, mine_, arrived);
-    comm_.charge_work(static_cast<double>(arrived.size()) * 2.0);
-    mine_ = std::move(arrived);
+    rt_.migrate<Particle>(dest_procs_, mine_, arrived_);
+    comm_.charge_work(static_cast<double>(arrived_.size()) * 2.0);
+    take_arrivals();
   }
 
-  /// Compiler-generated MOVE: the REDUCE(APPEND) lowering (the size
-  /// recovery the compiler additionally emits runs afterwards, timed by the
-  /// caller; paper §5.3.2).
-  void move_compiler(const std::vector<GlobalIndex>& dest_cells) {
-    std::vector<Particle> arrived;
-    arrived.reserve(mine_.size());
-    rt_.append<Particle>(rows_, dest_cells, mine_, arrived);
-    mine_ = std::move(arrived);
+  /// Compiler-generated MOVE: the REDUCE(APPEND) lowering, then the size
+  /// recovery the compiler additionally emits, accounted separately (it is
+  /// extra work the manual version avoids; paper §5.3.2).
+  void move_compiler() {
+    std::vector<GlobalIndex> dest_cells;
+    timed(&DsmcPhaseTimes::reduce_append, [&] {
+      dest_cells = advance_to_cells();
+      rt_.append<Particle>(rows_, dest_cells, mine_, arrived_);
+      take_arrivals();
+    });
+    timed(&DsmcPhaseTimes::size_recompute,
+          [&] { (void)rt_.row_sizes(rows_, dest_cells); });
   }
 
   /// Particles per owned cell, by slot (each cell's load is known at its
@@ -464,7 +459,7 @@ class Driver {
     // A remap lands mid-pipeline: the previous move's migration may still
     // be in flight. Quiesce first (this also runs the arrival-swap
     // finalizer, so `mine_` is current before the weights are computed).
-    if (graph_) graph_->quiesce();
+    graph_.quiesce();
     timed(&DsmcPhaseTimes::remap,
           [&] { apply_map(compute_remap_map()); });
   }
@@ -481,7 +476,7 @@ class Driver {
     const balance::Window w = monitor_->close();
     const balance::Action act = policy_->decide(w);
     if (act == balance::Action::kNone) return;
-    if (graph_) graph_->quiesce();
+    graph_.quiesce();
     timed(&DsmcPhaseTimes::remap, [&] {
       const double t0 = comm_.now();
       if (act == balance::Action::kDiffuse) {
@@ -519,7 +514,7 @@ class Driver {
   ParallelDsmcResult& shared_;
 
   Runtime rt_;
-  std::unique_ptr<StepGraph> graph_;     // step-graph executor modes
+  StepGraph graph_;
   int cur_step_ = 0;                     // current simulation step (RNG seed)
   std::vector<int> dest_procs_;          // move step: per-item destinations
   std::vector<Particle> arrived_;        // move step: migration arrivals
@@ -530,8 +525,8 @@ class Driver {
   std::size_t peak_mine_ = 0;  // max resident particles on this rank
   CellOrder order_;            // cell-ordered layout of mine_ + scratch
   std::vector<long long> chunk_collisions_;  // arrival arm: per-chunk counts
-  DistHandle rows_;   // compiler path: replicated rows distribution
-  DistHandle paged_;  // regular path: paged translation table
+  DistHandle rows_;   // kCompilerGenerated: replicated rows distribution
+  DistHandle paged_;  // kRegular: paged translation table
 
   // Autonomic mode (cfg_.autonomic).
   std::unique_ptr<balance::Policy> policy_;

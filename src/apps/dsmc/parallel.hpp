@@ -2,7 +2,7 @@
 // cell-based domain decomposition, per-step particle migration through
 // light-weight schedules (or through regular schedules, for the Table 4
 // comparison), periodic load-balancing remaps with pluggable partitioners
-// (Table 5), and a compiler-generated mode that lowers the MOVE phase to
+// (Table 5), and a compiler-generated shape that lowers the MOVE phase to
 // REDUCE(APPEND, ...) plus the extra size-recovery loop (Table 7).
 #pragma once
 
@@ -15,12 +15,10 @@
 
 namespace chaos::dsmc {
 
-enum class MigrationMode {
-  kLightweight,  ///< light-weight schedules + scatter_append (paper §3.2.1)
-  kRegular,      ///< full inspector + permutation placement every step
-};
-
-/// How the per-step collide/move cycle is driven.
+/// How the per-step collide/move cycle is driven. Every shape is a step
+/// graph (a collide step, then a move step) the driver advances once per
+/// step, each verified before it arms; the shapes differ in how the graph
+/// runs and in what the move step does.
 enum class DsmcExecutor {
   /// Declarative chaos::StepGraph (primary): the move step binds
   /// migrate(mine).to(dest).into(arrived) and the runtime defers the
@@ -34,19 +32,25 @@ enum class DsmcExecutor {
   /// result stays bitwise identical to the serial arms (collision counts
   /// sum; cell updates never overlap).
   kStepGraphArrival,
-  /// Hand-sequenced imperative cycle (the pre-graph fallback shape).
+  /// Eager graph whose move step migrates inside its own compute through
+  /// a blocking light-weight migrate (the hand-sequenced cycle).
   kImperative,
+  /// kImperative's graph with regular-schedule migration (Table 4's
+  /// expensive path): a full inspector over the destination cells through
+  /// a paged translation table plus a per-particle placement exchange,
+  /// every step.
+  kRegular,
+  /// kImperative's graph with the compiler-generated MOVE (Table 7): the
+  /// REDUCE(APPEND) lowering plus the extra size-recovery loop, and the
+  /// FORALL copy-in/copy-out overhead charged on the collide phase.
+  kCompilerGenerated,
 };
 
 struct ParallelDsmcConfig {
   DsmcParams params;
   int steps = 50;
-  MigrationMode migration = MigrationMode::kLightweight;
 
-  /// Executor drive. Only the light-weight, non-compiler cycle runs on the
-  /// step graph; the regular-schedule and compiler-generated modes keep
-  /// the imperative path (their per-step inspector/placement choreography
-  /// is the thing being measured).
+  /// Executor shape: how the graph runs and how the MOVE phase migrates.
   DsmcExecutor executor = DsmcExecutor::kStepGraph;
 
   /// 0 = static partition (cells partitioned once at start, never remapped).
@@ -63,26 +67,24 @@ struct ParallelDsmcConfig {
   bool autonomic = false;
   balance::PolicyConfig policy;
 
-  /// Route the MOVE phase through the lang:: REDUCE(APPEND) lowering with
-  /// the compiler's extra size-recovery communication (Table 7).
-  bool compiler_generated = false;
-
   /// Collect final particles (sorted by id) into the result. Tests only.
   bool collect_state = false;
 
   /// Analysis-only mode: declare the step graph, run the verify::Analyzer
   /// rule pipeline over it, store the findings in the result, and return
   /// without simulating (the chaos-verify CLI and the shipped-graphs-clean
-  /// sweep). Only meaningful for the step-graph executors.
+  /// sweep). Every shape declares a graph.
   bool verify_graph = false;
 };
 
-/// Per-phase virtual times. Under the step-graph executor the migration
-/// post/wait runs inside StepGraph::advance, outside these buckets:
+/// Per-phase virtual times. The kStepGraph* shapes post and wait the
+/// migration from StepGraph::advance, outside these buckets:
 /// `reduce_append` then covers only the local move compute and the
 /// deferred transport lands in no bucket (aggregate machine metrics are
-/// unaffected). Benches that compare per-phase rows across migration or
-/// compiler modes pin DsmcExecutor::kImperative for identical accounting.
+/// unaffected). kImperative, kRegular and kCompilerGenerated migrate inside
+/// the move step's compute, so their `reduce_append` holds the transport;
+/// benches that compare per-phase rows across those three (tables 4 and 7)
+/// get identical accounting.
 struct DsmcPhaseTimes {
   double collide = 0;        ///< cell-ordering counting sort + collisions
   double reduce_append = 0;  ///< MOVE-phase migration (schedule + transport)
@@ -107,7 +109,7 @@ struct ParallelDsmcResult {
   int diffusions = 0;
   int rebuilds = 0;
   /// Rank 0's step-graph counters, copied without a collective (so no
-  /// modeled clock moves); all zero for the executors without a graph.
+  /// modeled clock moves).
   StepGraph::Stats graph;
   std::vector<Particle> particles;  ///< only when collect_state
   /// Findings of the analysis-only run (cfg.verify_graph), from rank 0.

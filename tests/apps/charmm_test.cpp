@@ -273,7 +273,7 @@ TEST(CharmmParallel, CompilerGeneratedPathAlsoCorrect) {
   ParallelCharmmConfig cfg;
   cfg.system = sys_params;
   cfg.run = run;
-  cfg.compiler_generated = true;
+  cfg.shape = CharmmShape::kCompilerGenerated;
   cfg.collect_state = true;
   sim::Machine m(4);
   auto par = run_parallel_charmm(m, cfg);

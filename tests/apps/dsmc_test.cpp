@@ -176,7 +176,7 @@ TEST(DsmcParallel, RegularScheduleModeMatchesExactly) {
   ParallelDsmcConfig cfg;
   cfg.params = p;
   cfg.steps = 6;
-  cfg.migration = MigrationMode::kRegular;
+  cfg.executor = DsmcExecutor::kRegular;
   cfg.collect_state = true;
   sim::Machine m(4);
   auto par = run_parallel_dsmc(m, cfg);
@@ -189,7 +189,7 @@ TEST(DsmcParallel, CompilerGeneratedModeMatchesExactly) {
   ParallelDsmcConfig cfg;
   cfg.params = p;
   cfg.steps = 6;
-  cfg.compiler_generated = true;
+  cfg.executor = DsmcExecutor::kCompilerGenerated;
   cfg.collect_state = true;
   sim::Machine m(4);
   auto par = run_parallel_dsmc(m, cfg);
@@ -219,7 +219,7 @@ TEST(DsmcParallel, RemappingModesMatchExactly) {
 TEST(DsmcParallel, RemapOverlapSafeWithEpochRetiringModes) {
   // The remap phase posts the particle migration through the comm engine
   // and rebuilds the cell ownership structures while the transfer is in
-  // flight. In the compiler-generated and regular-migration modes that
+  // flight. In the compiler-generated and regular-migration shapes that
   // rebuild retires a distribution epoch and constructs a new one
   // (collective) mid-flight — exactly the interaction that must not
   // deadlock, reorder arrivals, or touch freed buffers.
@@ -231,7 +231,7 @@ TEST(DsmcParallel, RemapOverlapSafeWithEpochRetiringModes) {
   compiler.params = p;
   compiler.steps = 9;
   compiler.remap_every = 3;
-  compiler.compiler_generated = true;
+  compiler.executor = DsmcExecutor::kCompilerGenerated;
   compiler.collect_state = true;
   sim::Machine m1(4);
   auto par_compiler = run_parallel_dsmc(m1, compiler);
@@ -241,7 +241,7 @@ TEST(DsmcParallel, RemapOverlapSafeWithEpochRetiringModes) {
   regular.params = p;
   regular.steps = 9;
   regular.remap_every = 3;
-  regular.migration = MigrationMode::kRegular;
+  regular.executor = DsmcExecutor::kRegular;
   regular.collect_state = true;
   sim::Machine m2(4);
   auto par_regular = run_parallel_dsmc(m2, regular);
@@ -259,14 +259,13 @@ TEST(DsmcParallel, LightweightCheaperThanRegular) {
   ParallelDsmcConfig cfg;
   cfg.params = p;
   cfg.steps = 10;
-  // Imperative on both arms, like the table4 bench: isolate the schedule
-  // cost difference from step-graph pipelining gains.
-  cfg.executor = DsmcExecutor::kImperative;
-
+  // The light-weight arm is the imperative shape, like the table4 bench:
+  // both arms migrate eagerly inside the move step, which isolates the
+  // schedule cost difference from step-graph pipelining gains.
   sim::Machine m1(4), m2(4);
-  cfg.migration = MigrationMode::kLightweight;
+  cfg.executor = DsmcExecutor::kImperative;
   auto light = run_parallel_dsmc(m1, cfg);
-  cfg.migration = MigrationMode::kRegular;
+  cfg.executor = DsmcExecutor::kRegular;
   auto regular = run_parallel_dsmc(m2, cfg);
   // The regular path pays extra charged computation (hashing, placement
   // bookkeeping) and extra communication (placement exchanges) per step;
@@ -306,8 +305,8 @@ TEST(DsmcParallel, RemappingImprovesImbalancedRun) {
 TEST(DsmcStepGraph, PipelinedEagerAndImperativeAllMatchExactly) {
   // The move/remap cycle declared as a step graph (the default executor)
   // must be bitwise identical to the eager graph arm AND to the
-  // hand-sequenced imperative fallback — including remaps landing while
-  // the declared migration is still in flight.
+  // imperative shape's blocking move — including remaps landing while the
+  // declared migration is still in flight.
   DsmcParams p = small_params();
   p.nonuniform_init = true;
   auto seq = run_sequential_dsmc(p, 9);
@@ -393,7 +392,8 @@ TEST(DsmcBirthDeath, AllExecutorsMatchSequentialWithRemapExactly) {
   ParallelDsmcResult pipelined;
   for (const DsmcExecutor executor :
        {DsmcExecutor::kStepGraph, DsmcExecutor::kStepGraphEager,
-        DsmcExecutor::kStepGraphArrival, DsmcExecutor::kImperative}) {
+        DsmcExecutor::kStepGraphArrival, DsmcExecutor::kImperative,
+        DsmcExecutor::kRegular, DsmcExecutor::kCompilerGenerated}) {
     cfg.executor = executor;
     sim::Machine m(4);
     auto par = run_parallel_dsmc(m, cfg);

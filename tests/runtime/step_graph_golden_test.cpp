@@ -156,8 +156,7 @@ std::string hash_state(const std::vector<part::Point3>& v) {
 /// `collect_state` additionally pins the result's message totals and a
 /// bitwise hash of the final positions and forces (the collection is an
 /// allgather after the run, so it also moves the clocks).
-std::string run_charmm(charmm::CharmmShape shape, bool collect_state = false,
-                       bool compiler_generated = false) {
+std::string run_charmm(charmm::CharmmShape shape, bool collect_state = false) {
   charmm::ParallelCharmmConfig cfg;
   cfg.system = charmm::SystemParams::small(300);
   cfg.run.steps = 6;
@@ -165,7 +164,6 @@ std::string run_charmm(charmm::CharmmShape shape, bool collect_state = false,
   cfg.repartition_every = 4;  // steps 0-3, repartition + retarget, 4-5
   cfg.shape = shape;
   cfg.collect_state = collect_state;
-  cfg.compiler_generated = compiler_generated;
   sim::Machine m(kRanks);
   const charmm::ParallelCharmmResult r = charmm::run_parallel_charmm(m, cfg);
   std::ostringstream os;
@@ -184,7 +182,9 @@ std::string run_charmm(charmm::CharmmShape shape, bool collect_state = false,
   return os.str() + describe_machine(m);
 }
 
-dsmc::ParallelDsmcConfig dsmc_config(dsmc::DsmcExecutor executor) {
+/// Collisions and every rank's clock and wire counts; `pin_graph` adds
+/// rank 0's graph counters.
+std::string run_dsmc(dsmc::DsmcExecutor executor, bool pin_graph = true) {
   dsmc::ParallelDsmcConfig cfg;
   cfg.params.nx = 8;
   cfg.params.ny = 8;
@@ -192,13 +192,6 @@ dsmc::ParallelDsmcConfig dsmc_config(dsmc::DsmcExecutor executor) {
   cfg.steps = 6;
   cfg.remap_every = 4;  // steps 0-4, quiesce + remap, step 5
   cfg.executor = executor;
-  return cfg;
-}
-
-/// Collisions and every rank's clock and wire counts; `pin_graph` adds
-/// rank 0's graph counters.
-std::string run_dsmc(const dsmc::ParallelDsmcConfig& cfg,
-                     bool pin_graph = true) {
   sim::Machine m(kRanks);
   const dsmc::ParallelDsmcResult r = dsmc::run_parallel_dsmc(m, cfg);
   std::string out =
@@ -272,8 +265,8 @@ rank 3 clock 0x1.cd9a0cb6a072dp-2 msgs 73 bytes 61608 coalesced 36/72/50016
 }
 
 TEST(StepGraphGolden, CharmmCompilerGenerated) {
-  EXPECT_EQ(run_charmm(charmm::CharmmShape::kStepGraph, /*collect_state=*/true,
-                       /*compiler_generated=*/true),
+  EXPECT_EQ(run_charmm(charmm::CharmmShape::kCompilerGenerated,
+                       /*collect_state=*/true),
             R"(pipelined 0 overlapped 0 stalls 0 early 0 wakeups 0 colors 0
 msgs 464 coalesced 0/0 pos 5824e0d94cb47d5a force 96f1e7afc4fa4560
 rank 0 clock 0x1.eaecb8478b809p-2 msgs 120 bytes 61192 coalesced 0/0/0
@@ -284,7 +277,7 @@ rank 3 clock 0x1.eaecb8478b809p-2 msgs 109 bytes 61608 coalesced 0/0/0
 }
 
 TEST(StepGraphGolden, DsmcPipelined) {
-  EXPECT_EQ(run_dsmc(dsmc_config(dsmc::DsmcExecutor::kStepGraph)),
+  EXPECT_EQ(run_dsmc(dsmc::DsmcExecutor::kStepGraph),
             R"(collisions 666
 rank 0 clock 0x1.d5bf345dd59d5p-5 msgs 12 bytes 5264 coalesced 0/0/0
 rank 1 clock 0x1.d5bf345dd59d5p-5 msgs 11 bytes 6720 coalesced 0/0/0
@@ -295,7 +288,7 @@ graph iterations 6 gathers 0 writes 6 pipelined 0 overlapped 0 stalls 4 retarget
 }
 
 TEST(StepGraphGolden, DsmcArrival) {
-  EXPECT_EQ(run_dsmc(dsmc_config(dsmc::DsmcExecutor::kStepGraphArrival)),
+  EXPECT_EQ(run_dsmc(dsmc::DsmcExecutor::kStepGraphArrival),
             R"(collisions 666
 rank 0 clock 0x1.8f3882278d0cbp-5 msgs 12 bytes 5264 coalesced 0/0/0
 rank 1 clock 0x1.8f3882278d0cbp-5 msgs 11 bytes 6720 coalesced 0/0/0
@@ -310,8 +303,7 @@ graph iterations 6 gathers 0 writes 6 pipelined 0 overlapped 0 stalls 4 retarget
 // the pins are the physics and the wire; the graph counters are left
 // out.
 TEST(StepGraphGolden, DsmcImperative) {
-  EXPECT_EQ(run_dsmc(dsmc_config(dsmc::DsmcExecutor::kImperative),
-                     /*pin_graph=*/false),
+  EXPECT_EQ(run_dsmc(dsmc::DsmcExecutor::kImperative, /*pin_graph=*/false),
             R"(collisions 666
 rank 0 clock 0x1.d5bf345dd59d5p-5 msgs 12 bytes 5264 coalesced 0/0/0
 rank 1 clock 0x1.d5bf345dd59d5p-5 msgs 11 bytes 6720 coalesced 0/0/0
@@ -321,9 +313,7 @@ rank 3 clock 0x1.d5bf345dd59d5p-5 msgs 13 bytes 6720 coalesced 0/0/0
 }
 
 TEST(StepGraphGolden, DsmcRegular) {
-  dsmc::ParallelDsmcConfig cfg = dsmc_config(dsmc::DsmcExecutor::kImperative);
-  cfg.migration = dsmc::MigrationMode::kRegular;
-  EXPECT_EQ(run_dsmc(cfg, /*pin_graph=*/false),
+  EXPECT_EQ(run_dsmc(dsmc::DsmcExecutor::kRegular, /*pin_graph=*/false),
             R"(collisions 666
 rank 0 clock 0x1.88bb5ab4817cep-4 msgs 83 bytes 9976 coalesced 0/0/0
 rank 1 clock 0x1.88bb5ab4817cep-4 msgs 80 bytes 11432 coalesced 0/0/0
@@ -333,9 +323,8 @@ rank 3 clock 0x1.88bb5ab4817cep-4 msgs 85 bytes 11704 coalesced 0/0/0
 }
 
 TEST(StepGraphGolden, DsmcCompilerGenerated) {
-  dsmc::ParallelDsmcConfig cfg = dsmc_config(dsmc::DsmcExecutor::kImperative);
-  cfg.compiler_generated = true;
-  EXPECT_EQ(run_dsmc(cfg, /*pin_graph=*/false),
+  EXPECT_EQ(run_dsmc(dsmc::DsmcExecutor::kCompilerGenerated,
+                     /*pin_graph=*/false),
             R"(collisions 666
 rank 0 clock 0x1.55e74299d883bp-4 msgs 36 bytes 6144 coalesced 0/0/0
 rank 1 clock 0x1.55e74299d883bp-4 msgs 33 bytes 7600 coalesced 0/0/0

@@ -524,15 +524,16 @@ std::size_t overlap_notes(const Diags& ds) {
 }
 
 // Every CharmmShape is a declared graph. The analyzer explains Table 3:
-// the multiple and engine shapes gather positions through the bonded and
-// non-bonded schedules, whose shared ghost slots ride the wire twice; the
-// merged shape's one schedule fetches each ghost once.
+// the multiple and engine shapes (and the compiler-generated code, which
+// keeps multiple's separate schedules) gather positions through the
+// bonded and non-bonded schedules, whose shared ghost slots ride the wire
+// twice; the merged shape's one schedule fetches each ghost once.
 TEST(VerifyShippedGraphs, EveryCharmmGraphIsCertified) {
   using charmm::CharmmShape;
   for (const CharmmShape shape :
        {CharmmShape::kStepGraph, CharmmShape::kStepGraphEager,
-        CharmmShape::kMerged, CharmmShape::kMultiple,
-        CharmmShape::kEngine}) {
+        CharmmShape::kMerged, CharmmShape::kMultiple, CharmmShape::kEngine,
+        CharmmShape::kCompilerGenerated}) {
     Machine machine(kRanks);
     const auto res = charmm::run_parallel_charmm(machine, charmm_cfg(shape));
     const std::string label =
@@ -542,7 +543,8 @@ TEST(VerifyShippedGraphs, EveryCharmmGraphIsCertified) {
     if (shape == CharmmShape::kMerged) {
       EXPECT_EQ(overlaps, 0u) << label;
     }
-    if (shape == CharmmShape::kMultiple || shape == CharmmShape::kEngine) {
+    if (shape == CharmmShape::kMultiple || shape == CharmmShape::kEngine ||
+        shape == CharmmShape::kCompilerGenerated) {
       EXPECT_GT(overlaps, 0u) << label << ":\n"
                               << verify::render(res.verify_diagnostics);
     }
@@ -553,7 +555,8 @@ TEST(VerifyShippedGraphs, EveryDsmcGraphIsCertified) {
   using dsmc::DsmcExecutor;
   for (const DsmcExecutor ex :
        {DsmcExecutor::kStepGraph, DsmcExecutor::kStepGraphEager,
-        DsmcExecutor::kStepGraphArrival}) {
+        DsmcExecutor::kStepGraphArrival, DsmcExecutor::kImperative,
+        DsmcExecutor::kRegular, DsmcExecutor::kCompilerGenerated}) {
     Machine machine(kRanks);
     const auto res = dsmc::run_parallel_dsmc(machine, dsmc_cfg(ex));
     expect_certified(res.verify_diagnostics,
